@@ -3,7 +3,13 @@
 Every subcommand is a thin adapter over one library call: it parses flags,
 invokes the function, and serializes the result.  No numeric logic lives
 here.  Output goes to stdout (or atomically to ``--out``); diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+stderr.
+
+Exit codes: 0 success; 1 at least one verification check failed; 2 the
+command could not produce a result: a usage error (unknown flag, value out
+of domain, unknown check id), an exact index past the capacity, or an
+``AccuracyError`` when quadrature misses its tolerance at the level cap.
+The message for 2 goes to stderr and nothing is written to stdout.
 
 Default tolerance is 1e-12; the ``BASELKIT_TOL`` environment variable
 overrides the default and the ``--tol`` flag overrides both.
@@ -202,58 +208,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_scalar(args) -> tuple[str, int]:
-    if args.command == "bernoulli":
-        record = {"n": args.n, "value": fraction_str(bernoulli(args.n))}
-    else:
-        record = {"n": args.n, "value": fraction_str(genocchi(args.n))}
-    return _render_record(record, args.format), 0
-
-
-def _cmd_zeta(args) -> tuple[str, int]:
+def _zeta_record(args, tol: float) -> dict:
     power = zeta_even_exact(args.even)
-    record = {
+    return {
         "n": args.even,
         "coefficient": fraction_str(power.coefficient),
         "pi_exponent": power.exponent,
         "value": power.to_float(),
     }
-    return _render_record(record, args.format), 0
 
 
-def _cmd_poly(args) -> tuple[str, int]:
+def _poly_record(args, tol: float) -> dict:
     build = bernoulli_polynomial if args.kind == "bernoulli" else genocchi_polynomial
-    record = {
-        "kind": args.kind,
-        "n": args.n,
-        "coefficients": build(args.n).to_string_list(),
-    }
-    return _render_record(record, args.format), 0
+    return {"kind": args.kind, "n": args.n, "coefficients": build(args.n).to_string_list()}
 
 
-def _cmd_integrate(args, tol: float) -> tuple[str, int]:
-    result = integrate(IntegralKind(args.kind), tol)
-    record = {"kind": args.kind, **result.to_json()}
-    return _render_record(record, args.format), 0
-
-
-def _cmd_riemann(args) -> tuple[str, int]:
-    value = riemann_sum(IntegralKind(args.kind), args.n)
-    return _render_record({"kind": args.kind, "n": args.n, "value": value}, args.format), 0
-
-
-def _cmd_product(args) -> tuple[str, int]:
-    value = product_form(ProductKind(args.kind), args.n)
-    return _render_record({"kind": args.kind, "n": args.n, "value": value}, args.format), 0
-
-
-def _cmd_dilog(args, tol: float) -> tuple[str, int]:
-    value = scaled_dilog(args.x, args.mode, tol)
-    record = {"x": args.x, "mode": args.mode, "value": value}
-    return _render_record(record, args.format), 0
-
-
-def _cmd_series(args, tol: float) -> tuple[str, int]:
+def _series_record(args, tol: float) -> dict:
     if args.which in ("zeta2", "eta2"):
         if args.n is None:
             raise ValueError(f"--which {args.which} requires --n")
@@ -263,19 +233,13 @@ def _cmd_series(args, tol: float) -> tuple[str, int]:
         if args.n <= EXACT_PARTIAL_CAP:
             record["value"] = fraction_str(exact_fn(args.n))
         record["value_float"] = float_fn(args.n)
-        return _render_record(record, args.format), 0
+        return record
     if args.m_max is None:
         raise ValueError(f"--which {args.which} requires --m-max")
-    report = asymptotic_report(args.which, args.m_max, tol)
-    return _render_record(report.to_json(), args.format), 0
+    return asymptotic_report(args.which, args.m_max, tol).to_json()
 
 
-def _cmd_mei(args) -> tuple[str, int]:
-    report = bisection_report(args.x, args.level, args.pf_terms)
-    return _render_record(report.to_json(), args.format), 0
-
-
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args, tol: float) -> tuple[str, int]:
     if args.list:
         return "\n".join(available_checks()), 0
     selection = "all" if args.suite == "all" else [s for s in args.suite.split(",") if s]
@@ -299,6 +263,36 @@ def _cmd_verify(args) -> tuple[str, int]:
     return text, (1 if tally else 0)
 
 
+def _record(build):
+    """A subcommand whose output is one record, rendered in --format; exit 0."""
+    return lambda args, tol: (_render_record(build(args, tol), args.format), 0)
+
+
+# Each entry takes (args, tol) and returns (text, exit code).  Library calls
+# sit inside the entries, so they resolve this module's globals at call time.
+_COMMANDS = {
+    "bernoulli": _record(lambda a, tol: {"n": a.n, "value": fraction_str(bernoulli(a.n))}),
+    "genocchi": _record(lambda a, tol: {"n": a.n, "value": fraction_str(genocchi(a.n))}),
+    "zeta": _record(_zeta_record),
+    "poly": _record(_poly_record),
+    "integrate": _record(
+        lambda a, tol: {"kind": a.kind, **integrate(IntegralKind(a.kind), tol).to_json()}
+    ),
+    "riemann": _record(
+        lambda a, tol: {"kind": a.kind, "n": a.n, "value": riemann_sum(IntegralKind(a.kind), a.n)}
+    ),
+    "product": _record(
+        lambda a, tol: {"kind": a.kind, "n": a.n, "value": product_form(ProductKind(a.kind), a.n)}
+    ),
+    "dilog": _record(
+        lambda a, tol: {"x": a.x, "mode": a.mode, "value": scaled_dilog(a.x, a.mode, tol)}
+    ),
+    "series": _record(_series_record),
+    "mei": _record(lambda a, tol: bisection_report(a.x, a.level, a.pf_terms).to_json()),
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -307,26 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         tol = args.tol if getattr(args, "tol", None) is not None else _default_tol()
-        if args.command in ("bernoulli", "genocchi"):
-            text, code = _cmd_scalar(args)
-        elif args.command == "zeta":
-            text, code = _cmd_zeta(args)
-        elif args.command == "poly":
-            text, code = _cmd_poly(args)
-        elif args.command == "integrate":
-            text, code = _cmd_integrate(args, tol)
-        elif args.command == "riemann":
-            text, code = _cmd_riemann(args)
-        elif args.command == "product":
-            text, code = _cmd_product(args)
-        elif args.command == "dilog":
-            text, code = _cmd_dilog(args, tol)
-        elif args.command == "series":
-            text, code = _cmd_series(args, tol)
-        elif args.command == "mei":
-            text, code = _cmd_mei(args)
-        else:
-            text, code = _cmd_verify(args)
+        text, code = _COMMANDS[args.command](args, tol)
     except (ValueError, CapacityError, UnknownCheckError, AccuracyError) as exc:
         print(f"baselkit {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count, cycle
+from operator import truediv
+from typing import Callable, Iterator
 
 __all__ = [
     "AccuracyError",
@@ -322,6 +324,39 @@ def functional_eq_inverse(x: float, tol: float = 1e-12) -> float:
     return abs(lhs - 0.5 * lx * lx)
 
 
+def _geometric_terms(
+    q: float, denominator: Callable[[int], float], tol: float
+) -> Iterator[float]:
+    """Terms q^n / d(n), n >= 1, for 0 < |q| < 1 and d positive, increasing.
+
+    Stops after the first N whose tail bound |q|^(N+1) / (d(N+1) (1-|q|))
+    is at most tol; d(N+1) is carried over as the next term's denominator.
+    """
+    aq = abs(q)
+    one_minus_aq = 1.0 - aq
+    power = 1.0
+    d = denominator(1)
+    for n in count(2):  # n indexes the next term
+        power *= q
+        d_next = denominator(n)
+        yield power / d
+        if aq**n / (d_next * one_minus_aq) <= tol:
+            return
+        d = d_next
+
+
+def _alternating_midpoint(denominator: Callable[[int], float], n_terms: int) -> float:
+    """sum_{n=1..N} (-1)^n / d(n) plus half the next term.  For 1/d(n)
+    decreasing and convex the error is below (1/d(N+1) - 1/d(N+2)) / 2."""
+    signs = cycle((-1.0, 1.0))
+    partial = math.fsum(map(truediv, signs, map(denominator, range(1, n_terms + 1))))
+    return partial + (-1.0) ** (n_terms + 1) / (2.0 * denominator(n_terms + 1))
+
+
+def _square(n: int) -> int:
+    return n * n
+
+
 def scaled_dilog(x: float, mode: str = "series", tol: float = 1e-12) -> float:
     """sum_{n>=1} (2x)^n / n^2 for |x| <= 1/2, by series or by quadrature.
 
@@ -351,22 +386,8 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = 1e-12) -> float:
         partial = math.fsum(1.0 / (n * n) for n in range(1, n_terms + 1))
         return partial + 0.5 * (1.0 / n_terms + 1.0 / (n_terms + 1))
     if q == -1.0:
-        n_terms = math.ceil((2.0 / tol) ** (1.0 / 3.0))
-        partial = math.fsum((-1.0) ** n / (n * n) for n in range(1, n_terms + 1))
-        correction = (-1.0) ** (n_terms + 1) / (2.0 * (n_terms + 1) ** 2)
-        return partial + correction
-    terms = []
-    power = 1.0
-    n = 1
-    aq = abs(q)
-    while True:
-        power *= q
-        terms.append(power / (n * n))
-        bound = aq ** (n + 1) / ((n + 1) ** 2 * (1.0 - aq))
-        if bound <= tol:
-            break
-        n += 1
-    return math.fsum(terms)
+        return _alternating_midpoint(_square, math.ceil((2.0 / tol) ** (1.0 / 3.0)))
+    return math.fsum(_geometric_terms(q, _square, tol))
 
 
 def scaled_dilog_derivative(x: float) -> float:
@@ -426,22 +447,9 @@ def series_integral_pair(
     if r == 0.0:
         series = 0.0
     elif r == -1.0:
-        n_terms = math.ceil(1.0 / math.sqrt(a * tol))
-        partial = math.fsum((-1.0) ** n / (a * n + b) for n in range(1, n_terms + 1))
-        series = partial + (-1.0) ** (n_terms + 1) / (2.0 * (a * (n_terms + 1) + b))
+        series = _alternating_midpoint(lambda n: a * n + b, math.ceil(1.0 / math.sqrt(a * tol)))
     else:
-        terms = []
-        power = 1.0
-        n = 1
-        ar = abs(r)
-        while True:
-            power *= r
-            terms.append(power / (a * n + b))
-            bound = ar ** (n + 1) / ((a * (n + 1) + b) * (1.0 - ar))
-            if bound <= tol:
-                break
-            n += 1
-        series = math.fsum(terms)
+        series = math.fsum(_geometric_terms(r, lambda n: a * n + b, tol))
 
     exponent = b / a
     if r > 0.0:

@@ -1,7 +1,9 @@
 """One-shot verification suite over every identity the package implements.
 
 Each check is registered under a stable id and reads every tolerance from a
-single :class:`SuiteConfig` table.  Results are returned sorted by id, and
+single :class:`SuiteConfig` table; the constants that decide which ids exist
+(``MAX_ZETA_N``, ``ZETA2_TAIL_NS``, ``ETA2_TAIL_NS``, ``PAIR_CASES``) are
+fixed at import.  Results are returned sorted by id, and
 the serialized report deliberately excludes wall-clock fields so repeated
 runs with the same config are byte-identical.
 
@@ -18,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import (
     bernoulli,
@@ -30,6 +32,7 @@ from .exact import (
     zeta_even_exact,
 )
 from .polynomials import (
+    Certificate,
     bernoulli_polynomial,
     check_addition_recurrence,
     check_calculus,
@@ -109,19 +112,18 @@ class SuiteConfig:
     max_poly_n: int = 40
     power_sum_max_k: int = 8
     power_sum_max_n: int = 100
-    max_zeta_n: int = 10
-    zeta2_tail_ns: tuple[int, ...] = (10, 100, 1_000, 10_000)
-    eta2_tail_ns: tuple[int, ...] = (10, 100, 1_000)
     dilog_grid_points: int = 21
     functional_grid: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 10))
     inverse_grid: tuple[float, ...] = (0.1, 0.5, 2.0, 10.0)
     bisection_grid: tuple[float, ...] = (0.3, 0.7, 1.0, 1.3, math.pi / 2, 2.0, 2.5)
     remainder_grid: tuple[float, ...] = (0.05, 0.2, 0.5, 0.9, 1.3, math.pi / 2)
-    pair_cases: tuple[tuple[float, float, float], ...] = (
-        (0.5, 1.0, 0.0),
-        (-0.9, 1.0, 0.0),
-        (0.9, 2.0, 3.0),
-    )
+
+
+# These shape the registry (one check id each), so they are fixed, not config.
+MAX_ZETA_N = 10
+ZETA2_TAIL_NS = (10, 100, 1_000, 10_000)
+ETA2_TAIL_NS = (10, 100, 1_000)
+PAIR_CASES = ((0.5, 1.0, 0.0), (-0.9, 1.0, 0.0), (0.9, 2.0, 3.0))
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,8 @@ def _functional_inverse(cfg: SuiteConfig) -> _Payload:
     )
 
 
-def _pair_check(index: int):
+def _pair_check(r: float, a: float, b: float):
     def run(cfg: SuiteConfig) -> _Payload:
-        r, a, b = cfg.pair_cases[index]
         s, i = series_integral_pair(r, a, b, cfg.series_pair_eval_tol)
         return _bounded(
             abs(s - i), cfg.series_pair_tol, repr(s), f"{i!r} (r={r}, a={a}, b={b})"
@@ -249,8 +250,8 @@ def _pair_check(index: int):
     return run
 
 
-for _i, _case in enumerate(SuiteConfig().pair_cases):
-    _register(f"series_vs_integral_{_i + 1}")(_pair_check(_i))
+for _i, _case in enumerate(PAIR_CASES):
+    _register(f"series_vs_integral_{_i + 1}")(_pair_check(*_case))
 
 
 @_register("dilog_modes_grid")
@@ -278,43 +279,6 @@ def _dilog_ode(cfg: SuiteConfig) -> _Payload:
 
 
 # --- limit representations ---------------------------------------------------
-
-
-@_register("riemann_trend_log_over_1mt")
-def _riemann_trend(cfg: SuiteConfig) -> _Payload:
-    kind = IntegralKind.LOG_OVER_1MT
-    coarse = abs(riemann_sum(kind, cfg.riemann_small_n) - kind.closed_form)
-    fine = abs(riemann_sum(kind, cfg.riemann_large_n) - kind.closed_form)
-    if fine >= coarse:
-        return _payload(
-            "fail", f"err(n={cfg.riemann_small_n})={coarse!r}",
-            f"err(n={cfg.riemann_large_n})={fine!r} did not decrease", math.inf,
-            cfg.coarse_tol,
-        )
-    return _bounded(
-        fine, cfg.coarse_tol, f"err {coarse!r} -> {fine!r}", repr(kind.closed_form)
-    )
-
-
-def _product_trend(kind: ProductKind):
-    def run(cfg: SuiteConfig) -> _Payload:
-        coarse = abs(product_form(kind, cfg.riemann_small_n) - kind.closed_form)
-        fine = abs(product_form(kind, cfg.riemann_large_n) - kind.closed_form)
-        if fine >= coarse:
-            return _payload(
-                "fail", f"err(n={cfg.riemann_small_n})={coarse!r}",
-                f"err(n={cfg.riemann_large_n})={fine!r} did not decrease", math.inf,
-                cfg.coarse_tol,
-            )
-        return _bounded(
-            fine, cfg.coarse_tol, f"err {coarse!r} -> {fine!r}", repr(kind.closed_form)
-        )
-
-    return run
-
-
-_register("product_trend_minus")(_product_trend(ProductKind.MINUS))
-_register("product_trend_plus")(_product_trend(ProductKind.PLUS))
 
 
 def _monotone_check(kind: IntegralKind, expected: int):
@@ -403,7 +367,7 @@ def _zeta_check(n: int):
     return run
 
 
-for _n in range(1, SuiteConfig().max_zeta_n + 1):
+for _n in range(1, MAX_ZETA_N + 1):
     _register(f"zeta_even_exact_{_n}")(_zeta_check(_n))
 
 
@@ -425,105 +389,116 @@ def _eta2_tail_check(n: int):
     return run
 
 
-for _n in SuiteConfig().zeta2_tail_ns:
+for _n in ZETA2_TAIL_NS:
     _register(f"tail_zeta2_N{_n}")(_zeta2_tail_check(_n))
-for _n in SuiteConfig().eta2_tail_ns:
+for _n in ETA2_TAIL_NS:
     _register(f"tail_eta2_N{_n}")(_eta2_tail_check(_n))
 
 
-# --- polynomial certificates ---------------------------------------------------
+# --- table-driven rows: certificate families and limit trends ---------------------
 
 
-@_register("poly_reflection")
-def _poly_reflection(cfg: SuiteConfig) -> _Payload:
-    for n in range(cfg.max_poly_n + 1):
-        cert = check_reflection(n)
-        if not cert.passed:
-            return _exact(False, cert.name, cert.detail)
-    return _exact(True, "G_n(1-x)", f"(-1)^(n+1) G_n(x), n <= {cfg.max_poly_n}")
+def _certified(certificates: Callable[[SuiteConfig], Iterable[Certificate]], lhs: str, rhs: str):
+    """Exact row: the first failing certificate as (name, detail), else a pass
+    with ``rhs`` formatted against the config (``{cfg.max_poly_n}``)."""
 
-
-def _poly_halving(variant: str):
     def run(cfg: SuiteConfig) -> _Payload:
-        for n in range(cfg.max_poly_n + 1):
-            cert = check_halving(n, variant)
+        for cert in certificates(cfg):
             if not cert.passed:
                 return _exact(False, cert.name, cert.detail)
-        return _exact(True, f"halving variant {variant}", f"exact for n <= {cfg.max_poly_n}")
+        return _exact(True, lhs, rhs.format(cfg=cfg))
 
     return run
 
 
-for _v in ("ii", "iii", "iv"):
-    _register(f"poly_halving_{_v}")(_poly_halving(_v))
+def _trend(measure: Callable[[int], float], closed_form: float):
+    """Limit row: the error must shrink from riemann_small_n to riemann_large_n
+    and end within coarse_tol."""
+
+    def run(cfg: SuiteConfig) -> _Payload:
+        coarse = abs(measure(cfg.riemann_small_n) - closed_form)
+        fine = abs(measure(cfg.riemann_large_n) - closed_form)
+        if fine >= coarse:
+            return _payload(
+                "fail", f"err(n={cfg.riemann_small_n})={coarse!r}",
+                f"err(n={cfg.riemann_large_n})={fine!r} did not decrease", math.inf,
+                cfg.coarse_tol,
+            )
+        return _bounded(fine, cfg.coarse_tol, f"err {coarse!r} -> {fine!r}", repr(closed_form))
+
+    return run
 
 
-@_register("poly_addition_recurrence")
-def _poly_addition(cfg: SuiteConfig) -> _Payload:
-    for k in range(2, cfg.max_poly_n + 1):
-        cert = check_addition_recurrence(k)
-        if not cert.passed:
-            return _exact(False, cert.name, cert.detail)
-    return _exact(True, "G_k(x+1)+G_k(x)", f"k x^(k-1), 2 <= k <= {cfg.max_poly_n}")
+def _upto(cfg: SuiteConfig, start: int = 0) -> range:
+    return range(start, cfg.max_poly_n + 1)
 
 
-@_register("poly_calculus")
-def _poly_calculus(cfg: SuiteConfig) -> _Payload:
-    for n in range(1, cfg.max_poly_n + 1):
-        for key, cert in check_calculus(n).items():
-            if not cert.passed:
-                return _exact(False, f"{key} at n={n}", cert.detail)
-    return _exact(True, "G_n' and unit integral", f"exact for n <= {cfg.max_poly_n}")
+def _constant_terms(cfg: SuiteConfig) -> Iterator[Certificate]:
+    for n in _upto(cfg):
+        ok = bernoulli_polynomial(n).coefficient(0) == bernoulli(n)
+        yield Certificate(f"B_{n}(0)", ok, f"B_{n}")
+        ok = genocchi_polynomial(n).coefficient(0) == genocchi(n)
+        yield Certificate(f"G_{n}(0)", ok, f"G_{n}")
 
 
-@_register("poly_special_values")
-def _poly_special(cfg: SuiteConfig) -> _Payload:
-    for n in range(1, cfg.max_poly_n + 1):
-        for key, cert in check_special_values(n).items():
-            if not cert.passed:
-                return _exact(False, f"{key} at n={n}", cert.detail)
-    return _exact(True, "special-argument identities", f"exact for n <= {cfg.max_poly_n}")
-
-
-@_register("poly_value_at_one")
-def _poly_value_one(cfg: SuiteConfig) -> _Payload:
-    for n in range(2, cfg.max_poly_n + 1):
-        if genocchi_polynomial(n).evaluate(1) != -genocchi(n):
-            return _exact(False, f"G_{n}(1)", f"-G_{n}")
-    return _exact(True, "G_n(1)", f"-G_n for 2 <= n <= {cfg.max_poly_n}")
-
-
-@_register("poly_constant_terms")
-def _poly_constant_terms(cfg: SuiteConfig) -> _Payload:
-    for n in range(cfg.max_poly_n + 1):
-        if bernoulli_polynomial(n).coefficient(0) != bernoulli(n):
-            return _exact(False, f"B_{n}(0)", f"B_{n}")
-        if genocchi_polynomial(n).coefficient(0) != genocchi(n):
-            return _exact(False, f"G_{n}(0)", f"G_{n}")
-    return _exact(True, "constant terms", f"match the sequences for n <= {cfg.max_poly_n}")
-
-
-@_register("poly_construction_orderings")
-def _poly_orderings(cfg: SuiteConfig) -> _Payload:
-    for n in range(cfg.max_poly_n + 1):
-        cert = check_construction_orderings(n)
-        if not cert.passed:
-            return _exact(False, cert.name, cert.detail)
-    return _exact(True, "both defining-sum orderings", f"agree for n <= {cfg.max_poly_n}")
-
-
-@_register("poly_power_sum_grid")
-def _poly_power_sum(cfg: SuiteConfig) -> _Payload:
-    for k in range(2, cfg.power_sum_max_k + 1):
-        for n in range(1, cfg.power_sum_max_n + 1):
-            cert = power_sum_check(k, n)
-            if not cert.passed:
-                return _exact(False, cert.name, cert.detail)
-    return _exact(
-        True,
+# Row bodies name library functions inside lambdas, so each call resolves them
+# in this module's globals when the row runs (wrappers installed there are
+# seen), and bind loop variables as defaults, so each row keeps its own.
+_REGISTRY.update({
+    "poly_reflection": _certified(
+        lambda cfg: (check_reflection(n) for n in _upto(cfg)),
+        "G_n(1-x)", "(-1)^(n+1) G_n(x), n <= {cfg.max_poly_n}",
+    ),
+    **{
+        f"poly_halving_{v}": _certified(
+            lambda cfg, v=v: (check_halving(n, v) for n in _upto(cfg)),
+            f"halving variant {v}", "exact for n <= {cfg.max_poly_n}",
+        )
+        for v in ("ii", "iii", "iv")
+    },
+    "poly_addition_recurrence": _certified(
+        lambda cfg: (check_addition_recurrence(k) for k in _upto(cfg, 2)),
+        "G_k(x+1)+G_k(x)", "k x^(k-1), 2 <= k <= {cfg.max_poly_n}",
+    ),
+    "poly_calculus": _certified(
+        lambda cfg: (c for n in _upto(cfg, 1) for c in check_calculus(n).values()),
+        "G_n' and unit integral", "exact for n <= {cfg.max_poly_n}",
+    ),
+    "poly_special_values": _certified(
+        lambda cfg: (c for n in _upto(cfg, 1) for c in check_special_values(n).values()),
+        "special-argument identities", "exact for n <= {cfg.max_poly_n}",
+    ),
+    "poly_value_at_one": _certified(
+        lambda cfg: (
+            Certificate(f"G_{n}(1)", genocchi_polynomial(n).evaluate(1) == -genocchi(n), f"-G_{n}")
+            for n in _upto(cfg, 2)
+        ),
+        "G_n(1)", "-G_n for 2 <= n <= {cfg.max_poly_n}",
+    ),
+    "poly_constant_terms": _certified(
+        _constant_terms, "constant terms", "match the sequences for n <= {cfg.max_poly_n}"
+    ),
+    "poly_construction_orderings": _certified(
+        lambda cfg: (check_construction_orderings(n) for n in _upto(cfg)),
+        "both defining-sum orderings", "agree for n <= {cfg.max_poly_n}",
+    ),
+    "poly_power_sum_grid": _certified(
+        lambda cfg: (
+            power_sum_check(k, n)
+            for k in range(2, cfg.power_sum_max_k + 1)
+            for n in range(1, cfg.power_sum_max_n + 1)
+        ),
         "telescoped power-sum identity",
-        f"exact for k <= {cfg.power_sum_max_k}, n <= {cfg.power_sum_max_n}",
-    )
+        "exact for k <= {cfg.power_sum_max_k}, n <= {cfg.power_sum_max_n}",
+    ),
+    "riemann_trend_log_over_1mt": _trend(
+        lambda n: riemann_sum(IntegralKind.LOG_OVER_1MT, n), IntegralKind.LOG_OVER_1MT.closed_form
+    ),
+    **{
+        f"product_trend_{k.value}": _trend(lambda n, k=k: product_form(k, n), k.closed_form)
+        for k in ProductKind
+    },
+})
 
 
 # --- asymptotic series ----------------------------------------------------------
@@ -659,7 +634,12 @@ def available_checks() -> list[str]:
 def run_suite(
     selection: str | Iterable[str] = "all", config: SuiteConfig | None = None
 ) -> list[CheckResult]:
-    """Run the selected checks and return results ordered by check id."""
+    """Run the selected checks and return results ordered by check id.
+
+    Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
+    check that raises becomes a ``fail`` row with the exception type as
+    ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
+    """
     cfg = config or SuiteConfig()
     if isinstance(selection, str) and selection != "all":
         selection = [selection]
@@ -675,7 +655,10 @@ def run_suite(
     results = []
     for check_id in ids:
         start = time.perf_counter_ns()
-        payload = _REGISTRY[check_id](cfg)
+        try:
+            payload = _REGISTRY[check_id](cfg)
+        except Exception as exc:  # one crashing check is one fail row, not a lost report
+            payload = _payload("fail", type(exc).__name__, str(exc), math.inf, EXACT)
         elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
         results.append(CheckResult(check_id=check_id, runtime_ms=int(elapsed_ms), **payload))
     return results

@@ -8,9 +8,10 @@ import os
 
 import pytest
 
+import baselkit.cli as cli
 from baselkit.cli import main
 from baselkit.exact import bernoulli, fraction_str, zeta_even_exact
-from baselkit.quadrature import IntegralKind, integrate
+from baselkit.quadrature import AccuracyError, IntegralKind, QuadResult, integrate
 from baselkit.series import bisection_report
 
 
@@ -152,3 +153,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "series", "--which", "zeta2")
         assert code == 2
         assert "--n" in err
+
+    def test_accuracy_error_exits_2_with_message(self, capsys, monkeypatch):
+        def no_convergence(kind, tol):
+            raise AccuracyError("no convergence (injected)", QuadResult(0.0, 1.0, 3))
+
+        monkeypatch.setattr(cli, "integrate", no_convergence)
+        code, out, err = run_cli(capsys, "integrate", "--kind", "log_over_1mt")
+        assert code == 2
+        assert out == ""
+        assert err == "baselkit integrate: no convergence (injected)\n"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -265,3 +267,54 @@ def test_level_cap_raises_with_best_result(monkeypatch):
     assert best.err_estimate > 0
     # the carried best value is still a usable coarse approximation
     assert abs(best.value + PI2_6) < 0.1
+
+
+def _reference_geometric(q, denominator, tol):
+    """Documented stopping rule, written out as a plain list of terms."""
+    terms, power, n = [], 1.0, 1
+    while True:
+        power *= q
+        terms.append(power / denominator(n))
+        if abs(q) ** (n + 1) / (denominator(n + 1) * (1.0 - abs(q))) <= tol:
+            return math.fsum(terms)
+        n += 1
+
+
+def _reference_alternating(denominator, n_terms):
+    terms = [(-1.0) ** n / denominator(n) for n in range(1, n_terms + 1)]
+    return math.fsum(terms) + (-1.0) ** (n_terms + 1) / (2.0 * denominator(n_terms + 1))
+
+
+def test_series_kernels_match_the_documented_rules_bit_for_bit():
+    rng = random.Random(2013)
+    tols = (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
+    for x in [0.5, -0.5, 0.4999, -0.4999] + [rng.uniform(-0.5, 0.5) for _ in range(150)]:
+        tol = rng.choice(tols[1:] if abs(x) == 0.5 else tols)
+        q = 2.0 * x
+        if q == 1.0:
+            continue  # telescoping bracket, not a kernel
+        if q == -1.0:
+            want = _reference_alternating(lambda n: n * n, math.ceil((2.0 / tol) ** (1 / 3)))
+        else:
+            want = _reference_geometric(q, lambda n: n * n, tol)
+        assert scaled_dilog(x, "series", tol) == want, (x, tol)
+    for r in [-1.0, 0.9999, -0.9999] + [rng.uniform(-0.99, 0.99) for _ in range(150)]:
+        a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
+        tol = rng.choice(tols[2:] if abs(r) > 0.99 else tols)
+        if r == -1.0:
+            want = _reference_alternating(lambda n: a * n + b, math.ceil(1.0 / math.sqrt(a * tol)))
+        else:
+            want = _reference_geometric(r, lambda n: a * n + b, tol)
+        assert series_integral_pair(r, a, b, tol)[0] == want, (r, a, b, tol)
+
+
+def test_series_terms_stream_into_fsum():
+    # 69k terms at x = 0.4999; a list of them would hold megabytes
+    tracemalloc.start()
+    try:
+        scaled_dilog(0.4999)
+        series_integral_pair(0.9999, 1.0, 0.0, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000

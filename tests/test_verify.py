@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
+import baselkit.verify as verify
+from baselkit.cli import main
+from baselkit.polynomials import Certificate
+from baselkit.quadrature import ProductKind
 from baselkit.verify import (
     CheckResult,
     SuiteConfig,
@@ -126,3 +132,183 @@ class TestConfig:
         assert isinstance(r, CheckResult)
         assert isinstance(r.abs_err, float)
         assert r.to_json_dict()["check_id"] == "integral_log_over_1mt"
+
+    def test_registry_shape_is_fixed_not_config(self):
+        for removed in ("max_zeta_n", "zeta2_tail_ns", "eta2_tail_ns", "pair_cases"):
+            with pytest.raises(TypeError):
+                SuiteConfig(**{removed: None})
+        ids = set(available_checks())
+        assert {f"zeta_even_exact_{n}" for n in range(1, verify.MAX_ZETA_N + 1)} <= ids
+        assert {f"tail_zeta2_N{n}" for n in verify.ZETA2_TAIL_NS} <= ids
+        assert {f"tail_eta2_N{n}" for n in verify.ETA2_TAIL_NS} <= ids
+        pairs = {i for i in ids if i.startswith("series_vs_integral_")}
+        assert len(pairs) == len(verify.PAIR_CASES)
+
+
+# Rows whose text never passes through binary64: pinned verbatim.
+PINNED_ROWS = [
+    ("erratum_E1", "erratum_documented",
+     "defining constraint 2*G_1 + G_0 = 1 forces G_1 = 1/2 (adopted, with B_1 = -1/2)",
+     "quoted values B_1 = 1, G_1 = -1/2 contradict the recursion (2*(-1/2) + 0 = -1 != 1)"),
+    ("monotone_log1m_over_t", "pass", "sampled direction -1", "expected -1 on k/n grid, n=10000"),
+    ("monotone_log_over_1mt", "pass", "sampled direction +1", "expected +1 on k/n grid, n=10000"),
+    ("poly_addition_recurrence", "pass", "G_k(x+1)+G_k(x)", "k x^(k-1), 2 <= k <= 40"),
+    ("poly_calculus", "pass", "G_n' and unit integral", "exact for n <= 40"),
+    ("poly_constant_terms", "pass", "constant terms", "match the sequences for n <= 40"),
+    ("poly_construction_orderings", "pass", "both defining-sum orderings", "agree for n <= 40"),
+    ("poly_halving_ii", "pass", "halving variant ii", "exact for n <= 40"),
+    ("poly_halving_iii", "pass", "halving variant iii", "exact for n <= 40"),
+    ("poly_halving_iv", "pass", "halving variant iv", "exact for n <= 40"),
+    ("poly_power_sum_grid", "pass", "telescoped power-sum identity", "exact for k <= 8, n <= 100"),
+    ("poly_reflection", "pass", "G_n(1-x)", "(-1)^(n+1) G_n(x), n <= 40"),
+    ("poly_special_values", "pass", "special-argument identities", "exact for n <= 40"),
+    ("poly_value_at_one", "pass", "G_n(1)", "-G_n for 2 <= n <= 40"),
+    ("zeta_even_exact_1", "pass", "1/6*pi^2", "1/6*pi^2 (cross-recursion)"),
+    ("zeta_even_exact_2", "pass", "1/90*pi^4", "1/90*pi^4 (cross-recursion)"),
+    ("zeta_even_exact_3", "pass", "1/945*pi^6", "1/945*pi^6 (cross-recursion)"),
+    ("zeta_even_exact_4", "pass", "1/9450*pi^8", "1/9450*pi^8 (cross-recursion)"),
+    ("zeta_even_exact_5", "pass", "1/93555*pi^10", "1/93555*pi^10 (cross-recursion)"),
+    ("zeta_even_exact_6", "pass", "691/638512875*pi^12", "691/638512875*pi^12 (cross-recursion)"),
+    ("zeta_even_exact_7", "pass", "2/18243225*pi^14", "2/18243225*pi^14 (cross-recursion)"),
+    ("zeta_even_exact_8", "pass", "3617/325641566250*pi^16",
+     "3617/325641566250*pi^16 (cross-recursion)"),
+    ("zeta_even_exact_9", "pass", "43867/38979295480125*pi^18",
+     "43867/38979295480125*pi^18 (cross-recursion)"),
+    ("zeta_even_exact_10", "pass", "174611/1531329465290625*pi^20",
+     "174611/1531329465290625*pi^20 (cross-recursion)"),
+]
+
+
+def test_pinned_pass_row_text(full_results):
+    rows = {r.check_id: r for r in full_results}
+    for check_id, status, lhs, rhs in PINNED_ROWS:
+        r = rows[check_id]
+        assert (r.check_id, r.status, r.lhs, r.rhs) == (check_id, status, lhs, rhs)
+        assert (r.abs_err, r.tol) == ("exact", "exact")
+    exact_rows = {i for i in rows if i.startswith(("poly_", "zeta_even_exact_", "monotone_"))}
+    assert {row[0] for row in PINNED_ROWS} == exact_rows | {"erratum_E1"}
+
+
+class TestIsolation:
+    def test_raising_check_is_one_fail_row(self, full_results, capsys, monkeypatch):
+        def boom(n):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(verify, "check_reflection", boom)
+        code = main(["verify", "--suite", "all", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "verify: 59 checks, 1 failed\n"
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        expected = [json.loads(line) for line in report_lines(full_results)]
+        broken = [i for i, (got, want) in enumerate(zip(rows, expected)) if got != want]
+        assert len(rows) == len(expected) == 59
+        assert [rows[i]["check_id"] for i in broken] == ["poly_reflection"]
+        assert rows[broken[0]] == {
+            "check_id": "poly_reflection", "status": "fail", "lhs": "RuntimeError",
+            "rhs": "injected fault", "abs_err": math.inf, "tol": "exact",
+        }
+
+    def test_unknown_id_raises_before_any_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "check_reflection", lambda n: calls.append(n))
+        with pytest.raises(UnknownCheckError):
+            run_suite(["poly_reflection", "no_such_check"])
+        assert calls == []
+
+
+# Small grids: every row still runs, in a fraction of a second.
+SMALL = SuiteConfig(max_poly_n=6, power_sum_max_k=3, power_sum_max_n=6, bisection_levels=1,
+                    riemann_large_n=10_000)
+
+
+def _bad(row):
+    return Certificate(f"injected_{row}", False, f"fault injected into {row}")
+
+
+def _off_at_one(poly):
+    return SimpleNamespace(evaluate=lambda x: poly.evaluate(x) + 1, coefficient=poly.coefficient)
+
+
+# row -> (function on baselkit.verify, fake built from the real function, expected lhs/rhs);
+# a shared function is faked only for the row's own variant.
+FAULTS = {
+    "poly_reflection": ("check_reflection", lambda real: lambda n: _bad("poly_reflection"), None),
+    **{
+        f"poly_halving_{v}": (
+            "check_halving",
+            lambda real, v=v: lambda n, variant: (
+                _bad(f"poly_halving_{v}") if variant == v else real(n, variant)
+            ),
+            None,
+        )
+        for v in ("ii", "iii", "iv")
+    },
+    "poly_addition_recurrence": (
+        "check_addition_recurrence", lambda real: lambda k: _bad("poly_addition_recurrence"), None,
+    ),
+    "poly_calculus": (
+        "check_calculus",
+        lambda real: lambda n: {**real(n), "unit_integral": _bad("poly_calculus")},
+        None,
+    ),
+    "poly_special_values": (
+        "check_special_values",
+        lambda real: lambda n: {**real(n), "g_b_relation": _bad("poly_special_values")},
+        None,
+    ),
+    "poly_value_at_one": (
+        "genocchi_polynomial", lambda real: lambda n: _off_at_one(real(n)), ("G_2(1)", "-G_2"),
+    ),
+    "poly_constant_terms": (
+        "bernoulli_polynomial", lambda real: lambda n: real(n) * 2, ("B_0(0)", "B_0"),
+    ),
+    "poly_construction_orderings": (
+        "check_construction_orderings",
+        lambda real: lambda n: _bad("poly_construction_orderings"),
+        None,
+    ),
+    "poly_power_sum_grid": (
+        "power_sum_check", lambda real: lambda k, n: _bad("poly_power_sum_grid"), None,
+    ),
+    "riemann_trend_log_over_1mt": ("riemann_sum", lambda real: lambda kind, n: 0.0, None),
+    **{
+        f"product_trend_{k.value}": (
+            "product_form",
+            lambda real, k=k: lambda kind, n: 0.0 if kind is k else real(kind, n),
+            None,
+        )
+        for k in ProductKind
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def small_results():
+    return {r.check_id: r.to_json_dict() for r in run_suite("all", SMALL)}
+
+
+def test_fault_table_covers_every_table_row():
+    table_rows = {i for i in available_checks() if i.startswith("poly_")}
+    table_rows |= {"riemann_trend_log_over_1mt", "product_trend_minus", "product_trend_plus"}
+    assert set(FAULTS) == table_rows
+
+
+@pytest.mark.parametrize("row", sorted(FAULTS))
+def test_fault_in_one_row_fails_only_that_row(row, small_results, capsys, monkeypatch):
+    name, fake, text = FAULTS[row]
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    results = {r.check_id: r.to_json_dict() for r in run_suite("all", SMALL)}
+    assert small_results[row]["status"] == "pass"
+    assert results[row]["status"] == "fail"
+    assert {i for i in results if results[i] != small_results[i]} == {row}
+    if row.startswith("poly_"):
+        bad = _bad(row)
+        assert (results[row]["lhs"], results[row]["rhs"]) == (text or (bad.name, bad.detail))
+    else:
+        assert results[row]["rhs"].endswith("did not decrease")
+    # through the CLI at the default config, the fault stops the row at once
+    assert main(["verify", "--suite", row, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: 1 checks, 1 failed\n"
+    assert json.loads(captured.out)["status"] == "fail"
