@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .exact import bernoulli, fraction_str, genocchi
 
@@ -37,15 +37,35 @@ _Scalar = Union[int, Fraction]
 
 
 class RationalPolynomial:
-    """Dense polynomial over Fraction; index = degree, no trailing zeros."""
+    """Dense polynomial over Q, stored as integer numerators over one denominator.
 
-    __slots__ = ("_coeffs",)
+    Coefficient k is ``_num[k] / _den``.  The form is canonical: ``_den > 0``,
+    ``gcd(_den, *_num) == 1``, no trailing zero numerators, and the zero
+    polynomial is ``((), 1)``.  So equal polynomials have equal ``(_num, _den)``,
+    arithmetic runs on plain integers, and a ``Fraction`` is built only when a
+    coefficient or value is read.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients: Iterable[_Scalar] = ()) -> None:
         coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if num else den
+        self._num = tuple(n // g for n in num)
+        self._den = den // g
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "RationalPolynomial":
+        """Canonicalise ``sum num[k] x^k / den``; ``den`` must be positive."""
+        out = cls.__new__(cls)
+        out._set(num, den)
+        return out
 
     @classmethod
     def monomial(cls, coefficient: _Scalar, degree: int) -> "RationalPolynomial":
@@ -53,107 +73,149 @@ class RationalPolynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
+
+    def _combine(self, other: "RationalPolynomial", sign: int) -> "RationalPolynomial":
+        # self + sign * other over the lcm of the two denominators
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        a, b = self._num, other._num
+        out = [sa * c for c in a] + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += sb * c
+        return RationalPolynomial._from_ints(out, den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self._coeffs])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "RationalPolynomial":
+        return RationalPolynomial._from_ints([-n for n in self._num], self._den)
 
     def __mul__(self, other: "RationalPolynomial | _Scalar") -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self._coeffs])
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs))
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return RationalPolynomial(out)
+            s = Fraction(other)
+            return RationalPolynomial._from_ints(
+                [n * s.numerator for n in self._num], self._den * s.denominator
+            )
+        a, b = self._num, other._num
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RationalPolynomial._from_ints(out, self._den * other._den)
 
     __rmul__ = __mul__
 
-    def evaluate(self, x: _Scalar) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
+    def _horner(self, p: int, q: int) -> int:
+        """q^deg * den * self(p/q), an integer; q > 0."""
+        acc, qpow = 0, 1
+        for n in reversed(self._num):
+            acc = acc * p + n * qpow
+            qpow *= q
         return acc
 
+    def evaluate(self, x: _Scalar) -> Fraction:
+        x = Fraction(x)
+        q = x.denominator
+        return Fraction(self._horner(x.numerator, q), self._den * q ** max(self.degree, 0))
+
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial([k * c for k, c in enumerate(self._coeffs)][1:])
+        return RationalPolynomial._from_ints(
+            [k * n for k, n in enumerate(self._num)][1:], self._den
+        )
+
+    def _over_k_plus_1(self) -> tuple[list[int], int]:
+        # numerators of c_k / (k+1) over the denominator den * lcm(1..deg+1)
+        scale = math.lcm(*range(1, len(self._num) + 1))
+        return [n * (scale // (k + 1)) for k, n in enumerate(self._num)], self._den * scale
 
     def antiderivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)]
-        )
+        num, den = self._over_k_plus_1()
+        return RationalPolynomial._from_ints([0] + num, den)
 
     def integral_unit(self) -> Fraction:
         """Exact definite integral over [0, 1]."""
-        return sum((c / (k + 1) for k, c in enumerate(self._coeffs)), Fraction(0))
+        num, den = self._over_k_plus_1()
+        return Fraction(sum(num), den)
 
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "RationalPolynomial":
-        """Exact composition p(a*x + b), expanded at the coefficient level."""
-        linear = RationalPolynomial([b, a])
-        acc = RationalPolynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * linear + RationalPolynomial([c])
-        return acc
+        """Exact composition p(a*x + b), expanded at the coefficient level.
+
+        With a*x + b = (A*x + B)/C in integers, an integer Horner pass (the
+        classical Taylor shift) builds sum_k n_k (A*x + B)^k C^(deg-k), which
+        is divided once by den * C^deg.
+        """
+        if not self._num:
+            return self
+        a, b = Fraction(a), Fraction(b)
+        c = math.lcm(a.denominator, b.denominator)
+        big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+        acc, cpow = [self._num[-1]], c
+        for n in reversed(self._num[:-1]):
+            acc = [big_b * u + big_a * v for u, v in zip(acc + [0], [0] + acc)]
+            acc[0] += n * cpow
+            cpow *= c
+        return RationalPolynomial._from_ints(acc, self._den * c**self.degree)
 
     def to_string_list(self) -> list[str]:
         """Serialize as "p/q" strings, constant term first; zero is ["0"]."""
-        if not self._coeffs:
+        if not self._num:
             return ["0"]
-        return [fraction_str(c) for c in self._coeffs]
+        return [fraction_str(c) for c in self.coefficients]
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "RationalPolynomial(0)"
         parts = [f"{fraction_str(c)}*x^{k}" if k else fraction_str(c)
-                 for k, c in enumerate(self._coeffs) if c]
+                 for k, c in enumerate(self.coefficients) if c]
         return "RationalPolynomial(" + " + ".join(parts) + ")"
+
+
+def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
+    """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products."""
+    values = [number(n - k) for k in range(n + 1)]
+    den = math.lcm(*(v.denominator for v in values))
+    return RationalPolynomial._from_ints(
+        [math.comb(n, k) * v.numerator * (den // v.denominator) for k, v in enumerate(values)],
+        den,
+    )
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x); degree exactly n, leading coefficient 1, constant term B_n."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    return RationalPolynomial([math.comb(n, k) * bernoulli(n - k) for k in range(n + 1)])
+    return _binomial_sum(n, bernoulli)
 
 
 def genocchi_polynomial(n: int) -> RationalPolynomial:
     """G_n(x); G_n(0) = G_n, and degree <= n-1 for n >= 1 since G_0 = 0."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    return RationalPolynomial([math.comb(n, k) * genocchi(n - k) for k in range(n + 1)])
+    return _binomial_sum(n, genocchi)
 
 
 def _genocchi_polynomial_reversed(n: int) -> RationalPolynomial:
@@ -248,8 +310,9 @@ def power_sum_check(k: int, n: int) -> Certificate:
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
     g = genocchi_polynomial(k)
-    lhs = g.evaluate(1) + 2 * sum((g.evaluate(i) for i in range(2, n + 1)), Fraction(0))
-    lhs += g.evaluate(n + 1)
+    # integer Horner values den * G_k(i), so one Fraction is built per certificate
+    scaled = g._horner(1, 1) + 2 * sum(g._horner(i, 1) for i in range(2, n + 1))
+    lhs = Fraction(scaled + g._horner(n + 1, 1), g._den)
     rhs = Fraction(k * sum(i ** (k - 1) for i in range(1, n + 1)))
     return _value_certificate(f"power_sum_k{k}_n{n}", lhs, rhs)
 

@@ -94,8 +94,23 @@ class BisectionReport:
     exact_value: float
     e_n_bound: float
     e_n_measured: float
-    partial_fraction_value: float
     truncation_k: int
+
+    @property
+    def partial_fraction_value(self) -> float:
+        """Two-sided partial-fraction expansion of 1/sin^2(x) truncated at
+        ``truncation_k``, plus its tail estimate 2/(pi^2 K).  Summed when
+        read, because most callers never read it."""
+        x, terms = self.x, self.truncation_k
+        tail = 2.0 / (math.pi * math.pi * terms)
+        return (
+            1.0 / (x * x)
+            + math.fsum(
+                1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
+                for k in range(1, terms + 1)
+            )
+            + tail
+        )
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +133,7 @@ def bisection_report(x: float, level: int, pf_terms: int = 10_000) -> BisectionR
     centered 2^n-term partial-fraction sum, bounded by (0, 2^-n) on
     (0, pi/2].  ``partial_fraction_value`` truncates the full two-sided
     expansion at ``pf_terms`` and compensates the tail with its integral
-    estimate 2/(pi^2 K).
+    estimate 2/(pi^2 K); it is summed only when read.
     """
     if not (1e-9 < x < math.pi - 1e-9):
         raise ValueError(f"x must lie in (0, pi) away from the poles, got {x}")
@@ -137,16 +152,6 @@ def bisection_report(x: float, level: int, pf_terms: int = 10_000) -> BisectionR
     centered_indices = range(-half, half) if level >= 1 else range(0, 1)
     centered = math.fsum(1.0 / (x + k * math.pi) ** 2 for k in centered_indices)
 
-    tail = 2.0 / (math.pi * math.pi * pf_terms)
-    partial_fraction = (
-        1.0 / (x * x)
-        + math.fsum(
-            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
-            for k in range(1, pf_terms + 1)
-        )
-        + tail
-    )
-
     return BisectionReport(
         x=x,
         level=level,
@@ -154,7 +159,6 @@ def bisection_report(x: float, level: int, pf_terms: int = 10_000) -> BisectionR
         exact_value=exact,
         e_n_bound=0.5**level,
         e_n_measured=exact - centered,
-        partial_fraction_value=partial_fraction,
         truncation_k=pf_terms,
     )
 

@@ -340,11 +340,11 @@ def _bisection_remainder(cfg: SuiteConfig) -> _Payload:
 @_register("bisection_partial_fraction")
 def _bisection_pf(cfg: SuiteConfig) -> _Payload:
     rep = bisection_report(1.0, 0)
-    err = abs(rep.partial_fraction_value - rep.exact_value)
+    value = rep.partial_fraction_value
     return _bounded(
-        err,
+        abs(value - rep.exact_value),
         cfg.partial_fraction_tol,
-        repr(rep.partial_fraction_value),
+        repr(value),
         f"{rep.exact_value!r} (K={rep.truncation_k})",
     )
 

@@ -2,12 +2,14 @@
 
 These deliberately use *different* algorithms from the library under test:
 Bernoulli numbers come from the Akiyama-Tanigawa triangle instead of the
-binomial recursion, and pi is a frozen 60-decimal literal so that tail-bound
-inequalities can be certified in exact rational arithmetic.
+binomial recursion, pi is a frozen 60-decimal literal so that tail-bound
+inequalities can be certified in exact rational arithmetic, and polynomials
+have a plain list-of-Fraction reference for the integer-backed library class.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # 60 decimal digits of pi; |PI_HP - pi| < 1e-60.
@@ -56,3 +58,68 @@ def _factorial(n: int) -> int:
     for k in range(2, n + 1):
         out *= k
     return out
+
+
+def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+class FractionPolynomial:
+    """Reference polynomial: one Fraction per coefficient, schoolbook loops.
+
+    ``coefficients`` matches ``RationalPolynomial.coefficients`` (constant
+    term first, no trailing zeros), so results compare directly.
+    """
+
+    def __init__(self, coefficients=()):
+        self.coefficients = _trim([Fraction(c) for c in coefficients])
+
+    def __add__(self, other):
+        a, b = list(self.coefficients), list(other.coefficients)
+        n = max(len(a), len(b))
+        a += [Fraction(0)] * (n - len(a))
+        b += [Fraction(0)] * (n - len(b))
+        return FractionPolynomial([x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return FractionPolynomial([-c for c in self.coefficients])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPolynomial([c * other for c in self.coefficients])
+        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def evaluate(self, x) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * Fraction(x) + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial([k * c for k, c in enumerate(self.coefficients)][1:])
+
+    def antiderivative(self):
+        return FractionPolynomial(
+            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
+        )
+
+    def integral_unit(self) -> Fraction:
+        return sum((c / (k + 1) for k, c in enumerate(self.coefficients)), Fraction(0))
+
+    def compose_affine(self, a, b):
+        """p(a x + b) by expanding each power (a x + b)^k binomially."""
+        a, b = Fraction(a), Fraction(b)
+        out = [Fraction(0)] * max(len(self.coefficients), 1)
+        for k, c in enumerate(self.coefficients):
+            for j in range(k + 1):
+                out[j] += c * math.comb(k, j) * a**j * b ** (k - j)
+        return FractionPolynomial(out)

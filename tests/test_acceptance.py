@@ -6,6 +6,7 @@ holds (pytest only shows the print on failure unless run with -s).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -196,6 +197,12 @@ def test_criterion_9_functional_equations():
     _passed("9 functional equations")
 
 
+# sha256 of the full `verify --suite all --format json` report.  Performance
+# work must leave these bytes unchanged; only a deliberate correctness fix to a
+# row may move this value, and it says so.
+REPORT_SHA256 = "6892c5c661dcca210c0be0adbec266b9f62c0bd9a6bbaf62884b756532f69605"
+
+
 def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     start = time.perf_counter()
@@ -204,6 +211,7 @@ def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == REPORT_SHA256
     assert elapsed / 2 < 60.0, f"suite took {elapsed / 2:.1f}s"
     for line in first.read_text().strip().splitlines():
         assert json.loads(line)["status"] in ("pass", "erratum_documented")

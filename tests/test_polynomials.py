@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baselkit.exact import bernoulli, genocchi
@@ -21,6 +22,8 @@ from baselkit.polynomials import (
     genocchi_polynomial,
     power_sum_check,
 )
+
+from oracles import FractionPolynomial
 
 F = Fraction
 
@@ -58,6 +61,89 @@ class TestRationalPolynomial:
     def test_serialization(self):
         assert RationalPolynomial([F(1, 6), -1, 1]).to_string_list() == ["1/6", "-1", "1"]
         assert RationalPolynomial().to_string_list() == ["0"]
+
+
+def _assert_canonical(p: RationalPolynomial) -> None:
+    num, den = p._num, p._den
+    assert den > 0
+    assert math.gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    assert num or den == 1
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coefficient_lists = st.lists(rationals, max_size=7)
+scalars = st.integers(-9, 9) | st.fractions(max_value=0, min_value=-20, max_denominator=12)
+points = st.integers(-6, 6) | rationals
+NAMED_AFFINE_MAPS = [(-1, 1), (F(1, 2), 0), (F(1, 2), F(1, 2)), (1, 1)]
+
+
+class TestAgainstFractionReference:
+    """Every operation of the integer-backed class against the list-of-Fraction oracle."""
+
+    @given(p=coefficient_lists, q=coefficient_lists, s=scalars, x=points,
+           a=rationals, b=rationals)
+    @example(p=[], q=[F(1, 2), F(-1, 3)], s=F(-3, 7), x=F(1, 2), a=F(1, 2), b=0)
+    @example(p=[0, 0], q=[], s=0, x=0, a=0, b=F(5, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match(self, p, q, s, x, a, b):
+        P, Q = RationalPolynomial(p), RationalPolynomial(q)
+        rp, rq = FractionPolynomial(p), FractionPolynomial(q)
+        pairs = [
+            (P, rp), (P + Q, rp + rq), (P - Q, rp - rq), (-P, -rp), (P * Q, rp * rq),
+            (P * s, rp * s), (s * P, rp * s), (P.compose_affine(a, b), rp.compose_affine(a, b)),
+            (P.derivative(), rp.derivative()), (P.antiderivative(), rp.antiderivative()),
+        ]
+        for got, want in pairs:
+            _assert_canonical(got)
+            assert got.coefficients == want.coefficients
+        assert P.evaluate(x) == rp.evaluate(x)
+        assert P.evaluate(F(x)) == rp.evaluate(x)
+        assert P.integral_unit() == rp.integral_unit()
+
+    @pytest.mark.parametrize("a,b", NAMED_AFFINE_MAPS)
+    @given(p=coefficient_lists)
+    @example(p=[])
+    @settings(max_examples=40, deadline=None)
+    def test_named_affine_maps(self, a, b, p):
+        got = RationalPolynomial(p).compose_affine(a, b)
+        _assert_canonical(got)
+        assert got.coefficients == FractionPolynomial(p).compose_affine(a, b).coefficients
+
+
+class TestCanonicalForm:
+    def test_differently_scaled_inputs_are_equal(self):
+        direct = RationalPolynomial([F(1, 2), F(1, 3)])
+        variants = [
+            RationalPolynomial([F(3, 6), F(2, 6)]),
+            RationalPolynomial([3, 2]) * F(1, 6),
+            RationalPolynomial([6, 4]) * F(1, 12),
+            RationalPolynomial([F(1, 4), F(1, 6)]) + RationalPolynomial([F(1, 4), F(1, 6)]),
+            RationalPolynomial([F(1, 2), F(1, 3), F(5, 7)]) - RationalPolynomial.monomial(F(5, 7), 2),
+        ]
+        for p in variants:
+            assert p == direct
+            assert hash(p) == hash(direct)
+            assert (p._num, p._den) == ((3, 2), 6)
+
+    def test_negation_agrees_with_scalar_minus_one(self):
+        p = RationalPolynomial([F(-1, 6), F(3, 4), 0, F(5, 2)])
+        assert -p == p * Fraction(-1, 1)
+        assert hash(-p) == hash(p * Fraction(-1, 1))
+
+    def test_zero_polynomial(self):
+        zero = RationalPolynomial([0, 0])
+        assert zero == RationalPolynomial()
+        assert zero.degree == -1
+        assert zero.is_zero()
+        assert (zero._num, zero._den) == ((), 1)
+        assert (RationalPolynomial([F(1, 3)]) * 0) == zero
+
+    def test_coefficients_are_fractions(self):
+        coeffs = RationalPolynomial([1, F(2, 4), -3]).coefficients
+        assert isinstance(coeffs, tuple)
+        assert all(type(c) is Fraction for c in coeffs)
+        assert coeffs == (F(1), F(1, 2), F(-3))
 
 
 class TestConstruction:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from baselkit.exact import CapacityError
 from baselkit.series import (
+    BisectionReport,
     asymptotic_report,
     bisection_report,
     eta2_partial,
@@ -19,6 +20,8 @@ from baselkit.series import (
     zeta2_partial,
     zeta2_partial_float,
 )
+
+from baselkit.verify import SuiteConfig, run_suite
 
 from oracles import ETA2_HP, ZETA2_HP
 
@@ -125,6 +128,24 @@ class TestBisectionReport:
         with pytest.raises(ValueError):
             bisection_report(1.0, 21)
 
+    def test_to_json_matches_eager_formula(self):
+        cfg = SuiteConfig()
+        for x in sorted(set(cfg.bisection_grid + cfg.remainder_grid)):
+            for level in (0, 1, 12):
+                assert bisection_report(x, level).to_json() == _eager_bisection_json(x, level)
+        assert bisection_report(1.0, 3, 7).to_json() == _eager_bisection_json(1.0, 3, 7)
+
+    def test_grid_rows_never_sum_the_partial_fraction_expansion(self, monkeypatch):
+        reads = []
+        summed = BisectionReport.partial_fraction_value.fget
+        monkeypatch.setattr(BisectionReport, "partial_fraction_value",
+                            property(lambda rep: reads.append(rep.x) or summed(rep)))
+        rows = run_suite(["bisection_identity_grid", "bisection_remainder_bound"])
+        assert [r.status for r in rows] == ["pass", "pass"]
+        assert reads == []
+        assert run_suite("bisection_partial_fraction")[0].status == "pass"
+        assert reads == [1.0]
+
     @given(
         x=st.floats(min_value=0.1, max_value=math.pi - 0.1, allow_nan=False),
         level=st.integers(min_value=0, max_value=10),
@@ -133,6 +154,32 @@ class TestBisectionReport:
     def test_identity_property(self, x, level):
         rep = bisection_report(x, level)
         assert abs(rep.bisection_value / rep.exact_value - 1.0) < 1e-9
+
+
+def _eager_bisection_json(x: float, level: int, pf_terms: int = 10_000) -> dict:
+    """Frozen copy of the formula that summed every route inside the call."""
+    scale = 2**level
+    bisection = math.fsum(
+        1.0 / math.sin((k * math.pi + x) / scale) ** 2 for k in range(scale)
+    ) / (scale * scale)
+    exact = 1.0 / math.sin(x) ** 2
+    half = scale // 2
+    centered_indices = range(-half, half) if level >= 1 else range(0, 1)
+    centered = math.fsum(1.0 / (x + k * math.pi) ** 2 for k in centered_indices)
+    tail = 2.0 / (math.pi * math.pi * pf_terms)
+    partial_fraction = (
+        1.0 / (x * x)
+        + math.fsum(
+            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
+            for k in range(1, pf_terms + 1)
+        )
+        + tail
+    )
+    return {
+        "x": x, "level": level, "bisection_value": bisection, "exact_value": exact,
+        "e_n_bound": 0.5**level, "e_n_measured": exact - centered,
+        "partial_fraction_value": partial_fraction, "truncation_k": pf_terms,
+    }
 
 
 class TestAsymptoticReports:
