@@ -7,9 +7,10 @@ stderr.
 
 Exit codes: 0 success; 1 at least one verification check failed; 2 the
 command could not produce a result: a usage error (unknown flag, value out
-of domain, unknown check id), an exact index past the capacity, or an
-``AccuracyError`` when quadrature misses its tolerance at the level cap.
-The message for 2 goes to stderr and nothing is written to stdout.
+of domain, unknown check id), an exact index past the capacity, a series
+past its term budget, or an ``AccuracyError`` when quadrature misses its
+tolerance at the level cap.  The message for 2 goes to stderr and nothing
+is written to stdout.
 
 Default tolerance is 1e-12; the ``BASELKIT_TOL`` environment variable
 overrides the default and the ``--tol`` flag overrides both.

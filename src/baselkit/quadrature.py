@@ -19,9 +19,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import count, cycle
+from itertools import cycle
 from operator import truediv
 from typing import Callable, Iterator
+
+from .exact import CapacityError
 
 __all__ = [
     "AccuracyError",
@@ -324,6 +326,19 @@ def functional_eq_inverse(x: float, tol: float = 1e-12) -> float:
     return abs(lhs - 0.5 * lx * lx)
 
 
+#: Most terms one call of `scaled_dilog` or `series_integral_pair` may sum
+#: (4-5 s of CPython 3.11 on a 2-vCPU Xeon); a call that needs more raises
+#: CapacityError.
+SERIES_TERM_BUDGET = 10_000_000
+
+
+def _check_budget(n_terms: int) -> None:
+    if n_terms > SERIES_TERM_BUDGET:
+        raise CapacityError(
+            f"the series needs more than SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET} terms"
+        )
+
+
 def _geometric_terms(
     q: float, denominator: Callable[[int], float], tol: float
 ) -> Iterator[float]:
@@ -331,23 +346,26 @@ def _geometric_terms(
 
     Stops after the first N whose tail bound |q|^(N+1) / (d(N+1) (1-|q|))
     is at most tol; d(N+1) is carried over as the next term's denominator.
+    Raises CapacityError once SERIES_TERM_BUDGET terms have not sufficed.
     """
     aq = abs(q)
     one_minus_aq = 1.0 - aq
     power = 1.0
     d = denominator(1)
-    for n in count(2):  # n indexes the next term
+    for n in range(2, SERIES_TERM_BUDGET + 2):  # n indexes the next term
         power *= q
         d_next = denominator(n)
         yield power / d
         if aq**n / (d_next * one_minus_aq) <= tol:
             return
         d = d_next
+    _check_budget(SERIES_TERM_BUDGET + 1)  # the budget ran out before the tail bound held
 
 
 def _alternating_midpoint(denominator: Callable[[int], float], n_terms: int) -> float:
     """sum_{n=1..N} (-1)^n / d(n) plus half the next term.  For 1/d(n)
     decreasing and convex the error is below (1/d(N+1) - 1/d(N+2)) / 2."""
+    _check_budget(n_terms)
     signs = cycle((-1.0, 1.0))
     partial = math.fsum(map(truediv, signs, map(denominator, range(1, n_terms + 1))))
     return partial + (-1.0) ** (n_terms + 1) / (2.0 * denominator(n_terms + 1))
@@ -370,6 +388,9 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = 1e-12) -> float:
       added estimate is off by at most the half-width 1/(2N(N+1)) <= tol.
     * q = -1: alternating; partial sum to N ~ (2/tol)^(1/3) plus half the
       next term, with error at most (a_{N+1} - a_{N+2})/2 by convexity.
+
+    A series that needs more than SERIES_TERM_BUDGET terms raises
+    CapacityError; the integral route has no such limit.
     """
     if not -0.5 <= x <= 0.5:
         raise ValueError(f"x must lie in [-1/2, 1/2], got {x}")
@@ -383,6 +404,7 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = 1e-12) -> float:
         return 0.0
     if q == 1.0:
         n_terms = math.ceil(1.0 / math.sqrt(2.0 * tol))
+        _check_budget(n_terms)
         partial = math.fsum(1.0 / (n * n) for n in range(1, n_terms + 1))
         return partial + 0.5 * (1.0 / n_terms + 1.0 / (n_terms + 1))
     if q == -1.0:
@@ -434,7 +456,8 @@ def series_integral_pair(
     b >= 0.  The series stops on the geometric tail bound
     |r|^(N+1) / ((a(N+1)+b)(1-|r|)); at r = -1, where that bound is vacuous,
     it switches to the alternating midpoint rule (partial sum plus half the
-    next term, error below (a_{N+1} - a_{N+2})/2).
+    next term, error below (a_{N+1} - a_{N+2})/2).  A series that needs more
+    than SERIES_TERM_BUDGET terms raises CapacityError.
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")

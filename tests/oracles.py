@@ -1,10 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately use *different* algorithms from the library under test:
-Bernoulli numbers come from the Akiyama-Tanigawa triangle instead of the
-binomial recursion, pi is a frozen 60-decimal literal so that tail-bound
-inequalities can be certified in exact rational arithmetic, and polynomials
-have a plain list-of-Fraction reference for the integer-backed library class.
+Bernoulli and Genocchi numbers come from the Akiyama-Tanigawa triangle and
+from the binomial recursions of their generating functions (the library
+uses integer tangent numbers and Gandhi polynomials), pi is a frozen
+60-decimal literal so that tail-bound inequalities can be certified in
+exact rational arithmetic, and polynomials have a plain list-of-Fraction
+reference for the integer-backed library class.
 """
 
 from __future__ import annotations
@@ -44,6 +46,48 @@ def genocchi_via_relation(n: int) -> list[Fraction]:
     """G_0..G_n from the Akiyama-Tanigawa Bernoullis through G_n = -(2^n - 1) B_n."""
     bs = akiyama_tanigawa_bernoulli(n)
     return [-(2**k - 1) * bs[k] for k in range(n + 1)]
+
+
+def _grow_bernoulli(m: int, prior: list[Fraction]) -> Fraction:
+    # Coefficient comparison in z = (e^z - 1) * sum B_n z^n/n! gives
+    # sum_{k<n} C(n,k) B_k = [n == 1]; solved for B_{n-1} with n = m+1.
+    if m == 0:
+        return Fraction(1)
+    if m % 2 == 1 and m > 1:
+        return Fraction(0)
+    acc = Fraction(0)
+    binom = 1  # C(m+1, 0)
+    for k in range(m):
+        if prior[k]:
+            acc += binom * prior[k]
+        binom = binom * (m + 1 - k) // (k + 1)
+    return -acc / (m + 1)
+
+
+def _grow_genocchi(m: int, prior: list[Fraction]) -> Fraction:
+    # From z = (e^z + 1) * sum G_n z^n/n!:  G_0 = 0, 2*G_1 + G_0 = 1, and
+    # 2*G_n + sum_{k<n} C(n,k) G_k = 0 for n > 1.
+    if m == 0:
+        return Fraction(0)
+    if m == 1:
+        return Fraction(1, 2)
+    if m % 2 == 1:
+        return Fraction(0)
+    acc = Fraction(0)
+    binom = 1  # C(m, 0)
+    for k in range(m):
+        if prior[k]:
+            acc += binom * prior[k]
+        binom = binom * (m - k) // (k + 1)
+    return -acc / 2
+
+
+def binomial_recursion(grow, n: int) -> list[Fraction]:
+    """Values 0..n of `_grow_bernoulli` or `_grow_genocchi`, in Fraction arithmetic."""
+    prior: list[Fraction] = []
+    for m in range(n + 1):
+        prior.append(grow(m, prior))
+    return prior
 
 
 def zeta_even_coefficient(n: int) -> Fraction:

@@ -9,8 +9,9 @@ import os
 import pytest
 
 import baselkit.cli as cli
+from baselkit import exact
 from baselkit.cli import main
-from baselkit.exact import bernoulli, fraction_str, zeta_even_exact
+from baselkit.exact import bernoulli, fraction_str, genocchi, parse_fraction, zeta_even_exact
 from baselkit.quadrature import AccuracyError, IntegralKind, QuadResult, integrate
 from baselkit.series import bisection_report
 
@@ -163,3 +164,41 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "baselkit integrate: no convergence (injected)\n"
+
+    def test_series_past_the_term_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "dilog", "--x", "0.5", "--tol", "1e-15")
+        assert code == 2
+        assert out == ""
+        assert "SERIES_TERM_BUDGET" in err
+
+
+@pytest.fixture
+def cold_exact_caches(monkeypatch):
+    """Fresh B_n/G_n memo tables, as in a new baselkit process."""
+    monkeypatch.setattr(exact, "_BERNOULLI", exact._SequenceCache(exact._bernoulli_prefix))
+    monkeypatch.setattr(exact, "_GENOCCHI", exact._SequenceCache(exact._genocchi_prefix))
+
+
+class TestValuesPastTheIntDigitLimit:
+    """Exact values inside CAPACITY print even when an integer has more than 4300 digits."""
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("genocchi", "--n", "1842"), "value", lambda: genocchi(1842)),
+            (("bernoulli", "--n", "2064"), "value", lambda: bernoulli(2064)),
+            (("zeta", "--even", "1100"), "coefficient", lambda: zeta_even_exact(1100).coefficient),
+        ],
+        ids=["genocchi_1842", "bernoulli_2064", "zeta_1100"],
+    )
+    def test_exact_value_prints(self, capsys, cold_exact_caches, argv, key, value):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert parse_fraction(json.loads(out)[key]) == value()
+
+    def test_exact_partial_sum_prints(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--which", "zeta2", "--n", "6000",
+                                 "--format", "json")
+        assert code == 0, err
+        record = json.loads(out)
+        assert abs(float(parse_fraction(record["value"])) - record["value_float"]) < 1e-12

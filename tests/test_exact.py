@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import random
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -27,7 +33,14 @@ from baselkit.exact import (
     zeta_even_exact,
 )
 
-from oracles import akiyama_tanigawa_bernoulli, genocchi_via_relation, zeta_even_coefficient
+from oracles import (
+    _grow_bernoulli,
+    _grow_genocchi,
+    akiyama_tanigawa_bernoulli,
+    binomial_recursion,
+    genocchi_via_relation,
+    zeta_even_coefficient,
+)
 
 
 class TestBernoulli:
@@ -74,6 +87,131 @@ class TestGenocchi:
     def test_odd_vanish(self):
         for n in range(1, 60):
             assert genocchi(2 * n + 1) == 0
+
+
+class TestIntegerEngines:
+    """Tangent numbers (B_n) and Gandhi polynomials (G_n) against Fraction oracles."""
+
+    def test_match_the_binomial_recursions_to_300(self):
+        want_b = binomial_recursion(_grow_bernoulli, 300)
+        want_g = binomial_recursion(_grow_genocchi, 300)
+        for n in range(301):
+            assert bernoulli(n) == want_b[n], f"B_{n} mismatch"
+            assert genocchi(n) == want_g[n], f"G_{n} mismatch"
+
+    def test_match_akiyama_tanigawa_to_300(self):
+        want_b = akiyama_tanigawa_bernoulli(300)
+        for n in range(301):
+            assert bernoulli(n) == want_b[n], f"B_{n} mismatch"
+            assert genocchi(n) == -(2**n - 1) * want_b[n], f"G_{n} mismatch"
+
+    def test_every_prefix_length(self):
+        # odd and even ends, including the hand-seeded entries 0..3
+        want_b = binomial_recursion(_grow_bernoulli, 40)
+        want_g = binomial_recursion(_grow_genocchi, 40)
+        for n in range(41):
+            assert exact._bernoulli_prefix(n) == want_b[: n + 1]
+            assert exact._genocchi_prefix(n) == want_g[: n + 1]
+
+    def test_values_at_1000_are_pinned(self):
+        # sha256 of the values the Fraction recursions produced
+        digest = {
+            "B": "ab523c98c5cacf8a97ddbbb6d4ac4476739a343c134f0cc53136343257a0d69f",
+            "G": "0a6f4d9fe57e5fd0ab004312caf3c0dbf5519b6234e62b5a02301a0c6c84eea0",
+        }
+        for name, value in (("B", bernoulli(1000)), ("G", genocchi(1000))):
+            assert hashlib.sha256(fraction_str(value).encode()).hexdigest() == digest[name]
+
+
+def _counting(prefix, calls):
+    def wrapped(n):
+        calls.append(n)
+        return prefix(n)
+
+    return wrapped
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Fresh memo tables for B_n and G_n whose prefix calls are recorded."""
+    calls = {"B": [], "G": []}
+    monkeypatch.setattr(
+        exact, "_BERNOULLI", exact._SequenceCache(_counting(exact._bernoulli_prefix, calls["B"]))
+    )
+    monkeypatch.setattr(
+        exact, "_GENOCCHI", exact._SequenceCache(_counting(exact._genocchi_prefix, calls["G"]))
+    )
+    return calls
+
+
+class TestMemoGrowth:
+    def test_ascending_scan_costs_few_prefix_calls(self, cold_caches):
+        want = exact._bernoulli_prefix(600)
+        for n in range(601):
+            assert bernoulli(n) == want[n]
+        assert len(cold_caches["B"]) <= math.ceil(math.log2(600)) + 2
+
+    def test_miss_grows_to_twice_the_table_capped_at_capacity(self, cold_caches, monkeypatch):
+        monkeypatch.setattr(exact, "CAPACITY", 30)
+        bernoulli(10)
+        bernoulli(11)
+        bernoulli(23)
+        bernoulli(30)
+        assert cold_caches["B"] == [10, 22, 30]
+
+    def test_published_list_is_never_mutated(self, cold_caches):
+        bernoulli(20)
+        published = exact._BERNOULLI._values
+        frozen = list(published)
+        bernoulli(200)
+        assert published == frozen and len(published) == 21
+        assert exact._BERNOULLI._values is not published
+
+    def test_capacity_error_before_any_work(self, cold_caches):
+        with pytest.raises(CapacityError):
+            bernoulli(exact.CAPACITY + 1)
+        with pytest.raises(CapacityError):
+            genocchi(exact.CAPACITY + 1)
+        assert cold_caches == {"B": [], "G": []}
+
+    def test_threads_on_a_cold_cache_match_a_serial_run(self, cold_caches):
+        indices = list(range(401)) * 2
+        random.Random(1842).shuffle(indices)
+        serial_b = exact._bernoulli_prefix(400)
+        serial_g = exact._genocchi_prefix(400)
+
+        def task(n):
+            return n, bernoulli(n), genocchi(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(task, indices, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(indices)
+        for n, b, g in results:
+            assert b == serial_b[n] and g == serial_g[n], n
+
+    def test_simultaneous_misses_grow_the_table_once(self, monkeypatch):
+        calls = []
+
+        def slow_prefix(n):
+            time.sleep(0.05)  # keep the window open while the other threads miss
+            return exact._bernoulli_prefix(n)
+
+        monkeypatch.setattr(exact, "_BERNOULLI", exact._SequenceCache(_counting(slow_prefix, calls)))
+        barrier = threading.Barrier(8)
+
+        def task(_):
+            barrier.wait(timeout=30)
+            return bernoulli(100)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(task, range(8), timeout=60))
+        assert calls == [100]
+        assert results == [results[0]] * 8
 
 
 class TestCrossRelations:
@@ -145,6 +283,13 @@ class TestZetaEvenExact:
     def test_float_view(self):
         assert zeta_even_exact(1).to_float() == pytest.approx(1.6449340668482264, abs=1e-15)
 
+    def test_float_view_past_the_binary64_range_of_pi_powers(self):
+        # 1/pi^620 is subnormal and pi^622 overflows; zeta(2n) itself tends to 1
+        for n in (309, 310, 311, 400):
+            assert zeta_even_exact(n).to_float() == pytest.approx(1.0, abs=1e-12)
+        power = zeta_even_exact(310)
+        assert power.to_float() == float(power.coefficient * Fraction(math.pi) ** 620)
+
     def test_pi_power_validation(self):
         with pytest.raises(ValueError):
             PiPower(Fraction(1), 3)
@@ -189,6 +334,22 @@ class TestSerialization:
     def test_integer_form(self):
         assert fraction_str(Fraction(24)) == "24"
         assert fraction_str(Fraction(-1, 2)) == "-1/2"
+
+    def test_round_trip_past_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        g = genocchi(1842)  # the first G_n whose numerator has more than 4300 digits
+        assert abs(g.numerator) > 10**4300
+        assert parse_fraction(fraction_str(g)) == g
+        big = Fraction(-(10**5000), 7)
+        assert fraction_str(big) == "-1" + "0" * 5000 + "/7"
+        assert parse_fraction(fraction_str(big)) == big
+        assert parse_fraction("3/" + "1" * 5000) == Fraction(3, (10**5000 - 1) // 9)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_malformed_text_still_rejected(self):
+        for text in ("1/x", "", "1" * 5000 + "x", "1" * 5000 + "/2/3"):
+            with pytest.raises(ValueError):
+                parse_fraction(text)
 
     def test_pi_power_json(self):
         blob = json.dumps(zeta_even_exact(2).to_json())

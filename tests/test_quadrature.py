@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 
 import mpmath
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baselkit import quadrature
+from baselkit.exact import CapacityError
 from baselkit.quadrature import (
     AccuracyError,
     IntegralKind,
@@ -318,3 +321,45 @@ def test_series_terms_stream_into_fsum():
     finally:
         tracemalloc.stop()
     assert peak < 200_000
+
+
+class TestSeriesTermBudget:
+    """Near |q| -> 1 the series kernels raise CapacityError instead of running for hours."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: scaled_dilog(0.4999999), lambda: series_integral_pair(1 - 1e-9, 1.0, 0.0)],
+        ids=["dilog_40M_terms", "pair_2.4e10_terms"],
+    )
+    def test_geometric_series_past_the_budget_raises(self, call):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            call()
+        assert time.perf_counter() - start < 60.0
+
+    def test_fixed_length_series_raise_before_summing(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            scaled_dilog(0.5, tol=1e-15)  # q = +1 needs 22M terms
+        with pytest.raises(CapacityError):
+            series_integral_pair(-1.0, 1e-6, 0.0)  # r = -1 needs 1e9 terms
+        assert time.perf_counter() - start < 1.0
+
+    def test_edge_case_inside_the_budget_still_returns(self):
+        # 69,275 terms; the numeric benchmark calls exactly this
+        assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
+
+    def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
+        need = sum(1 for _ in quadrature._geometric_terms(0.98, lambda n: n * n, 1e-12))
+        want = scaled_dilog(0.49)
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need)
+        assert scaled_dilog(0.49) == want
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need - 1)
+        with pytest.raises(CapacityError):
+            scaled_dilog(0.49)
+        n_terms = math.ceil((2.0 / 1e-12) ** (1.0 / 3.0))  # q = -1 at tol 1e-12
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", n_terms)
+        scaled_dilog(-0.5)
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", n_terms - 1)
+        with pytest.raises(CapacityError):
+            scaled_dilog(-0.5)
