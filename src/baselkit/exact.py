@@ -206,11 +206,8 @@ class PiPower:
             raise ValueError(f"exponent must be even and non-negative, got {self.exponent}")
 
     def to_float(self) -> float:
-        if self.exponent > 618:
-            # zeta's factors leave binary64's normal range here (1/pi^620 is
-            # subnormal, pi^622 overflows): multiply exactly and round once
-            return float(self.coefficient * Fraction(math.pi) ** self.exponent)
-        return float(self.coefficient) * math.pi**self.exponent
+        """The exact product with binary64 pi, rounded once (finite at every exponent)."""
+        return float(self.coefficient * Fraction(math.pi) ** self.exponent)
 
     def to_json(self) -> dict:
         return {"coefficient": fraction_str(self.coefficient), "pi_exponent": self.exponent}

@@ -332,11 +332,15 @@ def functional_eq_inverse(x: float, tol: float = 1e-12) -> float:
 SERIES_TERM_BUDGET = 10_000_000
 
 
+def _over_budget() -> CapacityError:
+    return CapacityError(
+        f"the series needs more than SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET} terms"
+    )
+
+
 def _check_budget(n_terms: int) -> None:
     if n_terms > SERIES_TERM_BUDGET:
-        raise CapacityError(
-            f"the series needs more than SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET} terms"
-        )
+        raise _over_budget()
 
 
 def _geometric_terms(
@@ -359,7 +363,7 @@ def _geometric_terms(
         if aq**n / (d_next * one_minus_aq) <= tol:
             return
         d = d_next
-    _check_budget(SERIES_TERM_BUDGET + 1)  # the budget ran out before the tail bound held
+    raise _over_budget()  # the tail bound did not hold within the budget
 
 
 def _alternating_midpoint(denominator: Callable[[int], float], n_terms: int) -> float:
@@ -470,6 +474,8 @@ def series_integral_pair(
     if r == 0.0:
         series = 0.0
     elif r == -1.0:
+        if a * tol == 0.0:  # underflow: the midpoint rule would need unboundedly many terms
+            raise _over_budget()
         series = _alternating_midpoint(lambda n: a * n + b, math.ceil(1.0 / math.sqrt(a * tol)))
     else:
         series = math.fsum(_geometric_terms(r, lambda n: a * n + b, tol))

@@ -281,14 +281,13 @@ class TestZetaEvenExact:
             assert got.coefficient > 0
 
     def test_float_view(self):
-        assert zeta_even_exact(1).to_float() == pytest.approx(1.6449340668482264, abs=1e-15)
+        # pi^2/6 correctly rounded; rounding pi^2 and 1/6 separately gives ...262
+        assert zeta_even_exact(1).to_float() == 1.6449340668482264
 
     def test_float_view_past_the_binary64_range_of_pi_powers(self):
         # 1/pi^620 is subnormal and pi^622 overflows; zeta(2n) itself tends to 1
         for n in (309, 310, 311, 400):
             assert zeta_even_exact(n).to_float() == pytest.approx(1.0, abs=1e-12)
-        power = zeta_even_exact(310)
-        assert power.to_float() == float(power.coefficient * Fraction(math.pi) ** 620)
 
     def test_pi_power_validation(self):
         with pytest.raises(ValueError):
