@@ -94,16 +94,18 @@ def _csv_value(value) -> str:
     return str(value)
 
 
+def _csv_rows(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().rstrip("\n")
+
+
 def _render_record(record: dict, fmt: str) -> str:
     """Serialize one result record in the requested format."""
     if fmt == "json":
         return json.dumps(record, separators=(",", ":"))
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([_csv_value(v) for v in record.values()])
-        return buffer.getvalue().rstrip("\n")
+        return _csv_rows([record.keys(), [_csv_value(v) for v in record.values()]])
     return "\n".join(f"{key}: {_pretty_value(value)}" for key, value in record.items())
 
 
@@ -248,12 +250,8 @@ def _cmd_verify(args, tol: float) -> tuple[str, int]:
     if args.format == "json":
         text = "\n".join(report_lines(results))
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["check_id", "status", "lhs", "rhs", "abs_err", "tol"])
-        for r in results:
-            writer.writerow([r.check_id, r.status, r.lhs, r.rhs, r.abs_err, r.tol])
-        text = buffer.getvalue().rstrip("\n")
+        header = ["check_id", "status", "lhs", "rhs", "abs_err", "tol"]
+        text = _csv_rows([header, *(r.to_json_dict().values() for r in results)])
     else:
         text = summary_table(results)
     tally = sum(1 for r in results if r.status == "fail")

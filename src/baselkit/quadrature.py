@@ -306,17 +306,31 @@ def functional_eq_dilog(x: float, tol: float = 1e-12) -> float:
     return abs(lhs - 0.5 * _unit_log_kernel(x * x, tol))
 
 
+INVERSE_X_MAX = 1e4
+
+
 def functional_eq_inverse(x: float, tol: float = 1e-12) -> float:
     """Residual |h(x) + h(1/x) - (ln x)^2 / 2| with h(x) = int_1^x ln t/(1+t) dt.
 
     The identity is symmetric under x <-> 1/x; the argument is canonicalized
     to max(x, 1/x) first so the two residuals are computed identically.
+
+    Domain: max(x, 1/x) <= INVERSE_X_MAX = 1e4; anything else (NaN, inf,
+    and a 1/x that overflows included) raises ValueError.  Tanh-sinh runs
+    on the linear interval [1, max(x, 1/x)], and past about 1e5 its
+    inter-level differences stop tracking the error, with no error raised:
+    at tol 1e-12 the worst residual of 300 log-uniform samples is 1.5e-10
+    on [1e5, 1e6] and 1.6e-2 on [1e7, 1e9], and x = 1e20 gives 0.91.  On
+    [1e-4, 1e4] the worst residual seen is below 1e-13.
     """
     if x <= 0.0:
         raise ValueError(f"x must be positive, got {x}")
     _check_tol(tol)
+    given = x
     if x < 1.0:
         x = 1.0 / x
+    if not x <= INVERSE_X_MAX:
+        raise ValueError(f"max(x, 1/x) must be at most {INVERSE_X_MAX}, got x = {given}")
 
     def g(t: float) -> float:
         return math.log(t) / (1.0 + t)
@@ -465,9 +479,9 @@ def series_integral_pair(
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")
-    if a <= 0.0:
+    if not a > 0.0:  # written so that NaN is rejected too
         raise ValueError(f"a must be positive, got {a}")
-    if b < 0.0:
+    if not b >= 0.0:
         raise ValueError(f"b must be non-negative, got {b}")
     _check_tol(tol)
 

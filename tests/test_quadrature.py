@@ -9,7 +9,7 @@ import tracemalloc
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baselkit import quadrature
@@ -210,8 +210,20 @@ class TestFunctionalEquations:
         assert functional_eq_inverse(0.1) == functional_eq_inverse(10.0)
 
     def test_inverse_domain(self):
-        with pytest.raises(ValueError):
-            functional_eq_inverse(0.0)
+        # past 1e4 the quadrature on [1, max(x, 1/x)] drifts silently (0.91 at 1e20)
+        for x in (0.0, -1.0, 1e5, 1e-5, 1e20, math.nan, math.inf, -math.inf, 5e-324):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                functional_eq_inverse(x)
+            assert time.perf_counter() - start < 0.1
+        assert functional_eq_inverse(1e4) < 1e-12
+        assert functional_eq_inverse(1e-4) < 1e-12
+
+    def test_inverse_log_uniform_grid(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            x = 10.0 ** rng.uniform(-4.0, 4.0)
+            assert functional_eq_inverse(x, 1e-12) <= 1e-12, x
 
 
 class TestSeriesIntegralPair:
@@ -242,6 +254,12 @@ class TestSeriesIntegralPair:
             series_integral_pair(0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             series_integral_pair(0.5, 1.0, -1.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            series_integral_pair(0.5, math.nan, 0.0)
+        with pytest.raises(ValueError):
+            series_integral_pair(0.5, 1.0, math.nan)
+        assert time.perf_counter() - start < 0.1  # rejected, not summed to the budget
 
     @given(
         r=st.floats(min_value=-0.95, max_value=0.95, allow_nan=False),
@@ -367,3 +385,51 @@ class TestSeriesTermBudget:
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", n_terms - 1)
         with pytest.raises(CapacityError):
             scaled_dilog(-0.5)
+
+
+# Distance from a domain edge, log-uniform over [1e-12, 1e-1].
+_NEAR = st.floats(min_value=-12.0, max_value=-1.0).map(lambda e: 10.0**e)
+_TOLS = st.sampled_from((1e-15, 1e-3))
+
+
+def _meets_tol_or_raises(call, ref: float, tol: float) -> None:
+    """Each value is within (tol + 2e-15) * max(1, |ref|) of the mpmath value,
+    or the call raises a documented error; the term budget bounds the time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
+        try:
+            values = call()
+        except (CapacityError, AccuracyError):
+            return
+    for value in values:
+        assert abs(value - ref) <= (tol + 2e-15) * max(1.0, abs(ref)), (value, ref)
+
+
+class TestDomainEdges:
+    @given(
+        x=st.one_of(st.just(0.5), _NEAR.map(lambda d: 0.5 - d)),
+        sign=st.sampled_from((-1.0, 1.0)),
+        mode=st.sampled_from(("series", "integral")),
+        tol=_TOLS,
+    )
+    @example(x=0.5, sign=-1.0, mode="series", tol=1e-3)
+    @example(x=0.5, sign=1.0, mode="series", tol=1e-3)
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_dilog_near_half(self, x, sign, mode, tol):
+        with mpmath.workdps(40):
+            ref = float(mpmath.polylog(2, 2 * mpmath.mpf(sign * x)))
+        _meets_tol_or_raises(lambda: [scaled_dilog(sign * x, mode, tol)], ref, tol)
+
+    @given(
+        r=st.one_of(st.just(-1.0), _NEAR.map(lambda d: -1.0 + d), _NEAR.map(lambda d: 1.0 - d)),
+        a=st.floats(min_value=0.25, max_value=4.0),
+        b=st.floats(min_value=0.0, max_value=5.0),
+        tol=_TOLS,
+    )
+    @example(r=-1.0, a=1.0, b=0.0, tol=1e-3)
+    @settings(max_examples=25, deadline=None)
+    def test_series_integral_pair_near_one(self, r, a, b, tol):
+        # both the series and the integral value are held to the contract
+        with mpmath.workdps(40):
+            ref = float(mpmath.mpf(r) / a * mpmath.lerchphi(r, 1, (mpmath.mpf(a) + b) / a))
+        _meets_tol_or_raises(lambda: series_integral_pair(r, a, b, tol), ref, tol)

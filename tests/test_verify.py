@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from types import SimpleNamespace
@@ -14,7 +15,6 @@ from baselkit.polynomials import Certificate
 from baselkit.quadrature import ProductKind
 from baselkit.verify import (
     CheckResult,
-    SuiteConfig,
     UnknownCheckError,
     available_checks,
     report_lines,
@@ -116,16 +116,20 @@ class TestReport:
 
 
 class TestConfig:
-    def test_tighter_tolerance_can_fail(self):
+    def test_tighter_tolerance_can_fail(self, monkeypatch):
         # a coarse-limit tolerance tighter than the convergence rate must fail
-        cfg = SuiteConfig(coarse_tol=1e-12)
-        results = run_suite(["riemann_trend_log_over_1mt"], cfg)
+        monkeypatch.setattr(verify, "COARSE_TOL", 1e-12)
+        results = run_suite(["riemann_trend_log_over_1mt"])
         assert results[0].status == "fail"
 
-    def test_custom_grid_sizes(self):
-        cfg = SuiteConfig(max_poly_n=10, power_sum_max_k=3, power_sum_max_n=10)
-        results = run_suite(["poly_power_sum_grid", "poly_reflection"], cfg)
+    def test_custom_grid_sizes(self, monkeypatch):
+        for name, value in (("MAX_POLY_N", 10), ("POWER_SUM_MAX_K", 3), ("POWER_SUM_MAX_N", 10)):
+            monkeypatch.setattr(verify, name, value)
+        results = run_suite(["poly_power_sum_grid", "poly_reflection"])
         assert all(r.status == "pass" for r in results)
+        # the constants are read when a row runs, not when it is registered
+        rhs = [r.rhs for r in results]
+        assert rhs == ["exact for k <= 3, n <= 10", "(-1)^(n+1) G_n(x), n <= 10"]
 
     def test_result_dataclass_shape(self):
         r = run_suite(["integral_log_over_1mt"])[0]
@@ -134,10 +138,9 @@ class TestConfig:
         assert r.to_json_dict()["check_id"] == "integral_log_over_1mt"
 
     def test_registry_shape_is_fixed_not_config(self):
-        for removed in ("max_zeta_n", "zeta2_tail_ns", "eta2_tail_ns", "pair_cases"):
-            with pytest.raises(TypeError):
-                SuiteConfig(**{removed: None})
+        assert list(inspect.signature(run_suite).parameters) == ["selection"]
         ids = set(available_checks())
+        assert len(ids) == 59
         assert {f"zeta_even_exact_{n}" for n in range(1, verify.MAX_ZETA_N + 1)} <= ids
         assert {f"tail_zeta2_N{n}" for n in verify.ZETA2_TAIL_NS} <= ids
         assert {f"tail_eta2_N{n}" for n in verify.ETA2_TAIL_NS} <= ids
@@ -218,8 +221,13 @@ class TestIsolation:
 
 
 # Small grids: every row still runs, in a fraction of a second.
-SMALL = SuiteConfig(max_poly_n=6, power_sum_max_k=3, power_sum_max_n=6, bisection_levels=1,
-                    riemann_large_n=10_000)
+SMALL = {"MAX_POLY_N": 6, "POWER_SUM_MAX_K": 3, "POWER_SUM_MAX_N": 6, "BISECTION_LEVELS": 1,
+         "RIEMANN_LARGE_N": 10_000}
+
+
+def _shrink(patch):
+    for name, value in SMALL.items():
+        patch.setattr(verify, name, value)
 
 
 def _bad(row):
@@ -285,7 +293,9 @@ FAULTS = {
 
 @pytest.fixture(scope="module")
 def small_results():
-    return {r.check_id: r.to_json_dict() for r in run_suite("all", SMALL)}
+    with pytest.MonkeyPatch.context() as patch:
+        _shrink(patch)
+        return {r.check_id: r.to_json_dict() for r in run_suite("all")}
 
 
 def test_fault_table_covers_every_table_row():
@@ -298,7 +308,13 @@ def test_fault_table_covers_every_table_row():
 def test_fault_in_one_row_fails_only_that_row(row, small_results, capsys, monkeypatch):
     name, fake, text = FAULTS[row]
     monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
-    results = {r.check_id: r.to_json_dict() for r in run_suite("all", SMALL)}
+    # through the CLI at the default grids, the fault stops the row at once
+    assert main(["verify", "--suite", row, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: 1 checks, 1 failed\n"
+    assert json.loads(captured.out)["status"] == "fail"
+    _shrink(monkeypatch)
+    results = {r.check_id: r.to_json_dict() for r in run_suite("all")}
     assert small_results[row]["status"] == "pass"
     assert results[row]["status"] == "fail"
     assert {i for i in results if results[i] != small_results[i]} == {row}
@@ -307,8 +323,21 @@ def test_fault_in_one_row_fails_only_that_row(row, small_results, capsys, monkey
         assert (results[row]["lhs"], results[row]["rhs"]) == (text or (bad.name, bad.detail))
     else:
         assert results[row]["rhs"].endswith("did not decrease")
-    # through the CLI at the default config, the fault stops the row at once
-    assert main(["verify", "--suite", row, "--format", "json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "verify: 1 checks, 1 failed\n"
-    assert json.loads(captured.out)["status"] == "fail"
+
+
+def test_every_row_calls_the_library_through_module_globals(monkeypatch):
+    # a row that bound a library function at import would miss the swap and pass
+    def swapped(*args, **kwargs):
+        raise RuntimeError("library call")
+
+    library = [
+        name for name, value in vars(verify).items()
+        if inspect.isfunction(value) and value.__module__ != "baselkit.verify"
+        and value.__module__.startswith("baselkit.")
+    ]
+    assert "integrate" in library and "check_reflection" in library
+    for name in library:
+        monkeypatch.setattr(verify, name, swapped)
+    results = run_suite("all")
+    assert len(results) == 59
+    assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
