@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import cycle, pairwise
 from operator import truediv
 from typing import Callable, Iterator
 
@@ -42,6 +42,9 @@ __all__ = [
     "series_integral_pair",
     "two_integral_residual",
 ]
+
+#: Tolerance of every tol-taking call that is not given one.
+DEFAULT_TOL = 1e-12
 
 _PI = math.pi
 _TOL_MIN, _TOL_MAX = 1e-15, 1e-3
@@ -188,7 +191,7 @@ def _integrate_smooth(g: Callable[[float], float], a: float, b: float, tol: floa
     return width * _tanh_sinh_unit(f, tol).value
 
 
-def integrate(kind: IntegralKind, tol: float = 1e-12) -> QuadResult:
+def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
     """Evaluate one of the four log-singular integrals on [0, 1].
 
     Parameters
@@ -209,18 +212,24 @@ def integrate(kind: IntegralKind, tol: float = 1e-12) -> QuadResult:
     return _tanh_sinh_unit(_integrand(kind), tol)
 
 
-def two_integral_residual(tol: float = 1e-12) -> float:
+def two_integral_residual(tol: float = DEFAULT_TOL) -> float:
     """|I[ln t/(1-t)] - 2 I[ln t/(1+t)]|; the identity makes this ~0."""
     lhs = integrate(IntegralKind.LOG_OVER_1MT, tol).value
     rhs = integrate(IntegralKind.LOG_OVER_1PT, tol).value
     return abs(lhs - 2.0 * rhs)
 
 
-_RIEMANN_KINDS = (
+RIEMANN_KINDS = (
     IntegralKind.LOG_OVER_1MT,
     IntegralKind.LOG1M_OVER_T,
     IntegralKind.LOG_OVER_1PT,
 )
+
+
+def _grid_values(kind: IntegralKind, n: int) -> Iterator[float]:
+    """f(k/n) for k = 1..n-1, one at a time."""
+    f = _integrand(kind)
+    return (f(k / n, (n - k) / n) for k in range(1, n))
 
 
 def riemann_sum(kind: IntegralKind, n: int) -> float:
@@ -229,12 +238,11 @@ def riemann_sum(kind: IntegralKind, n: int) -> float:
     Monotonicity of the integrand makes this converge to the improper
     integral even though f is unbounded at an endpoint.
     """
-    if kind not in _RIEMANN_KINDS:
-        raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in _RIEMANN_KINDS]}")
+    if kind not in RIEMANN_KINDS:
+        raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in RIEMANN_KINDS]}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    f = _integrand(kind)
-    return math.fsum(f(k / n, (n - k) / n) for k in range(1, n)) / n
+    return math.fsum(_grid_values(kind, n)) / n
 
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
@@ -242,14 +250,11 @@ def sample_monotonicity(kind: IntegralKind, n: int) -> int:
     non-increasing, 0 neither."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    f = _integrand(kind)
-    values = [f(k / n, (n - k) / n) for k in range(1, n)]
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    if all(d >= 0.0 for d in diffs):
-        return 1
-    if all(d <= 0.0 for d in diffs):
-        return -1
-    return 0
+    rising = falling = True
+    for a, b in pairwise(_grid_values(kind, n)):
+        rising &= b - a >= 0.0
+        falling &= b - a <= 0.0
+    return 1 if rising else -1 if falling else 0
 
 
 def product_form(kind: ProductKind, n: int) -> float:
@@ -297,7 +302,7 @@ def _unit_log_kernel(y: float, tol: float) -> float:
     return _tanh_sinh_unit(f, tol).value
 
 
-def functional_eq_dilog(x: float, tol: float = 1e-12) -> float:
+def functional_eq_dilog(x: float, tol: float = DEFAULT_TOL) -> float:
     """Residual |h(x) + h(-x) - h(x^2)/2| with h(x) = int_0^x ln(1-t)/t dt."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x}")
@@ -309,7 +314,7 @@ def functional_eq_dilog(x: float, tol: float = 1e-12) -> float:
 INVERSE_X_MAX = 1e4
 
 
-def functional_eq_inverse(x: float, tol: float = 1e-12) -> float:
+def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     """Residual |h(x) + h(1/x) - (ln x)^2 / 2| with h(x) = int_1^x ln t/(1+t) dt.
 
     The identity is symmetric under x <-> 1/x; the argument is canonicalized
@@ -393,7 +398,7 @@ def _square(n: int) -> int:
     return n * n
 
 
-def scaled_dilog(x: float, mode: str = "series", tol: float = 1e-12) -> float:
+def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> float:
     """sum_{n>=1} (2x)^n / n^2 for |x| <= 1/2, by series or by quadrature.
 
     The integral route evaluates -int_0^x ln(1-2t)/t dt.  The series route
@@ -465,7 +470,7 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 
 
 def series_integral_pair(
-    r: float, a: float, b: float, tol: float = 1e-12
+    r: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Two independent evaluations of sum_{n>=1} r^n / (a n + b).
 

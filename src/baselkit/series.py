@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import CapacityError, bernoulli, fraction_str, genocchi
-from .quadrature import IntegralKind, integrate
+from .quadrature import DEFAULT_TOL, IntegralKind, integrate
 
 __all__ = [
     "BisectionReport",
@@ -38,7 +38,11 @@ __all__ = [
 #: Exact-mode cap; quadratic-size denominators make larger N pointless.
 EXACT_PARTIAL_CAP = 10_000
 
-_WHICH = ("bernoulli", "genocchi")
+#: The two divergent series of ``asymptotic_report``.
+WHICH = ("bernoulli", "genocchi")
+
+#: Partial-fraction terms of ``bisection_report`` when none are given.
+PF_TERMS = 10_000
 
 
 def _balanced_sum(terms: list[Fraction]) -> Fraction:
@@ -125,7 +129,7 @@ class BisectionReport:
         }
 
 
-def bisection_report(x: float, level: int, pf_terms: int = 10_000) -> BisectionReport:
+def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> BisectionReport:
     """Refine 1/sin^2(x) by repeated argument halving and compare routes.
 
     ``bisection_value`` is 4^-n sum_{k<2^n} 1/sin^2((k pi + x)/2^n), which
@@ -198,28 +202,28 @@ class SeriesReport:
         }
 
 
-def regularized_target(which: str, tol: float = 1e-12) -> float:
+def regularized_target(which: str, tol: float = DEFAULT_TOL) -> float:
     """Value assigned to the divergent series by its defining integral.
 
     ``bernoulli``: -I[ln t/(1-t)] - 3/2 (= pi^2/6 - 3/2).
     ``genocchi`` : -I[ln t/(1+t)]       (= pi^2/12).
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if which == "bernoulli":
         return -integrate(IntegralKind.LOG_OVER_1MT, tol).value - 1.5
     return -integrate(IntegralKind.LOG_OVER_1PT, tol).value
 
 
-def asymptotic_report(which: str, m_max: int, tol: float = 1e-12) -> SeriesReport:
+def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> SeriesReport:
     """Partial-sum diagnostics for the two factorially divergent series.
 
     ``bernoulli``: terms B_{2m}, m = 1..m_max (the alternating signs of the
     rectified sequence cancel against the sign straightening).
     ``genocchi``: terms (-1)^(n-1) G_n, n = 1..m_max, zeros included.
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if m_max < 1:
         raise ValueError(f"need m_max >= 1, got {m_max}")
     if m_max > 40:

@@ -102,6 +102,9 @@ ZETA2_TAIL_NS = (10, 100, 1_000, 10_000)
 ETA2_TAIL_NS = (10, 100, 1_000)
 PAIR_CASES = ((0.5, 1.0, 0.0), (-0.9, 1.0, 0.0), (0.9, 2.0, 3.0))
 
+#: The serialized fields of a CheckResult, in report order.
+REPORT_FIELDS = ("check_id", "status", "lhs", "rhs", "abs_err", "tol")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -120,14 +123,7 @@ class CheckResult:
     runtime_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "tol": self.tol,
-        }
+        return {field: getattr(self, field) for field in REPORT_FIELDS}
 
 
 class UnknownCheckError(ValueError):

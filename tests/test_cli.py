@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,40 @@ class TestExitCodes:
         assert out == ""
         assert "SERIES_TERM_BUDGET" in err
 
+    def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "bernoulli", "--n", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"baselkit bernoulli: cannot write {target}: No such file or directory\n"
+
+    def test_out_onto_a_directory_exits_2_and_leaves_no_temp_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bernoulli", "--n", "3", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"baselkit bernoulli: cannot write {tmp_path}: ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("suite", ["", ",", ",,"])
+    def test_empty_suite_selection_exits_2(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 2
+        assert out == ""
+        assert err == f"baselkit verify: --suite {suite!r} selects no checks\n"
+
+    def test_bad_env_tolerance_is_ignored_without_tol(self, capsys, monkeypatch):
+        monkeypatch.setenv("BASELKIT_TOL", "abc")
+        code, out, _ = run_cli(capsys, "bernoulli", "--n", "4", "--format", "json")
+        assert code == 0
+        assert out == '{"n":4,"value":"-1/30"}\n'
+
+    def test_bad_env_tolerance_exits_2_where_tol_exists(self, capsys, monkeypatch):
+        monkeypatch.setenv("BASELKIT_TOL", "abc")
+        code, out, err = run_cli(capsys, "integrate", "--kind", "log_over_1mt")
+        assert code == 2
+        assert out == ""
+        assert err == "baselkit integrate: BASELKIT_TOL must be a float, got 'abc'\n"
+
 
 @pytest.fixture
 def cold_exact_caches(monkeypatch):
@@ -202,3 +237,37 @@ class TestValuesPastTheIntDigitLimit:
         assert code == 0, err
         record = json.loads(out)
         assert abs(float(parse_fraction(record["value"])) - record["value_float"]) < 1e-12
+
+
+SUBCOMMANDS = ("bernoulli", "genocchi", "zeta", "poly", "integrate", "riemann", "product",
+               "dilog", "series", "mei", "verify")
+
+
+def _golden_help() -> dict[str, str]:
+    """`$ baselkit ... --help` header lines, each followed by that screen at COLUMNS=80."""
+    text = Path(__file__).with_name("cli_help.golden").read_text()
+    return dict(block.split("\n", 1) for block in text.split("$ baselkit ")[1:])
+
+
+class TestHelpScreens:
+    """The parser's flags, choices, metavars, help texts and order, pinned."""
+
+    @pytest.mark.parametrize("argv", [[], *([name] for name in SUBCOMMANDS)],
+                             ids=["top", *SUBCOMMANDS])
+    def test_help_matches_golden(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, *argv, "--help")
+        assert code == 0
+        assert out == _golden_help()[" ".join([*argv, "--help"])]
+
+    def test_parsed_defaults(self):
+        parse = cli._build_parser().parse_args
+        common = {"format": "pretty", "out": None}
+        assert vars(parse(["mei", "--x", "1", "--level", "2"])) == {
+            "command": "mei", "x": 1.0, "level": 2, "pf_terms": 10_000, **common}
+        assert vars(parse(["dilog", "--x", "0.5"])) == {
+            "command": "dilog", "x": 0.5, "mode": "series", "tol": None, **common}
+        assert vars(parse(["series", "--which", "eta2"])) == {
+            "command": "series", "which": "eta2", "n": None, "m_max": None, "tol": None, **common}
+        assert vars(parse(["verify"])) == {
+            "command": "verify", "suite": "all", "list": False, **common}

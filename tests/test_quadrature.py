@@ -341,6 +341,39 @@ def test_series_terms_stream_into_fsum():
     assert peak < 200_000
 
 
+def test_sample_monotonicity_streams_the_grid():
+    # 10^6 samples; the two lists it once built held about 72 MB
+    tracemalloc.start()
+    try:
+        direction = sample_monotonicity(IntegralKind.LOG_OVER_1MT, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert direction == 1
+    assert peak < 200_000
+
+
+def _listed_monotonicity(f, n: int) -> int:
+    """The list-building form of sample_monotonicity, as a reference."""
+    values = [f(k / n, (n - k) / n) for k in range(1, n)]
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if all(d >= 0.0 for d in diffs):
+        return 1
+    if all(d <= 0.0 for d in diffs):
+        return -1
+    return 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 1000])
+def test_sample_monotonicity_matches_the_listed_form(n, monkeypatch):
+    for kind in IntegralKind:
+        assert sample_monotonicity(kind, n) == _listed_monotonicity(quadrature._integrand(kind), n)
+    # a flat, a bumpy and a NaN-valued integrand reach the other branches
+    for f in (lambda t, omt: 0.0, lambda t, omt: math.sin(9.0 * t), lambda t, omt: math.nan):
+        monkeypatch.setattr(quadrature, "_integrand", lambda kind, f=f: f)
+        assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(f, n)
+
+
 class TestSeriesTermBudget:
     """Near |q| -> 1 the series kernels raise CapacityError instead of running for hours."""
 
