@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,9 @@ def _golden_help() -> dict[str, str]:
 class TestHelpScreens:
     """The parser's flags, choices, metavars, help texts and order, pinned."""
 
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="the golden screens are argparse's layout on Python 3.10-3.12; "
+                        "3.13 wraps long usage lines differently")
     @pytest.mark.parametrize("argv", [[], *([name] for name in SUBCOMMANDS)],
                              ids=["top", *SUBCOMMANDS])
     def test_help_matches_golden(self, capsys, monkeypatch, argv):
