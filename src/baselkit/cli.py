@@ -9,9 +9,10 @@ Output goes to stdout (or atomically to ``--out``); diagnostics to stderr.
 Exit codes: 0 success; 1 at least one verification check failed; 2 no
 result, with the message on stderr and nothing on stdout: a usage error
 (unknown flag, value out of domain, unknown check id, empty ``--suite``
-selection), an exact index past the capacity, a series past its term
-budget, an ``AccuracyError`` at the quadrature level cap, or an ``--out``
-file that cannot be written.
+selection, the other ``series`` mode's flag), an exact index past the
+capacity, a series, grid, partial sum or ``--pf-terms`` past
+``SERIES_TERM_BUDGET`` terms (refused before any is summed), an
+``AccuracyError`` at the quadrature level cap, or an unwritable ``--out``.
 
 The default tolerance is ``DEFAULT_TOL``; where ``--tol`` exists, the
 ``BASELKIT_TOL`` environment variable overrides it and the flag beats both.
@@ -114,12 +115,14 @@ def _poly_record(args) -> dict:
 
 
 def _series_record(args) -> dict:
-    if args.which in WHICH:
-        if args.m_max is None:
-            raise ValueError(f"--which {args.which} requires --m-max")
+    report = args.which in WHICH  # takes --m-max; the partial sums take --n
+    for flag, value, wanted in (("--n", args.n, not report), ("--m-max", args.m_max, report)):
+        if wanted and value is None:
+            raise ValueError(f"--which {args.which} requires {flag}")
+        if not wanted and value is not None:
+            raise ValueError(f"--which {args.which} does not take {flag}")
+    if report:
         return asymptotic_report(args.which, args.m_max, args.tol).to_json()
-    if args.n is None:
-        raise ValueError(f"--which {args.which} requires --n")
     zeta2 = args.which == "zeta2"
     record: dict = {"which": args.which, "n": args.n}
     if args.n <= EXACT_PARTIAL_CAP:

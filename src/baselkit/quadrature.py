@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import cycle, pairwise
-from operator import truediv
+from itertools import pairwise
 from typing import Callable, Iterator
 
 from .exact import CapacityError
@@ -45,6 +45,11 @@ __all__ = [
 
 #: Tolerance of every tol-taking call that is not given one.
 DEFAULT_TOL = 1e-12
+
+#: Most terms one call may sum or sample: float series, partial sums, grids and
+#: `bisection_report`'s partial fractions (2-6 s of CPython 3.11 on a 2-vCPU
+#: Xeon).  A call that needs more raises CapacityError before summing any.
+SERIES_TERM_BUDGET = 10_000_000
 
 _PI = math.pi
 _TOL_MIN, _TOL_MAX = 1e-15, 1e-3
@@ -135,6 +140,13 @@ def _integrand(kind: IntegralKind) -> Callable[[float, float], float]:
 def _check_tol(tol: float) -> None:
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
+
+
+def _check_budget(n_terms: float) -> None:
+    """The one gate on term counts; raises CapacityError past the budget."""
+    if n_terms > SERIES_TERM_BUDGET:
+        raise CapacityError(f"the series needs more than SERIES_TERM_BUDGET = "
+                            f"{SERIES_TERM_BUDGET} terms")
 
 
 def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResult:
@@ -233,7 +245,7 @@ def _grid_values(kind: IntegralKind, n: int) -> Iterator[float]:
 
 
 def riemann_sum(kind: IntegralKind, n: int) -> float:
-    """Left-out-endpoints Riemann sum (1/n) sum_{k=1..n-1} f(k/n).
+    """Left-out-endpoints Riemann sum (1/n) sum_{k=1..n-1} f(k/n), n <= SERIES_TERM_BUDGET.
 
     Monotonicity of the integrand makes this converge to the improper
     integral even though f is unbounded at an endpoint.
@@ -242,14 +254,16 @@ def riemann_sum(kind: IntegralKind, n: int) -> float:
         raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in RIEMANN_KINDS]}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _check_budget(n)
     return math.fsum(_grid_values(kind, n)) / n
 
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
     """Direction of f on the sample grid k/n: +1 non-decreasing, -1
-    non-increasing, 0 neither."""
+    non-increasing, 0 neither; for 3 <= n <= SERIES_TERM_BUDGET."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    _check_budget(n)
     rising = falling = True
     for a, b in pairwise(_grid_values(kind, n)):
         rising &= b - a >= 0.0
@@ -258,13 +272,14 @@ def sample_monotonicity(kind: IntegralKind, n: int) -> int:
 
 
 def product_form(kind: ProductKind, n: int) -> float:
-    """Log of the partial product prod_{k=1..n-1} (1 -+ k/n)^(1/k).
+    """Log of the partial product prod_{k=1..n-1} (1 -+ k/n)^(1/k), n <= SERIES_TERM_BUDGET.
 
     Accumulated as sum (1/k) ln(1 -+ k/n) to dodge underflow; analytically
     identical to taking the log of the product.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _check_budget(n)
     if kind is ProductKind.MINUS:
         return math.fsum(
             (math.log((n - k) / n) if 2 * k > n else math.log1p(-(k / n))) / k
@@ -345,52 +360,35 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     return abs(lhs - 0.5 * lx * lx)
 
 
-#: Most terms one call of `scaled_dilog` or `series_integral_pair` may sum
-#: (4-5 s of CPython 3.11 on a 2-vCPU Xeon); a call that needs more raises
-#: CapacityError.
-SERIES_TERM_BUDGET = 10_000_000
-
-
-def _over_budget() -> CapacityError:
-    return CapacityError(
-        f"the series needs more than SERIES_TERM_BUDGET = {SERIES_TERM_BUDGET} terms"
-    )
-
-
-def _check_budget(n_terms: int) -> None:
-    if n_terms > SERIES_TERM_BUDGET:
-        raise _over_budget()
-
-
-def _geometric_terms(
-    q: float, denominator: Callable[[int], float], tol: float
-) -> Iterator[float]:
-    """Terms q^n / d(n), n >= 1, for 0 < |q| < 1 and d positive, increasing.
-
-    Stops after the first N whose tail bound |q|^(N+1) / (d(N+1) (1-|q|))
-    is at most tol; d(N+1) is carried over as the next term's denominator.
-    Raises CapacityError once SERIES_TERM_BUDGET terms have not sufficed.
-    """
-    aq = abs(q)
-    one_minus_aq = 1.0 - aq
+def _power_sum(q: float, denominator: Callable[[int], float], n_terms: int) -> float:
+    """math.fsum of q^n / d(n) for n = 1..N, streamed, with q^n built by
+    repeated multiplication; the budget is checked before any term."""
+    _check_budget(n_terms)
     power = 1.0
-    d = denominator(1)
-    for n in range(2, SERIES_TERM_BUDGET + 2):  # n indexes the next term
-        power *= q
-        d_next = denominator(n)
-        yield power / d
-        if aq**n / (d_next * one_minus_aq) <= tol:
-            return
-        d = d_next
-    raise _over_budget()  # the tail bound did not hold within the budget
+    return math.fsum((power := power * q) / denominator(n) for n in range(1, n_terms + 1))
+
+
+def _geometric_length(q: float, denominator: Callable[[int], float], tol: float) -> int:
+    """First N >= 1 whose tail bound |q|^(N+1) / (d(N+1) (1-|q|)) is at most
+    tol, for 0 < |q| < 1 and d positive, non-decreasing.  The bound falls
+    with N, so doubling and then bisection find the N a term-by-term scan
+    stops at, after O(log N) evaluations of it."""
+    aq = abs(q)
+
+    def enough(n: int) -> bool:
+        return aq ** (n + 1) / (denominator(n + 1) * (1.0 - aq)) <= tol
+
+    n_terms = 1
+    while not enough(n_terms):
+        n_terms *= 2
+    candidates = range(n_terms // 2 + 1, n_terms + 1)  # n_terms // 2 is too few
+    return candidates[bisect_left(candidates, True, key=enough)]
 
 
 def _alternating_midpoint(denominator: Callable[[int], float], n_terms: int) -> float:
     """sum_{n=1..N} (-1)^n / d(n) plus half the next term.  For 1/d(n)
     decreasing and convex the error is below (1/d(N+1) - 1/d(N+2)) / 2."""
-    _check_budget(n_terms)
-    signs = cycle((-1.0, 1.0))
-    partial = math.fsum(map(truediv, signs, map(denominator, range(1, n_terms + 1))))
+    partial = _power_sum(-1.0, denominator, n_terms)
     return partial + (-1.0) ** (n_terms + 1) / (2.0 * denominator(n_terms + 1))
 
 
@@ -412,8 +410,9 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     * q = -1: alternating; partial sum to N ~ (2/tol)^(1/3) plus half the
       next term, with error at most (a_{N+1} - a_{N+2})/2 by convexity.
 
-    A series that needs more than SERIES_TERM_BUDGET terms raises
-    CapacityError; the integral route has no such limit.
+    Each rule fixes the term count before anything is summed; a series that
+    needs more than SERIES_TERM_BUDGET terms raises CapacityError at once.
+    The integral route has no such limit.
     """
     if not -0.5 <= x <= 0.5:
         raise ValueError(f"x must lie in [-1/2, 1/2], got {x}")
@@ -427,12 +426,10 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
         return 0.0
     if q == 1.0:
         n_terms = math.ceil(1.0 / math.sqrt(2.0 * tol))
-        _check_budget(n_terms)
-        partial = math.fsum(1.0 / (n * n) for n in range(1, n_terms + 1))
-        return partial + 0.5 * (1.0 / n_terms + 1.0 / (n_terms + 1))
+        return _power_sum(q, _square, n_terms) + 0.5 * (1.0 / n_terms + 1.0 / (n_terms + 1))
     if q == -1.0:
         return _alternating_midpoint(_square, math.ceil((2.0 / tol) ** (1.0 / 3.0)))
-    return math.fsum(_geometric_terms(q, _square, tol))
+    return _power_sum(q, _square, _geometric_length(q, _square, tol))
 
 
 def scaled_dilog_derivative(x: float) -> float:
@@ -455,17 +452,13 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
         raise ValueError(f"x must lie in (-1/2, 1/2), got {x}")
     if n_terms < 2:
         raise ValueError(f"need n_terms >= 2, got {n_terms}")
-    s1 = 0.0  # sum 2^n x^(n-1) / n        = S'
+    s1 = 2.0  # sum 2^n x^(n-1) / n        = S', from its n = 1 term
     s2 = 0.0  # sum 2^n (n-1) x^(n-2) / n  = S''
-    power = 1.0  # 2^n x^(n-2) tracked incrementally, n >= 2
-    for n in range(1, n_terms + 1):
-        if n == 1:
-            s1 += 2.0
-            power = 4.0
-        else:
-            s1 += power * x / n
-            s2 += power * (n - 1) / n
-            power *= 2.0 * x
+    power = 4.0  # 2^n x^(n-2) tracked incrementally, n >= 2
+    for n in range(2, n_terms + 1):
+        s1 += power * x / n
+        s2 += power * (n - 1) / n
+        power *= 2.0 * x
     return abs(s1 + x * s2 - 2.0 / (1.0 - 2.0 * x))
 
 
@@ -480,7 +473,7 @@ def series_integral_pair(
     |r|^(N+1) / ((a(N+1)+b)(1-|r|)); at r = -1, where that bound is vacuous,
     it switches to the alternating midpoint rule (partial sum plus half the
     next term, error below (a_{N+1} - a_{N+2})/2).  A series that needs more
-    than SERIES_TERM_BUDGET terms raises CapacityError.
+    than SERIES_TERM_BUDGET terms raises CapacityError before it sums any.
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")
@@ -490,14 +483,17 @@ def series_integral_pair(
         raise ValueError(f"b must be non-negative, got {b}")
     _check_tol(tol)
 
+    def denominator(n: int) -> float:
+        return a * n + b
+
     if r == 0.0:
         series = 0.0
     elif r == -1.0:
-        if a * tol == 0.0:  # underflow: the midpoint rule would need unboundedly many terms
-            raise _over_budget()
-        series = _alternating_midpoint(lambda n: a * n + b, math.ceil(1.0 / math.sqrt(a * tol)))
+        # an a * tol that underflows to 0 would need unboundedly many terms
+        n_terms = math.ceil(1.0 / math.sqrt(a * tol)) if a * tol else math.inf
+        series = _alternating_midpoint(denominator, n_terms)
     else:
-        series = math.fsum(_geometric_terms(r, lambda n: a * n + b, tol))
+        series = _power_sum(r, denominator, _geometric_length(r, denominator, tol))
 
     exponent = b / a
     if r > 0.0:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exact import CapacityError, bernoulli, fraction_str, genocchi
-from .quadrature import DEFAULT_TOL, IntegralKind, integrate
+from .quadrature import DEFAULT_TOL, IntegralKind, _check_budget, _power_sum, _square, integrate
 
 __all__ = [
     "BisectionReport",
@@ -55,37 +56,34 @@ def _balanced_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-def zeta2_partial(n: int) -> Fraction:
-    """Exact sum_{k<=n} 1/k^2; the tail satisfies 0 < zeta(2) - S_n < 1/n."""
+def _length(n: int, exact: bool = False) -> int:
+    """n, once it is a valid partial-sum length; exact sums stop at the cap."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > EXACT_PARTIAL_CAP:
+    if exact and n > EXACT_PARTIAL_CAP:
         raise CapacityError(f"exact mode capped at {EXACT_PARTIAL_CAP}; use the float view")
-    return _balanced_sum([Fraction(1, k * k) for k in range(1, n + 1)])
+    return n
+
+
+def zeta2_partial(n: int) -> Fraction:
+    """Exact sum_{k<=n} 1/k^2; the tail satisfies 0 < zeta(2) - S_n < 1/n."""
+    return _balanced_sum([Fraction(1, k * k) for k in range(1, _length(n, exact=True) + 1)])
 
 
 def zeta2_partial_float(n: int) -> float:
-    """Float view of the same partial sum, exactly rounded, any n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.fsum(1.0 / (k * k) for k in range(1, n + 1))
+    """Float view of the same partial sum, exactly rounded, n <= SERIES_TERM_BUDGET."""
+    return _power_sum(1.0, _square, _length(n))
 
 
 def eta2_partial(n: int) -> Fraction:
     """Exact alternating sum_{k<=n} (-1)^(k-1)/k^2; |pi^2/12 - S_n| < 1/(n+1)^2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > EXACT_PARTIAL_CAP:
-        raise CapacityError(f"exact mode capped at {EXACT_PARTIAL_CAP}; use the float view")
-    return _balanced_sum(
-        [Fraction(1 if k % 2 else -1, k * k) for k in range(1, n + 1)]
-    )
+    n = _length(n, exact=True)
+    return _balanced_sum([Fraction(1 if k % 2 else -1, k * k) for k in range(1, n + 1)])
 
 
 def eta2_partial_float(n: int) -> float:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.fsum((-1.0) ** (k - 1) / (k * k) for k in range(1, n + 1))
+    """Float view of the alternating sum, exactly rounded, n <= SERIES_TERM_BUDGET."""
+    return -_power_sum(-1.0, _square, _length(n))
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,8 @@ def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> Bisectio
     equals 1/sin^2(x) identically.  ``e_n_measured`` is the remainder of the
     centered 2^n-term partial-fraction sum, bounded by (0, 2^-n) on
     (0, pi/2].  ``partial_fraction_value`` truncates the full two-sided
-    expansion at ``pf_terms`` and compensates the tail with its integral
-    estimate 2/(pi^2 K); it is summed only when read.
+    expansion at ``pf_terms`` (<= SERIES_TERM_BUDGET) and compensates the
+    tail with its integral estimate 2/(pi^2 K); it is summed only when read.
     """
     if not (1e-9 < x < math.pi - 1e-9):
         raise ValueError(f"x must lie in (0, pi) away from the poles, got {x}")
@@ -145,6 +143,7 @@ def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> Bisectio
         raise ValueError(f"level must lie in 0..20, got {level}")
     if pf_terms < 1:
         raise ValueError(f"need pf_terms >= 1, got {pf_terms}")
+    _check_budget(pf_terms)
 
     scale = 2**level
     bisection = math.fsum(
@@ -234,11 +233,7 @@ def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> Serie
     else:
         terms = [genocchi(n) if n % 2 else -genocchi(n) for n in range(1, m_max + 1)]
 
-    partial_sums: list[Fraction] = []
-    acc = Fraction(0)
-    for t in terms:
-        acc += t
-        partial_sums.append(acc)
+    partial_sums = list(accumulate(terms))
 
     nonzero = [(abs(t), i) for i, t in enumerate(terms) if t]
     smallest = min(nonzero, key=lambda pair: (pair[0], -pair[1]))[1]

@@ -483,7 +483,7 @@ def available_checks() -> list[str]:
 
 
 def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
-    """Run the selected checks and return results ordered by check id.
+    """Run the selected checks, each once, and return results ordered by check id.
 
     Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
     check that raises becomes a ``fail`` row with the exception type as
@@ -494,7 +494,7 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     if selection == "all":
         ids = available_checks()
     else:
-        ids = sorted(selection)
+        ids = sorted(set(selection))
         unknown = [i for i in ids if i not in _REGISTRY]
         if unknown:
             raise UnknownCheckError(

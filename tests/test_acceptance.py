@@ -9,11 +9,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
 from baselkit.cli import main as cli_main
-from baselkit.exact import zeta_even_exact
+from baselkit.exact import CapacityError, fraction_str, zeta_even_exact
 from baselkit.polynomials import (
     bernoulli_polynomial,
     check_addition_recurrence,
@@ -32,14 +33,17 @@ from baselkit.quadrature import (
     integrate,
     product_form,
     riemann_sum,
+    scaled_dilog,
     series_integral_pair,
     two_integral_residual,
 )
 from baselkit.series import (
     asymptotic_report,
     bisection_report,
+    eta2_partial,
     eta2_partial_float,
     regularized_target,
+    zeta2_partial,
     zeta2_partial_float,
 )
 from baselkit.verify import run_suite
@@ -216,3 +220,54 @@ def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
     for line in first.read_text().strip().splitlines():
         assert json.loads(line)["status"] in ("pass", "erratum_documented")
     _passed("10 determinism and runtime")
+
+
+def _series_outputs(seed: int) -> list[str]:
+    """One line per seeded series call: the dilog near x = +-1/2, the pair
+    near r = +-1 (b/a up to 1e30), and the float and exact partial sums."""
+    rng = random.Random(seed)
+    tols = (1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
+
+    def outcome(call) -> str:
+        try:
+            value = call()
+        except CapacityError:
+            return "CapacityError"
+        return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+    def dilog(x: float, tol: float) -> str:
+        return f"dilog {x!r} {tol!r} " + outcome(lambda: scaled_dilog(x, "series", tol))
+
+    lines = []
+    for _ in range(40):
+        x = rng.choice((-1.0, 1.0)) * (0.5 - 10.0 ** rng.uniform(-4.0, -1.0))
+        lines.append(dilog(x, rng.choice(tols)))
+    lines += [dilog(x, tol) for x in (0.5, -0.5) for tol in tols]
+    for _ in range(30):
+        r = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-4.0, -1.0))
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        b = rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 30.0)))
+        tol = rng.choice(tols)
+        lines.append(f"pair {r!r} {a!r} {b!r} {tol!r} "
+                     + outcome(lambda: series_integral_pair(r, a, b, tol)))
+    for _ in range(10):
+        a, b, tol = 10.0 ** rng.uniform(-2.0, 3.0), rng.uniform(0.0, 5.0), rng.choice(tols[2:])
+        lines.append(f"pair -1.0 {a!r} {b!r} {tol!r} "
+                     + outcome(lambda: series_integral_pair(-1.0, a, b, tol)))
+    for n in [1, 2, 3] + [int(10.0 ** rng.uniform(0.0, 5.0)) for _ in range(10)]:
+        lines.append(f"partial {n} {zeta2_partial_float(n)!r} {eta2_partial_float(n)!r}")
+    for n in [1, 2] + [rng.randint(3, 300) for _ in range(6)]:
+        lines.append(f"exact {n} {fraction_str(zeta2_partial(n))} {fraction_str(eta2_partial(n))}")
+    return lines
+
+
+# sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
+# it moves only with a deliberate change to what a series call returns.
+SERIES_SHA256 = "3217b5744f7922bb29a0d8707869b532dc6605c224f99d62da17bdb66aa87447"
+
+
+def test_series_outputs_are_pinned():
+    lines = _series_outputs(2013)
+    assert len(lines) == 113
+    assert "CapacityError" in lines[40]  # q = +1 at tol 1e-15 needs 22M terms
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_SHA256

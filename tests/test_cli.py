@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,14 @@ class TestVerifyCommand:
         assert record["status"] == "pass"
         assert record["lhs"] == "1/6*pi^2"
 
+    def test_repeated_id_prints_one_row(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite",
+                                 "zeta_even_exact_1,zeta_even_exact_1", "--format", "json")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["check_id"] == "zeta_even_exact_1"
+        assert err == "verify: 1 checks, 0 failed\n"
+
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--list")
         assert code == 0
@@ -157,6 +166,19 @@ class TestExitCodes:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--which", "zeta2", "--n", "5", "--m-max", "3"), "--which zeta2 does not take --m-max"),
+         (("--which", "bernoulli", "--m-max", "1", "--n", "7"),
+          "--which bernoulli does not take --n")],
+        ids=["partial_sum_with_m_max", "report_with_n"],
+    )
+    def test_series_rejects_the_other_modes_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "series", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"baselkit series: {message}\n"
+
     def test_accuracy_error_exits_2_with_message(self, capsys, monkeypatch):
         def no_convergence(kind, tol):
             raise AccuracyError("no convergence (injected)", QuadResult(0.0, 1.0, 3))
@@ -169,6 +191,21 @@ class TestExitCodes:
 
     def test_series_past_the_term_budget_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "dilog", "--x", "0.5", "--tol", "1e-15")
+        assert code == 2
+        assert out == ""
+        assert "SERIES_TERM_BUDGET" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("riemann", "--kind", "log_over_1mt", "--n", str(10**12)),
+         ("mei", "--x", "1", "--level", "0", "--pf-terms", str(10**12)),
+         ("series", "--which", "zeta2", "--n", str(10**12))],
+        ids=["riemann", "mei_pf_terms", "zeta2_float"],
+    )
+    def test_term_counts_past_the_budget_exit_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert "SERIES_TERM_BUDGET" in err

@@ -30,6 +30,7 @@ from baselkit.quadrature import (
     series_integral_pair,
     two_integral_residual,
 )
+from baselkit.series import bisection_report, eta2_partial_float, zeta2_partial_float
 
 PI2_6 = math.pi**2 / 6
 PI2_12 = math.pi**2 / 12
@@ -290,15 +291,17 @@ def test_level_cap_raises_with_best_result(monkeypatch):
     assert abs(best.value + PI2_6) < 0.1
 
 
-def _reference_geometric(q, denominator, tol):
-    """Documented stopping rule, written out as a plain list of terms."""
+def _reference_geometric(q, denominator, tol, cap=math.inf):
+    """Documented stopping rule, written out as a plain list of terms; None
+    if the rule does not stop within cap terms."""
     terms, power, n = [], 1.0, 1
-    while True:
+    while n <= cap:
         power *= q
         terms.append(power / denominator(n))
         if abs(q) ** (n + 1) / (denominator(n + 1) * (1.0 - abs(q))) <= tol:
-            return math.fsum(terms)
+            return terms
         n += 1
+    return None
 
 
 def _reference_alternating(denominator, n_terms):
@@ -317,7 +320,7 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit():
         if q == -1.0:
             want = _reference_alternating(lambda n: n * n, math.ceil((2.0 / tol) ** (1 / 3)))
         else:
-            want = _reference_geometric(q, lambda n: n * n, tol)
+            want = math.fsum(_reference_geometric(q, lambda n: n * n, tol))
         assert scaled_dilog(x, "series", tol) == want, (x, tol)
     for r in [-1.0, 0.9999, -0.9999] + [rng.uniform(-0.99, 0.99) for _ in range(150)]:
         a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
@@ -325,8 +328,34 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit():
         if r == -1.0:
             want = _reference_alternating(lambda n: a * n + b, math.ceil(1.0 / math.sqrt(a * tol)))
         else:
-            want = _reference_geometric(r, lambda n: a * n + b, tol)
+            want = math.fsum(_reference_geometric(r, lambda n: a * n + b, tol))
         assert series_integral_pair(r, a, b, tol)[0] == want, (r, a, b, tol)
+
+
+def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
+    # the scan stops at the budget; past it the search still returns its N,
+    # which the kernel then refuses
+    budget = 100_000
+    monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", budget)
+    rng = random.Random(1307)
+    tols = (1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
+    cases = [(q, lambda n: n * n) for q in (0.5, -0.5, 1.0 - 2.0**-53)]
+    for _ in range(40):
+        q = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-15.0, -0.5))
+        a = 10.0 ** rng.uniform(-8.0, 8.0)
+        b = rng.choice((0.0, a * 10.0 ** rng.uniform(-3.0, 30.0)))
+        square = rng.random() < 0.3
+        cases.append((q, (lambda n: n * n) if square else (lambda n, a=a, b=b: a * n + b)))
+    for q, denominator in cases:
+        tol = rng.choice(tols)
+        want = _reference_geometric(q, denominator, tol, cap=budget)
+        got = quadrature._geometric_length(q, denominator, tol)
+        if want is None:
+            assert got > budget, (q, tol)
+            with pytest.raises(CapacityError):
+                quadrature._power_sum(q, denominator, got)
+        else:
+            assert got == len(want), (q, tol)
 
 
 def test_series_terms_stream_into_fsum():
@@ -374,6 +403,18 @@ def test_sample_monotonicity_matches_the_listed_form(n, monkeypatch):
         assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(f, n)
 
 
+# Every call whose term count is its argument n, checked against the budget.
+_COUNTED_CALLS = [
+    lambda n: riemann_sum(IntegralKind.LOG_OVER_1MT, n),
+    lambda n: product_form(ProductKind.PLUS, n),
+    lambda n: sample_monotonicity(IntegralKind.LOG_OVER_1PT, n),
+    lambda n: bisection_report(1.0, 0, n).partial_fraction_value,
+    zeta2_partial_float,
+    eta2_partial_float,
+]
+_COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms", "zeta2_float", "eta2_float"]
+
+
 class TestSeriesTermBudget:
     """Near |q| -> 1 the series kernels raise CapacityError instead of running for hours."""
 
@@ -382,13 +423,12 @@ class TestSeriesTermBudget:
         [lambda: scaled_dilog(0.4999999), lambda: series_integral_pair(1 - 1e-9, 1.0, 0.0)],
         ids=["dilog_40M_terms", "pair_2.4e10_terms"],
     )
-    def test_geometric_series_past_the_budget_raises(self, call, monkeypatch):
-        # a smaller budget keeps the test short; the exact boundary is tested below
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
+    def test_geometric_series_past_the_budget_raises(self, call):
+        # the term count is found before summing, so the real budget raises at once
         start = time.perf_counter()
         with pytest.raises(CapacityError):
             call()
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 1.0
 
     def test_fixed_length_series_raise_before_summing(self):
         start = time.perf_counter()
@@ -400,12 +440,26 @@ class TestSeriesTermBudget:
             series_integral_pair(-1.0, 1e-320, 0.0)  # a * tol underflows to 0
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("call", _COUNTED_CALLS, ids=_COUNTED_IDS)
+    def test_counted_calls_refuse_past_the_budget_at_once(self, call):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            call(10**12)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("call", _COUNTED_CALLS, ids=_COUNTED_IDS)
+    def test_counted_calls_take_exactly_the_budget(self, call, monkeypatch):
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 100)
+        call(100)
+        with pytest.raises(CapacityError):
+            call(101)
+
     def test_edge_case_inside_the_budget_still_returns(self):
         # 69,275 terms; the numeric benchmark calls exactly this
         assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
 
     def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
-        need = sum(1 for _ in quadrature._geometric_terms(0.98, lambda n: n * n, 1e-12))
+        need = quadrature._geometric_length(0.98, lambda n: n * n, 1e-12)
         want = scaled_dilog(0.49)
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need)
         assert scaled_dilog(0.49) == want

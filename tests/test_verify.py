@@ -74,6 +74,10 @@ class TestRunner:
         assert len(results) == 1
         assert results[0].status == "erratum_documented"
 
+    def test_repeated_id_runs_once(self):
+        results = run_suite(["zeta_even_exact_2", "zeta_even_exact_1", "zeta_even_exact_2"])
+        assert [r.check_id for r in results] == ["zeta_even_exact_1", "zeta_even_exact_2"]
+
     def test_unknown_id_is_usage_error(self):
         with pytest.raises(UnknownCheckError) as exc:
             run_suite(["no_such_check"])
