@@ -9,13 +9,14 @@ Output goes to stdout (or atomically to ``--out``); diagnostics to stderr.
 Exit codes: 0 success; 1 at least one verification check failed; 2 no
 result, with the message on stderr and nothing on stdout: a usage error
 (unknown flag, value out of domain, unknown check id, empty ``--suite``
-selection, the other ``series`` mode's flag), an exact index past the
-capacity, a series, grid, partial sum or ``--pf-terms`` past
-``SERIES_TERM_BUDGET`` terms (refused before any is summed), an
-``AccuracyError`` at the quadrature level cap, or an unwritable ``--out``.
+selection, the other ``series`` mode's flag, ``--tol`` on a partial sum),
+an exact index past the capacity, a series, grid, partial sum or
+``--pf-terms`` past ``SERIES_TERM_BUDGET`` terms (refused before any is
+summed), an ``AccuracyError`` at the quadrature level cap, or an
+unwritable ``--out``.
 
-The default tolerance is ``DEFAULT_TOL``; where ``--tol`` exists, the
-``BASELKIT_TOL`` environment variable overrides it and the flag beats both.
+The default tolerance is ``DEFAULT_TOL``; where a tolerance is read, the
+``BASELKIT_TOL`` environment variable overrides it and ``--tol`` beats both.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ from .verify import (
 _ENV_TOL = "BASELKIT_TOL"
 
 
-def _default_tol() -> float:
+def _tol(args) -> float:
+    """--tol if given, else BASELKIT_TOL, else DEFAULT_TOL; read only by the
+    calls that take a tolerance."""
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get(_ENV_TOL, DEFAULT_TOL)
     try:
         return float(raw)
@@ -115,14 +120,16 @@ def _poly_record(args) -> dict:
 
 
 def _series_record(args) -> dict:
-    report = args.which in WHICH  # takes --m-max; the partial sums take --n
-    for flag, value, wanted in (("--n", args.n, not report), ("--m-max", args.m_max, report)):
-        if wanted and value is None:
-            raise ValueError(f"--which {args.which} requires {flag}")
-        if not wanted and value is not None:
+    report = args.which in WHICH  # takes --m-max and --tol; the partial sums take --n
+    needed, refused = ("--m-max", ["--n"]) if report else ("--n", ["--m-max", "--tol"])
+    given = {"--n": args.n, "--m-max": args.m_max, "--tol": args.tol}
+    if given[needed] is None:
+        raise ValueError(f"--which {args.which} requires {needed}")
+    for flag in refused:
+        if given[flag] is not None:
             raise ValueError(f"--which {args.which} does not take {flag}")
     if report:
-        return asymptotic_report(args.which, args.m_max, args.tol).to_json()
+        return asymptotic_report(args.which, args.m_max, _tol(args)).to_json()
     zeta2 = args.which == "zeta2"
     record: dict = {"which": args.which, "n": args.n}
     if args.n <= EXACT_PARTIAL_CAP:
@@ -172,8 +179,8 @@ _X = _arg("--x", type=float, required=True)
 class _Command(NamedTuple):
     help: str
     arguments: list  # (flag, add_argument options) pairs, before --format/--out
-    run: Callable  # args -> (text, exit code); args.tol is filled in when tol
-    tol: bool = False  # takes --tol
+    run: Callable  # args -> (text, exit code)
+    tol: bool = False  # takes --tol, read through _tol
 
 
 # One row per subcommand, in --help order.  The library calls sit inside the
@@ -195,7 +202,7 @@ _COMMANDS = {
         _record(_poly_record)),
     "integrate": _Command(
         "log-singular integral on [0, 1]", [_kind(IntegralKind)],
-        _record(lambda a: {"kind": a.kind, **integrate(IntegralKind(a.kind), a.tol).to_json()}),
+        _record(lambda a: {"kind": a.kind, **integrate(IntegralKind(a.kind), _tol(a)).to_json()}),
         tol=True),
     "riemann": _Command(
         "left-out-endpoints Riemann sum at resolution n", [_kind(RIEMANN_KINDS), _N],
@@ -208,7 +215,7 @@ _COMMANDS = {
     "dilog": _Command(
         "sum (2x)^n/n^2 by series or quadrature",
         [_X, _arg("--mode", choices=("series", "integral"), default="series")],
-        _record(lambda a: {"x": a.x, "mode": a.mode, "value": scaled_dilog(a.x, a.mode, a.tol)}),
+        _record(lambda a: {"x": a.x, "mode": a.mode, "value": scaled_dilog(a.x, a.mode, _tol(a))}),
         tol=True),
     "series": _Command(
         "partial sums and asymptotic-series reports",
@@ -261,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     command = _COMMANDS[args.command]
     try:
-        if command.tol and args.tol is None:
-            args.tol = _default_tol()
         text, code = command.run(args)
     except (ValueError, CapacityError, UnknownCheckError, AccuracyError) as exc:
         return _fail(args, exc)

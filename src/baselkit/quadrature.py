@@ -17,10 +17,11 @@ is made below about 1e-15.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import count, pairwise
 from typing import Callable, Iterator
 
 from .exact import CapacityError
@@ -149,35 +150,65 @@ def _check_budget(n_terms: float) -> None:
                             f"{SERIES_TERM_BUDGET} terms")
 
 
+@functools.cache
+def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """(weight, q) of the nodes t = k 2^-level that `level` adds: every k >= 1
+    at level 0, odd k after it (even k are the level before's nodes, exactly,
+    since k 2^-level is).  Ends before the first node past _T_MAX or with q
+    or weight 0; each of the three, once met, holds for every larger t, so
+    a level's new and kept nodes end together."""
+    h = 0.5**level
+    nodes = []
+    for k in count(1, 1 if level == 0 else 2):
+        t = k * h
+        if t > _T_MAX:
+            break
+        u = 0.5 * _PI * math.sinh(t)
+        # node distance to the near endpoint: q/2 with q = 1 - tanh(u)
+        q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
+        if q == 0.0:
+            break
+        sech_u = 1.0 / math.cosh(u)
+        weight = (_PI / 4.0) * math.cosh(t) * sech_u * sech_u
+        if weight == 0.0:
+            break
+        nodes.append((weight, q))
+    return tuple(nodes)
+
+
 def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResult:
-    """Integrate f over (0, 1); f(t, 1-t) with both arguments in (0, 1)."""
-    evaluations = 0
+    """Integrate f over (0, 1); f(t, 1-t) with both arguments in (0, 1).
+
+    Levels are nested: level L keeps the weighted terms of level L-1 and
+    calls f only at its new odd nodes, so ``evaluations`` counts the calls
+    to f.  The terms are summed in node order from the centre at every
+    level, so each level's value is that of a trapezoid sum built afresh.
+    """
+    centre = (_PI / 4.0) * f(0.5, 0.5)
+    evaluations = 1
+    terms: list[float] = []
     previous = None
     value = 0.0
     err = math.inf
     for level in range(_MAX_LEVEL + 1):
-        h = 0.5**level
-        total = (_PI / 4.0) * f(0.5, 0.5)
-        evaluations += 1
-        k = 1
-        while True:
-            t = k * h
-            if t > _T_MAX:
-                break
-            u = 0.5 * _PI * math.sinh(t)
-            # node distance to the near endpoint: q/2 with q = 1 - tanh(u)
-            q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
-            if q == 0.0:
-                break
-            sech_u = 1.0 / math.cosh(u)
-            weight = (_PI / 4.0) * math.cosh(t) * sech_u * sech_u
-            if weight == 0.0:
-                break
+        new = []
+        for weight, q in _level_nodes(level):
             half_q = 0.5 * q
-            total += weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q))
-            evaluations += 2
-            k += 1
-        value = h * total
+            new.append(weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q)))
+        evaluations += 2 * len(new)
+        if level == 0:
+            terms = new
+        else:
+            # new node 2j-1, then kept node 2j; the slices accept exactly
+            # len(new) == len(terms) or len(terms) + 1
+            merged = [0.0] * (len(new) + len(terms))
+            merged[0::2] = new
+            merged[1::2] = terms
+            terms = merged
+        total = centre
+        for term in terms:
+            total += term
+        value = 0.5**level * total
         if previous is not None:
             err = abs(value - previous)
             floor = abs(value) * 2.0**-52 or 5e-324
@@ -213,7 +244,9 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
     tol : float
         Requested tolerance, within [1e-15, 1e-3].  The returned
         ``err_estimate`` is the last inter-level difference, an honest
-        (usually generous) bound for a converged tanh-sinh sum.
+        (usually generous) bound for a converged tanh-sinh sum, and
+        ``evaluations`` is the number of integrand calls: the levels are
+        nested, so no node is evaluated twice.
 
     Raises
     ------
@@ -462,14 +495,21 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
     return abs(s1 + x * s2 - 2.0 / (1.0 - 2.0 * x))
 
 
+#: Smallest `a` that `series_integral_pair` takes, about 9.3e-302.  Its sum
+#: can reach ln(2^53) / a ~ 37 / a, so a smaller a (every subnormal one
+#: included) could carry it past binary64's range.
+PAIR_A_MIN = 2.0**-1000
+
+
 def series_integral_pair(
     r: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Two independent evaluations of sum_{n>=1} r^n / (a n + b).
 
     Returns ``(series_value, integral_value)`` where the integral form is
-    (1/a) int_0^1 r u^(b/a) / (1 - r u) du.  Valid for r in [-1, 1), a > 0,
-    b >= 0.  The series stops on the geometric tail bound
+    (1/a) int_0^1 r u^(b/a) / (1 - r u) du.  Valid for r in [-1, 1),
+    a >= PAIR_A_MIN = 2^-1000, b >= 0; anything else (NaN included) raises
+    ValueError.  The series stops on the geometric tail bound
     |r|^(N+1) / ((a(N+1)+b)(1-|r|)); at r = -1, where that bound is vacuous,
     it switches to the alternating midpoint rule (partial sum plus half the
     next term, error below (a_{N+1} - a_{N+2})/2).  A series that needs more
@@ -477,8 +517,8 @@ def series_integral_pair(
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")
-    if not a > 0.0:  # written so that NaN is rejected too
-        raise ValueError(f"a must be positive, got {a}")
+    if not a >= PAIR_A_MIN:  # written so that NaN is rejected too
+        raise ValueError(f"a must be at least PAIR_A_MIN = 2**-1000, got {a}")
     if not b >= 0.0:
         raise ValueError(f"b must be non-negative, got {b}")
     _check_tol(tol)
@@ -489,9 +529,7 @@ def series_integral_pair(
     if r == 0.0:
         series = 0.0
     elif r == -1.0:
-        # an a * tol that underflows to 0 would need unboundedly many terms
-        n_terms = math.ceil(1.0 / math.sqrt(a * tol)) if a * tol else math.inf
-        series = _alternating_midpoint(denominator, n_terms)
+        series = _alternating_midpoint(denominator, math.ceil(1.0 / math.sqrt(a * tol)))
     else:
         series = _power_sum(r, denominator, _geometric_length(r, denominator, tol))
 

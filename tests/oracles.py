@@ -5,8 +5,10 @@ Bernoulli and Genocchi numbers come from the Akiyama-Tanigawa triangle and
 from the binomial recursions of their generating functions (the library
 uses integer tangent numbers and Gandhi polynomials), pi is a frozen
 60-decimal literal so that tail-bound inequalities can be certified in
-exact rational arithmetic, and polynomials have a plain list-of-Fraction
-reference for the integer-backed library class.
+exact rational arithmetic, polynomials have a plain list-of-Fraction
+reference for the integer-backed library class, and tanh-sinh has a
+level-by-level sum that evaluates every node afresh (the library's levels
+are nested, and must give the same bits).
 """
 
 from __future__ import annotations
@@ -167,3 +169,35 @@ class FractionPolynomial:
             for j in range(k + 1):
                 out[j] += c * math.comb(k, j) * a**j * b ** (k - j)
         return FractionPolynomial(out)
+
+
+def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, float, bool]:
+    """Tanh-sinh over (0, 1) with every level a trapezoid sum built afresh:
+    f at every node t = k 2^-level, the terms added from the centre in k
+    order.  Returns (value, err_estimate, converged) under the library's
+    stopping rule; when not converged, those of the last level."""
+    previous = None
+    value, err = 0.0, math.inf
+    for level in range(max_level + 1):
+        h = 0.5**level
+        total = (math.pi / 4.0) * f(0.5, 0.5)
+        k = 1
+        while (t := k * h) <= 6.2:
+            u = 0.5 * math.pi * math.sinh(t)
+            q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
+            if q == 0.0:
+                break
+            sech_u = 1.0 / math.cosh(u)
+            weight = (math.pi / 4.0) * math.cosh(t) * sech_u * sech_u
+            if weight == 0.0:
+                break
+            half_q = 0.5 * q
+            total += weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q))
+            k += 1
+        value = h * total
+        if previous is not None:
+            err = abs(value - previous)
+            if err <= tol * max(1.0, abs(value)):
+                return value, max(err, abs(value) * 2.0**-52 or 5e-324), True
+        previous = value
+    return value, err, False

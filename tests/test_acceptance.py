@@ -13,6 +13,9 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
+from baselkit import quadrature
 from baselkit.cli import main as cli_main
 from baselkit.exact import CapacityError, fraction_str, zeta_even_exact
 from baselkit.polynomials import (
@@ -26,8 +29,10 @@ from baselkit.polynomials import (
     power_sum_check,
 )
 from baselkit.quadrature import (
+    AccuracyError,
     IntegralKind,
     ProductKind,
+    QuadResult,
     functional_eq_dilog,
     functional_eq_inverse,
     integrate,
@@ -271,3 +276,64 @@ def test_series_outputs_are_pinned():
     assert len(lines) == 113
     assert "CapacityError" in lines[40]  # q = +1 at tol 1e-15 needs 22M terms
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_SHA256
+
+
+def _quad_outputs(seed: int) -> list[str]:
+    """One line per seeded tanh-sinh result: value and err_estimate of every
+    integral kind, the two functional equations, the dilog's integral route,
+    the pair's integral half and the best result carried by AccuracyError at
+    level caps 1-3.  ``evaluations`` is left out: it counts calls to f."""
+    rng = random.Random(seed)
+    tols = [10.0**-e for e in range(3, 16)]
+
+    def outcome(call) -> str:
+        try:
+            value = call()
+        except AccuracyError as exc:
+            return f"AccuracyError {exc.best.value!r} {exc.best.err_estimate!r}"
+        except CapacityError:
+            return "CapacityError"
+        if isinstance(value, QuadResult):
+            return f"{value.value!r} {value.err_estimate!r}"
+        return repr(value)
+
+    def line(label, call, *args) -> str:
+        return f"{label} {' '.join(map(repr, args))} {outcome(lambda: call(*args))}"
+
+    lines = [line("integrate", integrate, kind, tol) for kind in IntegralKind for tol in tols]
+    lines += [line("residual", two_integral_residual, tol) for tol in tols]
+    for _ in range(100):
+        tol = rng.choice(tols)
+        lines.append(line("dilog_eq", functional_eq_dilog, rng.uniform(-1.0, 1.0), tol))
+        lines.append(line("inverse_eq", functional_eq_inverse, 10.0 ** rng.uniform(-4.0, 4.0), tol))
+        lines.append(line("dilog", scaled_dilog, rng.uniform(-0.5, 0.5), "integral", tol))
+    lines += [line("dilog_eq", functional_eq_dilog, x, 1e-12) for x in (-1.0, 0.0, 1.0)]
+    lines += [line("dilog", scaled_dilog, x, "integral", tol) for x in (-0.5, 0.5) for tol in tols]
+    for _ in range(60):
+        r = rng.choice((-1.0, 1.0 - 10.0 ** rng.uniform(-3.0, -1.0)))
+        a, b = 10.0 ** rng.uniform(-1.0, 2.0), rng.choice((0.0, rng.uniform(0.0, 5.0)))
+        tol = rng.choice(tols[:6]) if r == -1.0 else rng.choice(tols)
+        lines.append(line("pair", lambda *args: series_integral_pair(*args)[1], r, a, b, tol))
+    capped = [(integrate, kind, 1e-15) for kind in IntegralKind] + [
+        (functional_eq_dilog, 0.7, 1e-15),
+        (scaled_dilog, 0.4, "integral", 1e-15),
+        (lambda *args: series_integral_pair(*args)[1], 0.9, 1.0, 0.5, 1e-15),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        for cap in (1, 2, 3):
+            patch.setattr(quadrature, "_MAX_LEVEL", cap)
+            lines += [line(f"cap{cap}", call, *args) for call, *args in capped]
+    return lines
+
+
+# sha256 of `_quad_outputs(2026)`, joined by newlines, captured before the
+# tanh-sinh levels were nested; like SERIES_SHA256, it moves only with a
+# deliberate change to what a quadrature call returns.
+QUAD_SHA256 = "7b77a300cb639e6df5d69f0e050f15d301eda01f91214c966116e51498b9caa8"
+
+
+def test_quadrature_outputs_are_pinned():
+    lines = _quad_outputs(2026)
+    assert len(lines) == 475
+    assert sum(line.startswith("cap") and "AccuracyError" in line for line in lines) == 21
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUAD_SHA256

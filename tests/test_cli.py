@@ -170,14 +170,27 @@ class TestExitCodes:
         "argv, message",
         [(("--which", "zeta2", "--n", "5", "--m-max", "3"), "--which zeta2 does not take --m-max"),
          (("--which", "bernoulli", "--m-max", "1", "--n", "7"),
-          "--which bernoulli does not take --n")],
-        ids=["partial_sum_with_m_max", "report_with_n"],
+          "--which bernoulli does not take --n"),
+         (("--which", "zeta2", "--n", "5", "--tol", "1e-8"), "--which zeta2 does not take --tol"),
+         (("--which", "eta2", "--tol", "1e-8", "--n", "5"), "--which eta2 does not take --tol")],
+        ids=["partial_sum_with_m_max", "report_with_n", "zeta2_with_tol", "eta2_with_tol"],
     )
     def test_series_rejects_the_other_modes_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "series", *argv)
         assert code == 2
         assert out == ""
         assert err == f"baselkit series: {message}\n"
+
+    def test_series_tolerance_reaches_only_the_reports(self, capsys, monkeypatch):
+        argv = ("series", "--which", "genocchi", "--m-max", "6", "--format", "json")
+        code, flagged, _ = run_cli(capsys, *argv, "--tol", "1e-8")
+        assert code == 0
+        monkeypatch.setenv("BASELKIT_TOL", "1e-8")
+        assert run_cli(capsys, *argv) == (0, flagged, "")
+        for env in ("1e-8", "abc"):  # a silent default where no tolerance is read
+            monkeypatch.setenv("BASELKIT_TOL", env)
+            assert run_cli(capsys, "series", "--which", "eta2", "--n", "2", "--format", "json") == (
+                0, '{"which":"eta2","n":2,"value":"3/4","value_float":0.75}\n', "")
 
     def test_accuracy_error_exits_2_with_message(self, capsys, monkeypatch):
         def no_convergence(kind, tol):

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -31,6 +36,8 @@ from baselkit.quadrature import (
     two_integral_residual,
 )
 from baselkit.series import bisection_report, eta2_partial_float, zeta2_partial_float
+
+from oracles import tanh_sinh_level_by_level
 
 PI2_6 = math.pi**2 / 6
 PI2_12 = math.pi**2 / 12
@@ -262,6 +269,38 @@ class TestSeriesIntegralPair:
             series_integral_pair(0.5, 1.0, math.nan)
         assert time.perf_counter() - start < 0.1  # rejected, not summed to the budget
 
+    @pytest.mark.parametrize("r, a", [(1 - 1e-10, 5e-324), (0.5, 1e-320), (-0.5, 1e-310),
+                                      (-1.0, 1e-320)])
+    def test_subnormal_a_raises_value_error(self, r, a):
+        with pytest.raises(ValueError, match="a must be at least PAIR_A_MIN"):
+            series_integral_pair(r, a, 0.0)
+
+    def test_smallest_decade_of_a_keeps_its_values(self):
+        s, i = series_integral_pair(0.5, 1e-300, 0.0)
+        assert (s, i) == (6.931471805599452e299, 6.931471805599455e299)
+
+    @given(
+        r=st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=1.0, exclude_max=True)),
+        a=st.floats(min_value=5e-324, max_value=1e-300),
+        b=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+        tol=st.sampled_from((1e-15, 1e-12, 1e-3)),
+    )
+    @example(r=1 - 1e-10, a=5e-324, b=0.0, tol=1e-12)
+    @example(r=0.99, a=2.3e-308, b=0.0, tol=1e-12)
+    @example(r=0.5, a=1e-300, b=0.0, tol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_a_returns_finite_values_or_raises(self, r, a, b, tol):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
+            try:
+                values = series_integral_pair(r, a, b, tol)
+            except CapacityError:
+                return
+            except ValueError as exc:
+                assert str(exc).startswith("a must be at least PAIR_A_MIN")
+                return
+        assert all(map(math.isfinite, values)), values
+
     @given(
         r=st.floats(min_value=-0.95, max_value=0.95, allow_nan=False),
         a=st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
@@ -289,6 +328,90 @@ def test_level_cap_raises_with_best_result(monkeypatch):
     assert best.err_estimate > 0
     # the carried best value is still a usable coarse approximation
     assert abs(best.value + PI2_6) < 0.1
+
+
+_SAMPLE_INTEGRANDS = [quadrature._integrand(kind) for kind in IntegralKind] + [
+    lambda t, omt: math.cos(omt) / math.sqrt(t),
+    lambda t, omt: math.exp(t) / (omt + 1e-3),
+    lambda t, omt: 1.0 / (1.0 + 25.0 * (t - 0.3) ** 2),
+]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 12])
+def test_nested_levels_give_the_bits_of_fresh_levels(cap, monkeypatch):
+    # cap 12 runs past the default _MAX_LEVEL: the node cache is not tied to it
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
+    for f in _SAMPLE_INTEGRANDS:
+        for tol in (1e-3, 1e-12, 1e-15, 0.0):
+            value, err, converged = tanh_sinh_level_by_level(f, tol, cap)
+            try:
+                result = quadrature._tanh_sinh_unit(f, tol)
+            except AccuracyError as exc:
+                assert not converged
+                result = exc.best
+            else:
+                assert converged
+            assert (repr(result.value), repr(result.err_estimate)) == (repr(value), repr(err))
+
+
+class _Recording:
+    """An integrand that records every (t, 1 - t) pair it is called with."""
+
+    def __init__(self, f):
+        self.f, self.pairs = f, []
+
+    def __call__(self, t, omt):
+        self.pairs.append((t, omt))
+        return self.f(t, omt)
+
+
+def _calls_for_levels(top: int) -> int:
+    return 1 + 2 * sum(len(quadrature._level_nodes(level)) for level in range(top + 1))
+
+
+@pytest.mark.parametrize("kind", list(IntegralKind), ids=lambda k: k.value)
+def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
+    cap_max = quadrature._MAX_LEVEL
+    for tol in (1e-3, 1e-8, 1e-12, 1e-15):
+        for cap in range(cap_max + 1):  # up to the lowest cap that converges
+            monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
+            f = _Recording(quadrature._integrand(kind))
+            try:
+                result, converged = quadrature._tanh_sinh_unit(f, tol), True
+            except AccuracyError as exc:
+                result, converged = exc.best, False
+            # every level up to the cap was used, and no pair was evaluated twice
+            assert result.evaluations == len(f.pairs) == len(set(f.pairs))
+            assert result.evaluations == _calls_for_levels(cap)
+            if converged:
+                break
+        assert converged
+    assert [len(quadrature._level_nodes(level)) for level in range(11)] == [
+        6, 6, 12, 25, 49, 99, 197, 394, 789, 1577, 3155]
+
+
+def test_importing_the_cli_builds_no_nodes():
+    code = "import baselkit.cli, baselkit.quadrature as q; print(q._level_nodes.cache_info().currsize)"
+    src = str(Path(quadrature.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_threads_on_a_cold_node_cache_give_the_serial_bits():
+    jobs = [(kind, tol) for kind in IntegralKind for tol in (1e-6, 1e-12, 1e-15)] * 4
+    serial = [repr(integrate(kind, tol)) for kind, tol in jobs]
+    quadrature._level_nodes.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(integrate, kind, tol) for kind, tol in jobs]
+            threaded = [repr(future.result(timeout=60)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def _reference_geometric(q, denominator, tol, cap=math.inf):
@@ -436,8 +559,6 @@ class TestSeriesTermBudget:
             scaled_dilog(0.5, tol=1e-15)  # q = +1 needs 22M terms
         with pytest.raises(CapacityError):
             series_integral_pair(-1.0, 1e-6, 0.0)  # r = -1 needs 1e9 terms
-        with pytest.raises(CapacityError):
-            series_integral_pair(-1.0, 1e-320, 0.0)  # a * tol underflows to 0
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("call", _COUNTED_CALLS, ids=_COUNTED_IDS)
