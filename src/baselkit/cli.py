@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple
 from .exact import CapacityError, bernoulli, fraction_str, genocchi, zeta_even_exact
 from .polynomials import bernoulli_polynomial, genocchi_polynomial
 from .quadrature import (
-    DEFAULT_TOL, RIEMANN_KINDS, AccuracyError, IntegralKind, ProductKind, integrate,
-    product_form, riemann_sum, scaled_dilog,
+    DEFAULT_TOL, DILOG_MODES, RIEMANN_KINDS, AccuracyError, IntegralKind, ProductKind,
+    integrate, product_form, riemann_sum, scaled_dilog,
 )
 from .series import (
     EXACT_PARTIAL_CAP, PF_TERMS, WHICH, asymptotic_report, bisection_report, eta2_partial,
@@ -106,12 +106,7 @@ def _write_atomic(path: str, payload: str) -> None:
 
 def _zeta_record(args) -> dict:
     power = zeta_even_exact(args.even)
-    return {
-        "n": args.even,
-        "coefficient": fraction_str(power.coefficient),
-        "pi_exponent": power.exponent,
-        "value": power.to_float(),
-    }
+    return {"n": args.even, **power.to_json(), "value": power.to_float()}
 
 
 def _poly_record(args) -> dict:
@@ -214,7 +209,7 @@ _COMMANDS = {
             "kind": a.kind, "n": a.n, "value": product_form(ProductKind(a.kind), a.n)})),
     "dilog": _Command(
         "sum (2x)^n/n^2 by series or quadrature",
-        [_X, _arg("--mode", choices=("series", "integral"), default="series")],
+        [_X, _arg("--mode", choices=DILOG_MODES, default=DILOG_MODES[0])],
         _record(lambda a: {"x": a.x, "mode": a.mode, "value": scaled_dilog(a.x, a.mode, _tol(a))}),
         tol=True),
     "series": _Command(

@@ -269,7 +269,8 @@ def check_reflection(n: int) -> Certificate:
     return _poly_certificate(f"reflection_n{n}", lhs, rhs)
 
 
-_HALVING_VARIANTS = ("ii", "iii", "iv")
+#: The variants of `check_halving`, in report order.
+HALVING_VARIANTS = ("ii", "iii", "iv")
 
 
 def check_halving(n: int, variant: str) -> Certificate:
@@ -279,18 +280,19 @@ def check_halving(n: int, variant: str) -> Certificate:
     iii: G_n(x) = 2^n B_n((x+1)/2) - B_n(x)
     iv : B_n(x) = 2^(n-1) [B_n((x+1)/2) + B_n(x/2)]
     """
-    if variant not in _HALVING_VARIANTS:
-        raise ValueError(f"variant must be one of {_HALVING_VARIANTS}, got {variant!r}")
+    if variant not in HALVING_VARIANTS:
+        raise ValueError(f"variant must be one of {HALVING_VARIANTS}, got {variant!r}")
     b = bernoulli_polynomial(n)
     half = Fraction(1, 2)
-    b_half = b.compose_affine(half, 0)
-    b_shift_half = b.compose_affine(half, half)
     name = f"halving_{variant}_n{n}"
-    if variant == "ii":
-        return _poly_certificate(name, genocchi_polynomial(n), b - b_half * Fraction(2**n))
+    if variant == "ii":  # each variant composes only the B_n it reads
+        rhs = b - b.compose_affine(half, 0) * Fraction(2**n)
+        return _poly_certificate(name, genocchi_polynomial(n), rhs)
     if variant == "iii":
-        return _poly_certificate(name, genocchi_polynomial(n), b_shift_half * Fraction(2**n) - b)
-    return _poly_certificate(name, b, (b_shift_half + b_half) * Fraction(2) ** (n - 1))
+        rhs = b.compose_affine(half, half) * Fraction(2**n) - b
+        return _poly_certificate(name, genocchi_polynomial(n), rhs)
+    rhs = (b.compose_affine(half, half) + b.compose_affine(half, 0)) * Fraction(2) ** (n - 1)
+    return _poly_certificate(name, b, rhs)
 
 
 def check_addition_recurrence(k: int) -> Certificate:

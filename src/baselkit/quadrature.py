@@ -429,6 +429,10 @@ def _square(n: int) -> int:
     return n * n
 
 
+#: The two routes of `scaled_dilog`, its default first.
+DILOG_MODES = ("series", "integral")
+
+
 def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> float:
     """sum_{n>=1} (2x)^n / n^2 for |x| <= 1/2, by series or by quadrature.
 
@@ -450,10 +454,10 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     if not -0.5 <= x <= 0.5:
         raise ValueError(f"x must lie in [-1/2, 1/2], got {x}")
     _check_tol(tol)
+    if mode not in DILOG_MODES:
+        raise ValueError(f"mode must be one of {DILOG_MODES}, got {mode!r}")
     if mode == "integral":
         return -_unit_log_kernel(2.0 * x, tol)
-    if mode != "series":
-        raise ValueError(f"mode must be 'series' or 'integral', got {mode!r}")
     q = 2.0 * x
     if q == 0.0:
         return 0.0
@@ -500,6 +504,12 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 #: included) could carry it past binary64's range.
 PAIR_A_MIN = 2.0**-1000
 
+#: Largest b/a that `series_integral_pair` takes.  Its integrand's factor
+#: u^(b/a) peaks at u = 1 with width about a/b, which tanh-sinh misses as b/a
+#: grows: at 1e7 the two halves missed by 24 tol, and at 1e10 the integral
+#: half of (0.5, 1e-10, 1.0) read 0.0034 for a sum near 1.
+PAIR_RATIO_MAX = 1e6
+
 
 def series_integral_pair(
     r: float, a: float, b: float, tol: float = DEFAULT_TOL
@@ -508,8 +518,14 @@ def series_integral_pair(
 
     Returns ``(series_value, integral_value)`` where the integral form is
     (1/a) int_0^1 r u^(b/a) / (1 - r u) du.  Valid for r in [-1, 1),
-    a >= PAIR_A_MIN = 2^-1000, b >= 0; anything else (NaN included) raises
-    ValueError.  The series stops on the geometric tail bound
+    a >= PAIR_A_MIN = 2^-1000, b >= 0 and b/a <= PAIR_RATIO_MAX = 1e6;
+    anything else (NaN included) raises ValueError.  For a >= 1 and
+    tol <= 1e-10 the two halves agree to 2 tol * max(1, |series|).  Outside
+    that they may not: the integral half stops when two tanh-sinh levels of
+    the unit integral agree to tol * max(1, |a * integral|), so for a < 1
+    its error can reach tol / a, and at a coarser tol the stop can come
+    before the peak of u^(b/a) is resolved (8.6 tol at tol 1e-3, a = 1,
+    b/a = 100).  The series stops on the geometric tail bound
     |r|^(N+1) / ((a(N+1)+b)(1-|r|)); at r = -1, where that bound is vacuous,
     it switches to the alternating midpoint rule (partial sum plus half the
     next term, error below (a_{N+1} - a_{N+2})/2).  A series that needs more
@@ -521,6 +537,8 @@ def series_integral_pair(
         raise ValueError(f"a must be at least PAIR_A_MIN = 2**-1000, got {a}")
     if not b >= 0.0:
         raise ValueError(f"b must be non-negative, got {b}")
+    if not b / a <= PAIR_RATIO_MAX:
+        raise ValueError(f"b/a must be at most PAIR_RATIO_MAX = {PAIR_RATIO_MAX}, got {b / a}")
     _check_tol(tol)
 
     def denominator(n: int) -> float:

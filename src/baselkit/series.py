@@ -88,31 +88,44 @@ def eta2_partial_float(n: int) -> float:
 
 @dataclass(frozen=True)
 class BisectionReport:
-    """Snapshot of the 1/sin^2 bisection refinement at one (x, level)."""
+    """The 1/sin^2 bisection refinement at one (x, level).  Only the inputs are
+    stored: every number is computed when read, as each caller reads a few."""
 
     x: float
     level: int
-    bisection_value: float
-    exact_value: float
-    e_n_bound: float
-    e_n_measured: float
     truncation_k: int
+
+    @property
+    def bisection_value(self) -> float:
+        """4^-n sum_{k<2^n} 1/sin^2((k pi + x)/2^n), identically 1/sin^2(x)."""
+        scale = 2**self.level
+        terms = (1.0 / math.sin((k * math.pi + self.x) / scale) ** 2 for k in range(scale))
+        return math.fsum(terms) / (scale * scale)
+
+    @property
+    def exact_value(self) -> float:
+        return 1.0 / math.sin(self.x) ** 2
+
+    @property
+    def e_n_bound(self) -> float:
+        return 0.5**self.level
+
+    @property
+    def e_n_measured(self) -> float:
+        half = 2**self.level // 2  # level 0 keeps the one k = 0 term
+        centered = range(-half, max(half, 1))
+        return self.exact_value - math.fsum(1.0 / (self.x + k * math.pi) ** 2 for k in centered)
 
     @property
     def partial_fraction_value(self) -> float:
         """Two-sided partial-fraction expansion of 1/sin^2(x) truncated at
-        ``truncation_k``, plus its tail estimate 2/(pi^2 K).  Summed when
-        read, because most callers never read it."""
-        x, terms = self.x, self.truncation_k
-        tail = 2.0 / (math.pi * math.pi * terms)
-        return (
-            1.0 / (x * x)
-            + math.fsum(
-                1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
-                for k in range(1, terms + 1)
-            )
-            + tail
+        ``truncation_k``, plus its tail estimate 2/(pi^2 K)."""
+        x, k_max = self.x, self.truncation_k
+        two_sided = math.fsum(
+            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
+            for k in range(1, k_max + 1)
         )
+        return 1.0 / (x * x) + two_sided + 2.0 / (math.pi * math.pi * k_max)
 
     def to_json(self) -> dict:
         return {
@@ -128,14 +141,15 @@ class BisectionReport:
 
 
 def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> BisectionReport:
-    """Refine 1/sin^2(x) by repeated argument halving and compare routes.
+    """Check the arguments of a 1/sin^2(x) bisection report and return it.
 
-    ``bisection_value`` is 4^-n sum_{k<2^n} 1/sin^2((k pi + x)/2^n), which
-    equals 1/sin^2(x) identically.  ``e_n_measured`` is the remainder of the
-    centered 2^n-term partial-fraction sum, bounded by (0, 2^-n) on
-    (0, pi/2].  ``partial_fraction_value`` truncates the full two-sided
-    expansion at ``pf_terms`` (<= SERIES_TERM_BUDGET) and compensates the
-    tail with its integral estimate 2/(pi^2 K); it is summed only when read.
+    ``bisection_value`` refines 1/sin^2(x) by repeated argument halving.
+    ``e_n_measured`` is the remainder of the centered 2^n-term
+    partial-fraction sum, bounded by (0, 2^-n) on (0, pi/2].
+    ``partial_fraction_value`` truncates the full two-sided expansion at
+    ``pf_terms`` (<= SERIES_TERM_BUDGET, checked here) and compensates the
+    tail with its integral estimate 2/(pi^2 K).  No sum runs in this call:
+    every number is computed when read.
     """
     if not (1e-9 < x < math.pi - 1e-9):
         raise ValueError(f"x must lie in (0, pi) away from the poles, got {x}")
@@ -144,26 +158,7 @@ def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> Bisectio
     if pf_terms < 1:
         raise ValueError(f"need pf_terms >= 1, got {pf_terms}")
     _check_budget(pf_terms)
-
-    scale = 2**level
-    bisection = math.fsum(
-        1.0 / math.sin((k * math.pi + x) / scale) ** 2 for k in range(scale)
-    ) / (scale * scale)
-    exact = 1.0 / math.sin(x) ** 2
-
-    half = scale // 2
-    centered_indices = range(-half, half) if level >= 1 else range(0, 1)
-    centered = math.fsum(1.0 / (x + k * math.pi) ** 2 for k in centered_indices)
-
-    return BisectionReport(
-        x=x,
-        level=level,
-        bisection_value=bisection,
-        exact_value=exact,
-        e_n_bound=0.5**level,
-        e_n_measured=exact - centered,
-        truncation_k=pf_terms,
-    )
+    return BisectionReport(x, level, pf_terms)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .exact import (
     zeta_even_exact,
 )
 from .polynomials import (
+    HALVING_VARIANTS,
     Certificate,
     bernoulli_polynomial,
     check_addition_recurrence,
@@ -60,6 +61,7 @@ from .quadrature import (
     two_integral_residual,
 )
 from .series import (
+    WHICH,
     asymptotic_report,
     bisection_report,
     eta2_partial_float,
@@ -369,7 +371,7 @@ def _erratum_e2() -> _Payload:
 def _erratum_e3() -> _Payload:
     mags = [
         abs(float(asymptotic_report(w, ASYMPTOTIC_M_DIV, QUAD_TOL).partial_sums[-1]))
-        for w in ("bernoulli", "genocchi")
+        for w in WHICH
     ]
     if min(mags) <= DIVERGENCE_THRESHOLD:
         return _exact(False, f"partial-sum magnitudes {mags!r}", "expected divergence")
@@ -425,7 +427,7 @@ _REGISTRY: dict[str, Callable[[], _Payload]] = {
             (check_halving(n, v) for n in _upto()),
             f"halving variant {v}", f"exact for n <= {MAX_POLY_N}",
         )
-        for v in ("ii", "iii", "iv")
+        for v in HALVING_VARIANTS
     },
     "poly_addition_recurrence": lambda: _certified(
         (check_addition_recurrence(k) for k in _upto(2)),

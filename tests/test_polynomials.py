@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from baselkit.exact import bernoulli, genocchi
 from baselkit.polynomials import (
+    HALVING_VARIANTS,
     RationalPolynomial,
     bernoulli_polynomial,
     check_addition_recurrence,
@@ -193,11 +194,19 @@ class TestHalving:
         assert check_halving(0, "iv").passed
         assert check_halving(10, "iii").passed
 
-    @pytest.mark.parametrize("variant", ["ii", "iii", "iv"])
-    def test_range(self, variant):
+    @pytest.mark.parametrize("variant", HALVING_VARIANTS)
+    def test_range(self, variant, monkeypatch):
+        compositions = []
+        compose = RationalPolynomial.compose_affine
+        monkeypatch.setattr(RationalPolynomial, "compose_affine",
+                            lambda p, a, b: compositions.append((a, b)) or compose(p, a, b))
         for n in range(41):
+            compositions.clear()
             cert = check_halving(n, variant)
             assert cert.passed, cert.detail
+            # ii reads only B_n(x/2), iii only B_n((x+1)/2), iv both
+            assert sorted(compositions) == {"ii": [(F(1, 2), 0)], "iii": [(F(1, 2), F(1, 2))],
+                                            "iv": [(F(1, 2), 0), (F(1, 2), F(1, 2))]}[variant]
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):

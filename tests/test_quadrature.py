@@ -275,6 +275,37 @@ class TestSeriesIntegralPair:
         with pytest.raises(ValueError, match="a must be at least PAIR_A_MIN"):
             series_integral_pair(r, a, 0.0)
 
+    @pytest.mark.parametrize("a", [1e-10, 1e-20, 1e-100])
+    def test_ratio_past_pair_ratio_max_raises_value_error(self, a):
+        # b/a = 1e10, 1e20, 1e100: the integral half read 0.0034, 0.070 and
+        # 7.0e78 where the sum is about 1
+        with pytest.raises(ValueError, match="b/a must be at most PAIR_RATIO_MAX"):
+            series_integral_pair(0.5, a, 1.0)
+
+    @given(
+        r=st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=1.0, exclude_max=True)),
+        a=st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0**e),
+        ratio=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=6.0).map(
+            lambda e: 10.0**e)),
+        tol=st.sampled_from((1e-15, 1e-12, 1e-10)),
+    )
+    @example(r=0.5, a=1.0, ratio=quadrature.PAIR_RATIO_MAX, tol=1e-10)
+    @example(r=0.99, a=1.0, ratio=1e3, tol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_up_to_pair_ratio_max_meets_tol_or_raises(self, r, a, ratio, tol):
+        # the documented agreement: a >= 1 and tol <= 1e-10
+        b = ratio * a
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
+            try:
+                s, i = series_integral_pair(r, a, b, tol)
+            except (CapacityError, AccuracyError):
+                return
+            except ValueError:
+                assert b / a > quadrature.PAIR_RATIO_MAX  # ratio * a rounded up
+                return
+        assert abs(s - i) <= 2.0 * tol * max(1.0, abs(s)), (s, i)
+
     def test_smallest_decade_of_a_keeps_its_values(self):
         s, i = series_integral_pair(0.5, 1e-300, 0.0)
         assert (s, i) == (6.931471805599452e299, 6.931471805599455e299)
@@ -297,7 +328,10 @@ class TestSeriesIntegralPair:
             except CapacityError:
                 return
             except ValueError as exc:
-                assert str(exc).startswith("a must be at least PAIR_A_MIN")
+                if a < quadrature.PAIR_A_MIN:
+                    assert str(exc).startswith("a must be at least PAIR_A_MIN")
+                else:
+                    assert b / a > quadrature.PAIR_RATIO_MAX, exc
                 return
         assert all(map(math.isfinite, values)), values
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -131,20 +132,30 @@ class TestBisectionReport:
     def test_to_json_matches_eager_formula(self):
         # the x grids of bisection_identity_grid and bisection_remainder_bound
         for x in (0.05, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.3, math.pi / 2, 2.0, 2.5):
-            for level in (0, 1, 12):
+            for level in range(13):
                 assert bisection_report(x, level).to_json() == _eager_bisection_json(x, level)
         assert bisection_report(1.0, 3, 7).to_json() == _eager_bisection_json(1.0, 3, 7)
 
     def test_grid_rows_never_sum_the_partial_fraction_expansion(self, monkeypatch):
+        # each row reads only the sums it checks, and bisection_report sums nothing
         reads = []
-        summed = BisectionReport.partial_fraction_value.fget
-        monkeypatch.setattr(BisectionReport, "partial_fraction_value",
-                            property(lambda rep: reads.append(rep.x) or summed(rep)))
-        rows = run_suite(["bisection_identity_grid", "bisection_remainder_bound"])
-        assert [r.status for r in rows] == ["pass", "pass"]
-        assert reads == []
-        assert run_suite("bisection_partial_fraction")[0].status == "pass"
-        assert reads == [1.0]
+        for name in ("bisection_value", "e_n_measured", "partial_fraction_value"):
+            monkeypatch.setattr(BisectionReport, name, property(
+                lambda rep, name=name, summed=getattr(BisectionReport, name).fget:
+                reads.append(name) or summed(rep)))
+
+        def read_by(check_id: str) -> list[str]:
+            reads.clear()
+            assert run_suite(check_id)[0].status == "pass"
+            return sorted(set(reads))
+
+        assert read_by("bisection_identity_grid") == ["bisection_value"]
+        assert read_by("bisection_remainder_bound") == ["e_n_measured"]
+        assert read_by("bisection_partial_fraction") == ["partial_fraction_value"]
+        assert reads == ["partial_fraction_value"]
+        bisection_report(1.0, 12)
+        assert reads == ["partial_fraction_value"]
+        assert [f.name for f in fields(BisectionReport)] == ["x", "level", "truncation_k"]
 
     @given(
         x=st.floats(min_value=0.1, max_value=math.pi - 0.1, allow_nan=False),
