@@ -219,21 +219,6 @@ def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResul
     raise AccuracyError(f"no convergence to tol={tol} within level cap {_MAX_LEVEL}", best)
 
 
-def _integrate_smooth(g: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Tanh-sinh over [a, b] for integrands without interior singularities."""
-    if a == b:
-        return 0.0
-    if a > b:
-        return -_integrate_smooth(g, b, a, tol)
-    width = b - a
-
-    def f(t: float, omt: float) -> float:
-        x = a + width * t if t <= 0.5 else b - width * omt
-        return g(x)
-
-    return width * _tanh_sinh_unit(f, tol).value
-
-
 def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
     """Evaluate one of the four log-singular integrals on [0, 1].
 
@@ -359,38 +344,39 @@ def functional_eq_dilog(x: float, tol: float = DEFAULT_TOL) -> float:
     return abs(lhs - 0.5 * _unit_log_kernel(x * x, tol))
 
 
-INVERSE_X_MAX = 1e4
-
-
 def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     """Residual |h(x) + h(1/x) - (ln x)^2 / 2| with h(x) = int_1^x ln t/(1+t) dt.
 
-    The identity is symmetric under x <-> 1/x; the argument is canonicalized
-    to max(x, 1/x) first so the two residuals are computed identically.
+    With L = ln max(x, 1/x) and t = e^(+-L s), h(x) and h(1/x) are
+    L^2 int_0^1 s/(1 + e^(-L s)) ds and L^2 int_0^1 s/(1 + e^(L s)) ds, in
+    either order: x is canonicalized to max(x, 1/x) first, so x and 1/x give
+    the same residual.  Each integrand is weighted so that its integral lies
+    in [1/2, 2], which makes the kernel's stop relative to (ln x)^2 / 2; the
+    second integral falls like 1/L^2, from a peak of width 1/L at s = 0, so
+    its weight is 2 max(L, 1)^2.
 
-    Domain: max(x, 1/x) <= INVERSE_X_MAX = 1e4; anything else (NaN, inf,
-    and a 1/x that overflows included) raises ValueError.  Tanh-sinh runs
-    on the linear interval [1, max(x, 1/x)], and past about 1e5 its
-    inter-level differences stop tracking the error, with no error raised:
-    at tol 1e-12 the worst residual of 300 log-uniform samples is 1.5e-10
-    on [1e5, 1e6] and 1.6e-2 on [1e7, 1e9], and x = 1e20 gives 0.91.  On
-    [1e-4, 1e4] the worst residual seen is below 1e-13.
+    Takes every x with x and 1/x positive and finite; anything else (NaN
+    included) raises ValueError.  The residual is then about
+    max(tol, 8 * 2^-52) * (ln x)^2 / 2: over 10^5 log-uniform x in
+    [1e-307, 1.7e308] the worst was 7.2 * 2^-52 at tol 1e-12, 0.35 tol at
+    tol 1e-3 and 1.5 tol at tol 1e-6.  The kernel stops when two levels
+    agree, which two levels that both miss part of a peak can do, and the
+    residual then shows the miss: over 10^5 random (x, tol) with tol in
+    [1e-12, 1e-3], 13 residuals exceeded tol, the worst by 42 times, and
+    x = 3.287840675381471e231 at tol 1e-12 gives 278 tol (no other of
+    4 * 10^5 log-uniform x exceeded tol there).  Near tol 1e-15 the level
+    cap can come first, which raises AccuracyError.
     """
-    if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not (0.0 < x < math.inf and 1.0 / x < math.inf):
+        raise ValueError(f"x and 1/x must be positive and finite, got {x}")
     _check_tol(tol)
-    given = x
-    if x < 1.0:
-        x = 1.0 / x
-    if not x <= INVERSE_X_MAX:
-        raise ValueError(f"max(x, 1/x) must be at most {INVERSE_X_MAX}, got x = {given}")
+    lx = math.log(max(x, 1.0 / x))
 
-    def g(t: float) -> float:
-        return math.log(t) / (1.0 + t)
+    def h(sign: float, weight: float) -> float:
+        f = _tanh_sinh_unit(lambda s, oms: weight * s / (1.0 + math.exp(sign * lx * s)), tol)
+        return lx * lx / weight * f.value
 
-    lhs = _integrate_smooth(g, 1.0, x, tol) + _integrate_smooth(g, 1.0, 1.0 / x, tol)
-    lx = math.log(x)
-    return abs(lhs - 0.5 * lx * lx)
+    return abs(h(-1.0, 2.0) + h(1.0, 2.0 * max(lx, 1.0) ** 2) - 0.5 * lx * lx)
 
 
 def _power_sum(q: float, denominator: Callable[[int], float], n_terms: int) -> float:
@@ -504,63 +490,55 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 #: included) could carry it past binary64's range.
 PAIR_A_MIN = 2.0**-1000
 
-#: Largest b/a that `series_integral_pair` takes.  Its integrand's factor
-#: u^(b/a) peaks at u = 1 with width about a/b, which tanh-sinh misses as b/a
-#: grows: at 1e7 the two halves missed by 24 tol, and at 1e10 the integral
-#: half of (0.5, 1e-10, 1.0) read 0.0034 for a sum near 1.
-PAIR_RATIO_MAX = 1e6
-
 
 def series_integral_pair(
     r: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Two independent evaluations of sum_{n>=1} r^n / (a n + b).
 
-    Returns ``(series_value, integral_value)`` where the integral form is
-    (1/a) int_0^1 r u^(b/a) / (1 - r u) du.  Valid for r in [-1, 1),
-    a >= PAIR_A_MIN = 2^-1000, b >= 0 and b/a <= PAIR_RATIO_MAX = 1e6;
-    anything else (NaN included) raises ValueError.  For a >= 1 and
-    tol <= 1e-10 the two halves agree to 2 tol * max(1, |series|).  Outside
-    that they may not: the integral half stops when two tanh-sinh levels of
-    the unit integral agree to tol * max(1, |a * integral|), so for a < 1
-    its error can reach tol / a, and at a coarser tol the stop can come
-    before the peak of u^(b/a) is resolved (8.6 tol at tol 1e-3, a = 1,
-    b/a = 100).  The series stops on the geometric tail bound
+    Returns ``(series_value, integral_value)``, where the integral form
+    (1/a) int_0^1 r u^(b/a) / (1 - r u) du is taken with u = w^p,
+    p = a/(a+b), as int_0^1 r / ((a+b)(1 - r w^p)) dw, which has no peak.
+    For r in [-1, 1), PAIR_A_MIN = 2^-1000 <= a < inf and 0 <= b < inf,
+    each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of the sum;
+    anything else (NaN included) raises ValueError.
+
+    The series stops on the geometric tail bound
     |r|^(N+1) / ((a(N+1)+b)(1-|r|)); at r = -1, where that bound is vacuous,
     it switches to the alternating midpoint rule (partial sum plus half the
     next term, error below (a_{N+1} - a_{N+2})/2).  A series that needs more
     than SERIES_TERM_BUDGET terms raises CapacityError before it sums any.
+    The integral half stops when two tanh-sinh levels agree to
+    tol * max(1, |integral|); near tol 1e-15 and a large |sum| the level cap
+    can come first, which raises AccuracyError.
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")
-    if not a >= PAIR_A_MIN:  # written so that NaN is rejected too
-        raise ValueError(f"a must be at least PAIR_A_MIN = 2**-1000, got {a}")
-    if not b >= 0.0:
-        raise ValueError(f"b must be non-negative, got {b}")
-    if not b / a <= PAIR_RATIO_MAX:
-        raise ValueError(f"b/a must be at most PAIR_RATIO_MAX = {PAIR_RATIO_MAX}, got {b / a}")
+    if not PAIR_A_MIN <= a < math.inf:  # written so that NaN is rejected too
+        raise ValueError(f"a must be at least PAIR_A_MIN = 2**-1000 and finite, got {a}")
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"b must be non-negative and finite, got {b}")
     _check_tol(tol)
 
     def denominator(n: int) -> float:
         return a * n + b
 
-    if r == 0.0:
-        series = 0.0
-    elif r == -1.0:
+    if r == -1.0:
         series = _alternating_midpoint(denominator, math.ceil(1.0 / math.sqrt(a * tol)))
     else:
         series = _power_sum(r, denominator, _geometric_length(r, denominator, tol))
 
-    exponent = b / a
+    p = a / (a + b)
+    scale = r / (a + b)
     if r > 0.0:
         one_minus_r = 1.0 - r
 
-        def f(u: float, omu: float) -> float:
-            return r * u**exponent / (one_minus_r + r * omu)
+        def f(w: float, omw: float) -> float:
+            # 1 - r w^p = (1 - r) + r (1 - w^p), with 1 - w^p = -expm1(p ln w)
+            return scale / (one_minus_r - r * math.expm1(p * _log_of(w, omw)))
     else:
 
-        def f(u: float, omu: float) -> float:
-            return r * u**exponent / (1.0 - r * u)
+        def f(w: float, omw: float) -> float:
+            return scale / (1.0 - r * w**p)
 
-    integral = _tanh_sinh_unit(f, tol).value / a
-    return series, integral
+    return series, _tanh_sinh_unit(f, tol).value

@@ -1,0 +1,42 @@
+"""The library imports nothing but the standard library.
+
+The test extras (scipy, mpmath) are installed wherever the tests run, so an
+import of either from `src/baselkit` would otherwise pass unnoticed.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "baselkit").glob("*.py"))
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    """Top-level names of the absolute imports in one module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return names
+
+
+def test_every_library_import_is_stdlib():
+    assert len(MODULES) >= 7
+    outside = {
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in _absolute_imports(path)
+        if name not in sys.stdlib_module_names
+    }
+    assert not outside, sorted(outside)
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
