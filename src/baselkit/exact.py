@@ -166,9 +166,7 @@ def genocchi(n: int) -> Fraction:
 
 def genocchi_from_bernoulli(n: int) -> Fraction:
     """G_n computed through the cross relation G_n = -(2^n - 1) B_n."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
-    return -(2**n - 1) * bernoulli(n)
+    return bernoulli(n) * (1 - 2**n)  # B_n first: it checks n before 2^n is built
 
 
 def bernoulli_from_genocchi(n: int) -> Fraction:

@@ -56,7 +56,7 @@ class RationalPolynomial:
     def _set(self, num: list[int], den: int) -> None:
         while num and not num[-1]:
             num.pop()
-        g = math.gcd(den, *num) if num else den
+        g = math.gcd(den, *num)
         self._num = tuple(n // g for n in num)
         self._den = den // g
 
@@ -244,15 +244,14 @@ class Certificate:
 def _poly_certificate(name: str, lhs: RationalPolynomial, rhs: RationalPolynomial) -> Certificate:
     if lhs == rhs:
         return Certificate(name, True)
+    # unequal canonical forms differ in some coefficient up to the larger degree
     top = max(lhs.degree, rhs.degree)
-    for k in range(top + 1):
-        if lhs.coefficient(k) != rhs.coefficient(k):
-            detail = (
-                f"coefficient {k}: lhs={fraction_str(lhs.coefficient(k))} "
-                f"rhs={fraction_str(rhs.coefficient(k))}"
-            )
-            return Certificate(name, False, detail, k)
-    return Certificate(name, True)  # unreachable unless __eq__ disagrees
+    k = next(k for k in range(top + 1) if lhs.coefficient(k) != rhs.coefficient(k))
+    detail = (
+        f"coefficient {k}: lhs={fraction_str(lhs.coefficient(k))} "
+        f"rhs={fraction_str(rhs.coefficient(k))}"
+    )
+    return Certificate(name, False, detail, k)
 
 
 def _value_certificate(name: str, lhs: Fraction, rhs: Fraction) -> Certificate:
@@ -362,8 +361,6 @@ def check_calculus(n: int) -> dict[str, Certificate]:
 
 def check_construction_orderings(n: int) -> Certificate:
     """Self-test: both orderings of the defining sum build the same G_n(x)."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
     return _poly_certificate(
         f"construction_orderings_n{n}", genocchi_polynomial(n), _genocchi_polynomial_reversed(n)
     )

@@ -55,7 +55,6 @@ SERIES_TERM_BUDGET = 10_000_000
 _PI = math.pi
 _TOL_MIN, _TOL_MAX = 1e-15, 1e-3
 _MAX_LEVEL = 10
-_T_MAX = 6.2  # abscissa at which the transformed node distance underflows
 
 
 class IntegralKind(enum.Enum):
@@ -72,30 +71,31 @@ class IntegralKind(enum.Enum):
         return _CLOSED_FORMS[self]
 
 
+class ProductKind(enum.Enum):
+    """Which product limit to accumulate: factors (1 -+ k/n)^(1/k)."""
+
+    MINUS = "minus"
+    PLUS = "plus"
+
+    @property
+    def closed_form(self) -> float:
+        """Known exact value of the log-limit as the nearest binary64."""
+        return _CLOSED_FORMS[self]
+
+
 _CLOSED_FORMS = {
     IntegralKind.LOG_OVER_1MT: -(_PI * _PI) / 6.0,
     IntegralKind.LOG_OVER_1PT: -(_PI * _PI) / 12.0,
     IntegralKind.LOG1P_OVER_T: (_PI * _PI) / 12.0,
     IntegralKind.LOG1M_OVER_T: -(_PI * _PI) / 6.0,
+    ProductKind.MINUS: -(_PI * _PI) / 6.0,
+    ProductKind.PLUS: (_PI * _PI) / 12.0,
 }
-
-
-class ProductKind(enum.Enum):
-    """Which product limit to accumulate: factors (1 -+ k/n)^(1/k)."""
-
-    MINUS = "minus"  # log-limit -pi^2/6
-    PLUS = "plus"    # log-limit +pi^2/12
-
-    @property
-    def closed_form(self) -> float:
-        if self is ProductKind.MINUS:
-            return -(_PI * _PI) / 6.0
-        return (_PI * _PI) / 12.0
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Quadrature value with an honest error estimate and evaluation count."""
+    """Quadrature value with its error estimate and evaluation count."""
 
     value: float
     err_estimate: float
@@ -123,11 +123,6 @@ def _log_of(t: float, omt: float) -> float:
     return math.log(t) if t <= 0.5 else math.log1p(-omt)
 
 
-def _log_of_complement(t: float, omt: float) -> float:
-    # ln(1 - t), same idea mirrored
-    return math.log(omt) if omt <= 0.5 else math.log1p(-t)
-
-
 def _integrand(kind: IntegralKind) -> Callable[[float, float], float]:
     if kind is IntegralKind.LOG_OVER_1MT:
         return lambda t, omt: _log_of(t, omt) / omt
@@ -135,7 +130,7 @@ def _integrand(kind: IntegralKind) -> Callable[[float, float], float]:
         return lambda t, omt: _log_of(t, omt) / (1.0 + t)
     if kind is IntegralKind.LOG1P_OVER_T:
         return lambda t, omt: math.log1p(t) / t
-    return lambda t, omt: _log_of_complement(t, omt) / t
+    return lambda t, omt: _log_of(omt, t) / t  # ln(1 - t): the node read as t <-> 1 - t
 
 
 def _check_tol(tol: float) -> None:
@@ -154,25 +149,20 @@ def _check_budget(n_terms: float) -> None:
 def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     """(weight, q) of the nodes t = k 2^-level that `level` adds: every k >= 1
     at level 0, odd k after it (even k are the level before's nodes, exactly,
-    since k 2^-level is).  Ends before the first node past _T_MAX or with q
-    or weight 0; each of the three, once met, holds for every larger t, so
-    a level's new and kept nodes end together."""
+    since k 2^-level is).  Ends before the first node whose distance q
+    underflows to 0, near t = 6.16; q falls as t grows, so a level's new and
+    kept nodes end together."""
     h = 0.5**level
     nodes = []
     for k in count(1, 1 if level == 0 else 2):
         t = k * h
-        if t > _T_MAX:
-            break
         u = 0.5 * _PI * math.sinh(t)
         # node distance to the near endpoint: q/2 with q = 1 - tanh(u)
         q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
         if q == 0.0:
             break
         sech_u = 1.0 / math.cosh(u)
-        weight = (_PI / 4.0) * math.cosh(t) * sech_u * sech_u
-        if weight == 0.0:
-            break
-        nodes.append((weight, q))
+        nodes.append(((_PI / 4.0) * math.cosh(t) * sech_u * sech_u, q))
     return tuple(nodes)
 
 
@@ -228,10 +218,11 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         Which integrand to evaluate.
     tol : float
         Requested tolerance, within [1e-15, 1e-3].  The returned
-        ``err_estimate`` is the last inter-level difference, an honest
-        (usually generous) bound for a converged tanh-sinh sum, and
-        ``evaluations`` is the number of integrand calls: the levels are
-        nested, so no node is evaluated twice.
+        ``err_estimate`` is the last difference between levels, floored at
+        |value| * 2^-52: an estimate, and no bound below about 1e-15 (at
+        LOG1P_OVER_T and tol 1e-12 it reads 1.83e-16 for an error of
+        3.18e-16 against pi^2/12).  ``evaluations`` is the number of
+        integrand calls: the levels are nested, so no node is evaluated twice.
 
     Raises
     ------
@@ -316,21 +307,18 @@ def _unit_log_kernel(y: float, tol: float) -> float:
 
     Rescaled to [0, 1] via t = y*u (the 1/t and dt factors of y cancel);
     near u = 1 the argument 1 - y*u is rebuilt as (1 - y) + y*(1 - u) so
-    the y = 1 endpoint singularity is resolved exactly.
+    the y = 1 endpoint singularity is resolved exactly.  For y < 0 nothing
+    cancels, and every u takes the log1p arm.
     """
     if y == 0.0:
         return 0.0
-    if y > 0.0:
-        one_minus_y = 1.0 - y
+    one_minus_y = 1.0 - y
+    last_log1p = 0.5 if y > 0.0 else 1.0
 
-        def f(u: float, omu: float) -> float:
-            if u <= 0.5:
-                return math.log1p(-y * u) / u
-            return math.log(one_minus_y + y * omu) / u
-    else:
-
-        def f(u: float, omu: float) -> float:
+    def f(u: float, omu: float) -> float:
+        if u <= last_log1p:
             return math.log1p(-y * u) / u
+        return math.log(one_minus_y + y * omu) / u
 
     return _tanh_sinh_unit(f, tol).value
 
@@ -389,7 +377,7 @@ def _power_sum(q: float, denominator: Callable[[int], float], n_terms: int) -> f
 
 def _geometric_length(q: float, denominator: Callable[[int], float], tol: float) -> int:
     """First N >= 1 whose tail bound |q|^(N+1) / (d(N+1) (1-|q|)) is at most
-    tol, for 0 < |q| < 1 and d positive, non-decreasing.  The bound falls
+    tol, for |q| < 1 and d positive, non-decreasing.  The bound falls
     with N, so doubling and then bisection find the N a term-by-term scan
     stops at, after O(log N) evaluations of it."""
     aq = abs(q)
@@ -445,8 +433,6 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     if mode == "integral":
         return -_unit_log_kernel(2.0 * x, tol)
     q = 2.0 * x
-    if q == 0.0:
-        return 0.0
     if q == 1.0:
         n_terms = math.ceil(1.0 / math.sqrt(2.0 * tol))
         return _power_sum(q, _square, n_terms) + 0.5 * (1.0 / n_terms + 1.0 / (n_terms + 1))

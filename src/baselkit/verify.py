@@ -249,9 +249,8 @@ def _zeta(n: int) -> _Payload:
 
 def _zeta2_tail(n: int) -> _Payload:
     gap = _PI2_6 - zeta2_partial_float(n)
-    if not gap > 0.0:
-        return _payload("fail", repr(gap), "must be positive", math.inf, 1.0 / n)
-    return _bounded(gap, 1.0 / n, f"zeta(2) - S_{n} = {gap!r}", f"(0, 1/{n})")
+    measured = gap if gap > 0.0 else math.inf  # a gap <= 0 (or NaN) leaves (0, 1/n)
+    return _bounded(measured, 1.0 / n, f"zeta(2) - S_{n} = {gap!r}", f"(0, 1/{n})")
 
 
 def _eta2_tail(n: int) -> _Payload:

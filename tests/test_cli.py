@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -325,3 +326,37 @@ class TestHelpScreens:
             "command": "series", "which": "eta2", "n": None, "m_max": None, "tol": None, **common}
         assert vars(parse(["verify"])) == {
             "command": "verify", "suite": "all", "list": False, **common}
+
+
+def _readme_cli_lines() -> list[tuple[list[str], str]]:
+    """(argv after `baselkit`, trailing comment) for each line of README's `## CLI` block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "baselkit"
+        lines.append((argv, comment.strip()))
+    return lines
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("BASELKIT_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_lines()
+    assert len(examples) == 13
+    outputs = 0
+    for argv, comment in examples:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if comment.endswith("...}"):  # a JSON output, up to the "..."
+            assert out.startswith(comment.removesuffix("...}")), argv
+        elif comment.startswith("{"):
+            assert out == comment + "\n", argv
+        outputs += comment.startswith("{")
+    assert outputs == 2
+    assert (tmp_path / "report.jsonl").read_text().count("\n") == 59

@@ -1,0 +1,69 @@
+"""Documented input errors: each one's type and message, from one table."""
+
+from __future__ import annotations
+
+import pytest
+
+from baselkit.exact import (
+    genocchi_from_bernoulli,
+    signed_factorial_integral,
+    term_log_integral,
+    zeta_even_exact,
+)
+from baselkit.polynomials import (
+    bernoulli_polynomial,
+    check_calculus,
+    check_construction_orderings,
+    check_special_values,
+    genocchi_polynomial,
+    power_sum_check,
+)
+from baselkit.quadrature import (
+    IntegralKind,
+    ProductKind,
+    functional_eq_dilog,
+    product_form,
+    riemann_sum,
+    sample_monotonicity,
+    scaled_dilog_ode_residual,
+)
+from baselkit.series import bisection_report
+
+NEGATIVE_INDEX = "index must be non-negative, got -1"
+
+# (call, arguments, error type, message).  genocchi_from_bernoulli and
+# check_construction_orderings check no index themselves: the message comes
+# from the bernoulli and genocchi_polynomial calls they make first.
+INPUT_ERRORS = [
+    (zeta_even_exact, (0,), ValueError, "index must be positive, got 0"),
+    (term_log_integral, (-1,), ValueError, NEGATIVE_INDEX),
+    (signed_factorial_integral, (-1,), ValueError, NEGATIVE_INDEX),
+    (genocchi_from_bernoulli, (-1,), ValueError, NEGATIVE_INDEX),
+    # 2^n of so large a negative n raises OverflowError: the index check must come first
+    (genocchi_from_bernoulli, (-(10**400),), ValueError,
+     f"index must be non-negative, got {-(10**400)}"),
+    (bernoulli_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
+    (genocchi_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
+    (check_construction_orderings, (-1,), ValueError, NEGATIVE_INDEX),
+    (power_sum_check, (1, 1), ValueError, "requires k >= 2, got 1"),
+    (power_sum_check, (2, 0), ValueError, "requires n >= 1, got 0"),
+    (check_special_values, (0,), ValueError, "index must be positive, got 0"),
+    (check_calculus, (0,), ValueError, "index must be positive, got 0"),
+    (riemann_sum, (IntegralKind.LOG_OVER_1MT, 1), ValueError, "need n >= 2, got 1"),
+    (sample_monotonicity, (IntegralKind.LOG_OVER_1MT, 2), ValueError, "need n >= 3, got 2"),
+    (product_form, (ProductKind.MINUS, 1), ValueError, "need n >= 2, got 1"),
+    (functional_eq_dilog, (1.5,), ValueError, "x must lie in [-1, 1], got 1.5"),
+    (scaled_dilog_ode_residual, (0.1, 1), ValueError, "need n_terms >= 2, got 1"),
+    (bisection_report, (1.0, 0, 0), ValueError, "need pf_terms >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message", INPUT_ERRORS,
+    ids=[f"{call.__name__}{args}"[:48] for call, args, _, _ in INPUT_ERRORS],
+)
+def test_documented_input_error(call, args, error, message):
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

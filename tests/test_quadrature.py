@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import count, zip_longest
 from pathlib import Path
 
 import mpmath
@@ -471,6 +472,32 @@ def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
         assert converged
     assert [len(quadrature._level_nodes(level)) for level in range(11)] == [
         6, 6, 12, 25, 49, 99, 197, 394, 789, 1577, 3155]
+
+
+def _nodes_with_three_stops(level):
+    """The node rule with two extra stops, t > 6.2 and weight == 0: the
+    reference that shows neither fires before q == 0."""
+    h = 0.5**level
+    for k in count(1, 1 if level == 0 else 2):
+        t = k * h
+        if t > 6.2:
+            return
+        u = 0.5 * math.pi * math.sinh(t)
+        q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
+        if q == 0.0:
+            return
+        sech_u = 1.0 / math.cosh(u)
+        weight = (math.pi / 4.0) * math.cosh(t) * sech_u * sech_u
+        if weight == 0.0:
+            return
+        yield weight, q
+
+
+def test_the_underflow_of_q_alone_ends_every_level():
+    # uncached, as level 17 has 403,832 nodes; the other two stops never came first
+    for level in range(18):
+        nodes = quadrature._level_nodes.__wrapped__(level)
+        assert all(a == b for a, b in zip_longest(nodes, _nodes_with_three_stops(level))), level
 
 
 def test_importing_the_cli_builds_no_nodes():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -327,6 +328,99 @@ def test_fault_in_one_row_fails_only_that_row(row, small_results, capsys, monkey
         assert (results[row]["lhs"], results[row]["rhs"]) == (text or (bad.name, bad.detail))
     else:
         assert results[row]["rhs"].endswith("did not decrease")
+
+
+class _Overriding:
+    """Reads as ``real`` except for the attributes given."""
+
+    def __init__(self, real, **changed):
+        self.__dict__.update(changed)
+        self._real = real
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def _at_truncation(w, **changed):
+    """Fake asymptotic_report that changes only the report the truncation row reads (m = 12)."""
+    return lambda real: lambda which, m_max, tol: (
+        _Overriding(real(which, m_max, tol), **changed) if (which, m_max) == (w, 12)
+        else real(which, m_max, tol)
+    )
+
+
+def _zeta2_sum_at(n, value):
+    """Fake zeta2_partial_float that returns ``value`` for S_n alone."""
+    return lambda real: lambda m: value if m == n else real(m)
+
+
+# The fail payloads that no FAULTS row reaches: case -> (row, {name on baselkit.verify:
+# fake built from the real value}, start of the row's lhs once it fails).
+FAIL_PATHS = {
+    "remainder_outside_bound": (
+        "bisection_remainder_bound",
+        {"bisection_report": lambda real: lambda *args: _Overriding(real(*args), e_n_measured=0.0)},
+        "remainder 0.0 at x=0.05, level=0",
+    ),
+    # the tail interval (0, 1/N) is open: a gap of 0.0 fails, as does a tiny negative one
+    **{
+        f"zeta2_gap_zero_N{n}": (
+            f"tail_zeta2_N{n}",
+            {"zeta2_partial_float": _zeta2_sum_at(n, verify._PI2_6)},
+            f"zeta(2) - S_{n} = 0.0",
+        )
+        for n in verify.ZETA2_TAIL_NS
+    },
+    "zeta2_gap_negative_N10": (
+        "tail_zeta2_N10",
+        {"zeta2_partial_float": _zeta2_sum_at(10, verify._PI2_6 + 1e-12)},
+        "zeta(2) - S_10 = -1.000",
+    ),
+    **{
+        f"truncation_{w}_best_exceeds_smallest": (
+            f"asymptotic_{w}_truncation",
+            {"asymptotic_report": _at_truncation(w, regularized_target=1e9)},
+            "best truncation error",
+        )
+        for w in ("bernoulli", "genocchi")
+    },
+    "truncation_bernoulli_bracket_off": (
+        "asymptotic_bernoulli_truncation",
+        {"asymptotic_report": _at_truncation("bernoulli", bracket_average=0.0)},
+        "bracket average 0.0",
+    ),
+    # E1 adopts the quoted G_1 = -1/2: the row is the only one that builds Fraction(1, 2)
+    "erratum_E1_constraint": (
+        "erratum_E1",
+        {"Fraction": lambda real: lambda *a: real(-1, 2) if a == (1, 2) else real(*a)},
+        "2*G_1 + G_0",
+    ),
+    # E3 alone iterates WHICH: a third series whose partial sums stay bounded
+    "erratum_E3_no_divergence": (
+        "erratum_E3",
+        {
+            "WHICH": lambda real: (*real, "bounded"),
+            "asymptotic_report": lambda real: lambda which, *rest: (
+                SimpleNamespace(partial_sums=(Fraction(1),)) if which == "bounded"
+                else real(which, *rest)
+            ),
+        },
+        "partial-sum magnitudes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_PATHS))
+def test_each_fail_payload_fails_only_its_row(case, small_results, monkeypatch):
+    row, fakes, lhs = FAIL_PATHS[case]
+    for name, fake in fakes.items():
+        monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    _shrink(monkeypatch)
+    results = {r.check_id: r.to_json_dict() for r in run_suite("all")}
+    assert small_results[row]["status"] in ("pass", "erratum_documented")
+    assert results[row]["status"] == "fail"
+    assert results[row]["lhs"].startswith(lhs), results[row]
+    assert {i for i in results if results[i] != small_results[i]} == {row}
 
 
 def test_every_row_calls_the_library_through_module_globals(monkeypatch):
