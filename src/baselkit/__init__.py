@@ -1,39 +1,9 @@
 """baselkit: exact Bernoulli/Genocchi arithmetic, even zeta values, and
 verified evaluation of the log-singular integrals behind the Basel problem."""
 
-from .exact import (
-    CAPACITY,
-    CapacityError,
-    PiPower,
-    bernoulli,
-    bernoulli_from_genocchi,
-    fraction_str,
-    genocchi,
-    genocchi_from_bernoulli,
-    parse_fraction,
-    rectified_even_bernoulli,
-    rectified_even_genocchi,
-    signed_factorial_integral,
-    term_log_integral,
-    zeta_even_exact,
-)
+from . import exact
+from .exact import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CAPACITY",
-    "CapacityError",
-    "PiPower",
-    "bernoulli",
-    "bernoulli_from_genocchi",
-    "fraction_str",
-    "genocchi",
-    "genocchi_from_bernoulli",
-    "parse_fraction",
-    "rectified_even_bernoulli",
-    "rectified_even_genocchi",
-    "signed_factorial_integral",
-    "term_log_integral",
-    "zeta_even_exact",
-    "__version__",
-]
+__all__ = [*exact.__all__, "__version__"]

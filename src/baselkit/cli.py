@@ -68,8 +68,6 @@ def _pretty_value(value) -> str:
 
 
 def _csv_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, list):
         return ";".join(_csv_value(v) for v in value)
     return str(value)

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Union
 from .exact import bernoulli, fraction_str, genocchi
 
 __all__ = [
+    "HALVING_VARIANTS",
     "Certificate",
     "RationalPolynomial",
     "bernoulli_polynomial",
@@ -196,6 +197,8 @@ class RationalPolynomial:
 
 def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
     """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products."""
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
     values = [number(n - k) for k in range(n + 1)]
     den = math.lcm(*(v.denominator for v in values))
     return RationalPolynomial._from_ints(
@@ -206,15 +209,11 @@ def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomi
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x); degree exactly n, leading coefficient 1, constant term B_n."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
     return _binomial_sum(n, bernoulli)
 
 
 def genocchi_polynomial(n: int) -> RationalPolynomial:
     """G_n(x); G_n(0) = G_n, and degree <= n-1 for n >= 1 since G_0 = 0."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
     return _binomial_sum(n, genocchi)
 
 

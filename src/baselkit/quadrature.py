@@ -20,13 +20,18 @@ import enum
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count, pairwise
 from typing import Callable, Iterator
 
 from .exact import CapacityError
 
 __all__ = [
+    "DEFAULT_TOL",
+    "DILOG_MODES",
+    "ETA2",
+    "RIEMANN_KINDS",
+    "ZETA2",
     "AccuracyError",
     "IntegralKind",
     "ProductKind",
@@ -56,6 +61,14 @@ _PI = math.pi
 _TOL_MIN, _TOL_MAX = 1e-15, 1e-3
 _MAX_LEVEL = 10
 
+#: zeta(2) = pi^2/6 and eta(2) = pi^2/12 = zeta(2)/2, as the nearest binary64.
+ZETA2 = _PI * _PI / 6.0
+ETA2 = ZETA2 / 2
+
+def _closed_form(kind: IntegralKind | ProductKind) -> float:
+    """Known exact value of the integral or log-limit as the nearest binary64."""
+    return _CLOSED_FORMS[kind]
+
 
 class IntegralKind(enum.Enum):
     """The four log-singular unit-interval integrands."""
@@ -65,10 +78,7 @@ class IntegralKind(enum.Enum):
     LOG1P_OVER_T = "log1p_over_t"    # ln(1 + t) / t
     LOG1M_OVER_T = "log1m_over_t"    # ln(1 - t) / t
 
-    @property
-    def closed_form(self) -> float:
-        """Known exact value as the nearest binary64."""
-        return _CLOSED_FORMS[self]
+    closed_form = property(_closed_form)
 
 
 class ProductKind(enum.Enum):
@@ -77,19 +87,16 @@ class ProductKind(enum.Enum):
     MINUS = "minus"
     PLUS = "plus"
 
-    @property
-    def closed_form(self) -> float:
-        """Known exact value of the log-limit as the nearest binary64."""
-        return _CLOSED_FORMS[self]
+    closed_form = property(_closed_form)
 
 
 _CLOSED_FORMS = {
-    IntegralKind.LOG_OVER_1MT: -(_PI * _PI) / 6.0,
-    IntegralKind.LOG_OVER_1PT: -(_PI * _PI) / 12.0,
-    IntegralKind.LOG1P_OVER_T: (_PI * _PI) / 12.0,
-    IntegralKind.LOG1M_OVER_T: -(_PI * _PI) / 6.0,
-    ProductKind.MINUS: -(_PI * _PI) / 6.0,
-    ProductKind.PLUS: (_PI * _PI) / 12.0,
+    IntegralKind.LOG_OVER_1MT: -ZETA2,
+    IntegralKind.LOG_OVER_1PT: -ETA2,
+    IntegralKind.LOG1P_OVER_T: ETA2,
+    IntegralKind.LOG1M_OVER_T: -ZETA2,
+    ProductKind.MINUS: -ZETA2,
+    ProductKind.PLUS: ETA2,
 }
 
 
@@ -102,11 +109,7 @@ class QuadResult:
     evaluations: int
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "err_estimate": self.err_estimate,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 class AccuracyError(Exception):

@@ -25,6 +25,9 @@ from .exact import CapacityError, bernoulli, fraction_str, genocchi
 from .quadrature import DEFAULT_TOL, IntegralKind, _check_budget, _power_sum, _square, integrate
 
 __all__ = [
+    "EXACT_PARTIAL_CAP",
+    "PF_TERMS",
+    "WHICH",
     "BisectionReport",
     "SeriesReport",
     "bisection_report",

@@ -4,10 +4,12 @@ Every check is a zero-argument row in the one ``_REGISTRY`` table, under a
 stable id.  Tolerances and grid sizes that two or more rows share are the
 module constants below (``QUAD_TOL``, ``MAX_POLY_N``, ``BISECTION_LEVELS``,
 ...), read when a row runs; a value only one row uses is written in that
-row.  The constants that decide which ids exist (``MAX_ZETA_N``,
-``ZETA2_TAIL_NS``, ``ETA2_TAIL_NS``, ``PAIR_CASES``) are fixed at import.
-Results are returned sorted by id, and the serialized report deliberately
-excludes wall-clock fields so repeated runs are byte-identical.
+row, except ``POWER_SUM_MAX_K`` and ``POWER_SUM_MAX_N``: they serve one row
+and are constants so that tests can shrink it.  The constants that decide
+which ids exist (``MAX_ZETA_N``, ``ZETA2_TAIL_NS``, ``ETA2_TAIL_NS``,
+``PAIR_CASES``) are fixed at import.  Results are returned sorted by id, and
+the serialized report deliberately excludes wall-clock fields so repeated
+runs are byte-identical.
 
 Three rows carry status ``erratum_documented`` rather than pass/fail: they
 record internal inconsistencies in commonly quoted constants for this
@@ -24,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import (
@@ -47,6 +50,8 @@ from .polynomials import (
     power_sum_check,
 )
 from .quadrature import (
+    ETA2,
+    ZETA2,
     IntegralKind,
     ProductKind,
     functional_eq_dilog,
@@ -70,6 +75,7 @@ from .series import (
 )
 
 __all__ = [
+    "REPORT_FIELDS",
     "CheckResult",
     "UnknownCheckError",
     "available_checks",
@@ -77,9 +83,6 @@ __all__ = [
     "run_suite",
     "summary_table",
 ]
-
-_PI2_6 = math.pi**2 / 6
-_PI2_12 = math.pi**2 / 12
 
 EXACT = "exact"
 
@@ -192,13 +195,16 @@ def _monotone(kind: IntegralKind, expected: int) -> _Payload:
     )
 
 
+def _bisection_walk(grid: tuple[float, ...]) -> Iterator[tuple[float, int, object]]:
+    """(x, level, report) for each x in the grid and levels 0..BISECTION_LEVELS."""
+    return ((x, n, bisection_report(x, n)) for x, n in product(grid, range(BISECTION_LEVELS + 1)))
+
+
 def _bisection_identity() -> _Payload:
     grid = (0.3, 0.7, 1.0, 1.3, math.pi / 2, 2.0, 2.5)
     worst = 0.0
-    for x in grid:
-        for level in range(BISECTION_LEVELS + 1):
-            rep = bisection_report(x, level)
-            worst = max(worst, abs(rep.bisection_value / rep.exact_value - 1.0))
+    for _, _, rep in _bisection_walk(grid):
+        worst = max(worst, abs(rep.bisection_value / rep.exact_value - 1.0))
     return _bounded(
         worst,
         1e-9,
@@ -209,17 +215,15 @@ def _bisection_identity() -> _Payload:
 
 def _bisection_remainder() -> _Payload:
     grid, slack = (0.05, 0.2, 0.5, 0.9, 1.3, math.pi / 2), 1e-12
-    for x in grid:
-        for level in range(BISECTION_LEVELS + 1):
-            rep = bisection_report(x, level)
-            if not (0.0 < rep.e_n_measured < rep.e_n_bound + slack):
-                return _payload(
-                    "fail",
-                    f"remainder {rep.e_n_measured!r} at x={x!r}, level={level}",
-                    f"required interval (0, {rep.e_n_bound!r} + slack)",
-                    math.inf,
-                    slack,
-                )
+    for x, level, rep in _bisection_walk(grid):
+        if not (0.0 < rep.e_n_measured < rep.e_n_bound + slack):
+            return _payload(
+                "fail",
+                f"remainder {rep.e_n_measured!r} at x={x!r}, level={level}",
+                f"required interval (0, {rep.e_n_bound!r} + slack)",
+                math.inf,
+                slack,
+            )
     return _payload(
         "pass",
         "centered partial-fraction remainder",
@@ -248,13 +252,13 @@ def _zeta(n: int) -> _Payload:
 
 
 def _zeta2_tail(n: int) -> _Payload:
-    gap = _PI2_6 - zeta2_partial_float(n)
+    gap = ZETA2 - zeta2_partial_float(n)
     measured = gap if gap > 0.0 else math.inf  # a gap <= 0 (or NaN) leaves (0, 1/n)
     return _bounded(measured, 1.0 / n, f"zeta(2) - S_{n} = {gap!r}", f"(0, 1/{n})")
 
 
 def _eta2_tail(n: int) -> _Payload:
-    err = abs(_PI2_12 - eta2_partial_float(n))
+    err = abs(ETA2 - eta2_partial_float(n))
     return _bounded(err, 1.0 / (n + 1) ** 2, f"|pi^2/12 - A_{n}| = {err!r}", f"< 1/{n + 1}^2")
 
 
@@ -291,7 +295,7 @@ def _trend(measure: Callable[[object, int], float], kind) -> _Payload:
     return _bounded(fine, COARSE_TOL, f"err {coarse!r} -> {fine!r}", repr(kind.closed_form))
 
 
-_ASYMPTOTIC_CLOSED = {"bernoulli": _PI2_6 - 1.5, "genocchi": _PI2_12}
+_ASYMPTOTIC_CLOSED = {"bernoulli": ZETA2 - 1.5, "genocchi": ETA2}
 
 
 def _asym_target(which: str) -> _Payload:
@@ -309,11 +313,11 @@ def _asym_truncation(which: str) -> _Payload:
             "fail", f"best truncation error {best!r}",
             f"exceeds smallest term {smallest!r}", best, smallest,
         )
-    bracket_tol = 5e-3
-    if which == "bernoulli" and abs(rep.bracket_average - (_PI2_6 - 1.5)) > bracket_tol:
+    bracket_tol, closed = 5e-3, _ASYMPTOTIC_CLOSED[which]
+    if which == "bernoulli" and abs(rep.bracket_average - closed) > bracket_tol:
         return _payload(
             "fail", f"bracket average {rep.bracket_average!r}",
-            f"not within {bracket_tol} of {_PI2_6 - 1.5!r}", math.inf, bracket_tol,
+            f"not within {bracket_tol} of {closed!r}", math.inf, bracket_tol,
         )
     return _bounded(
         err,
@@ -368,15 +372,13 @@ def _erratum_e2() -> _Payload:
 
 
 def _erratum_e3() -> _Payload:
-    mags = [
-        abs(float(asymptotic_report(w, ASYMPTOTIC_M_DIV, QUAD_TOL).partial_sums[-1]))
-        for w in WHICH
-    ]
+    m = ASYMPTOTIC_M_DIV
+    mags = [abs(float(asymptotic_report(w, m, QUAD_TOL).partial_sums[-1])) for w in WHICH]
     if min(mags) <= DIVERGENCE_THRESHOLD:
         return _exact(False, f"partial-sum magnitudes {mags!r}", "expected divergence")
     return _payload(
         "erratum_documented",
-        f"literal partial sums blow up: |S_40| = {mags[0]!r} (Bernoulli), {mags[1]!r} (Genocchi)",
+        f"literal partial sums blow up: |S_{m}| = {mags[0]!r} (Bernoulli), {mags[1]!r} (Genocchi)",
         "the two alternating-series identities hold only as regularized / "
         "optimally truncated asymptotic statements",
         EXACT,
@@ -465,9 +467,9 @@ _REGISTRY: dict[str, Callable[[], _Payload]] = {
     ),
     "riemann_trend_log_over_1mt": lambda: _trend(riemann_sum, IntegralKind.LOG_OVER_1MT),
     **{f"product_trend_{k.value}": lambda k=k: _trend(product_form, k) for k in ProductKind},
-    **{f"asymptotic_{w}_target": lambda w=w: _asym_target(w) for w in _ASYMPTOTIC_CLOSED},
-    **{f"asymptotic_{w}_truncation": lambda w=w: _asym_truncation(w) for w in _ASYMPTOTIC_CLOSED},
-    **{f"asymptotic_{w}_divergence": lambda w=w: _asym_divergence(w) for w in _ASYMPTOTIC_CLOSED},
+    **{f"asymptotic_{w}_target": lambda w=w: _asym_target(w) for w in WHICH},
+    **{f"asymptotic_{w}_truncation": lambda w=w: _asym_truncation(w) for w in WHICH},
+    **{f"asymptotic_{w}_divergence": lambda w=w: _asym_divergence(w) for w in WHICH},
     "asymptotic_targets_consistency": _asym_consistency,
     "erratum_E1": _erratum_e1,
     "erratum_E2": _erratum_e2,

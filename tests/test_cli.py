@@ -97,6 +97,26 @@ class TestNumericCommands:
                                "--format", "json")
         assert json.loads(out)["terms"][0] == "1/6"
 
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--kind", "log1p_over_t"),
+        ("dilog", "--x", "-0.0", "--mode", "integral"),
+    ])
+    def test_csv_floats_match_json(self, capsys, argv):
+        # a float field prints as the same shortest round-trip text as in JSON
+        _, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+        code, as_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        record = json.loads(as_json)
+        header, row = as_csv.splitlines()
+        assert code == 0
+        assert header.split(",") == list(record)
+        floats = [(text, v) for text, v in zip(row.split(","), record.values())
+                  if isinstance(v, float)]
+        assert floats
+        for text, value in floats:
+            assert text == json.dumps(value)
+            back = float(text)
+            assert (back, math.copysign(1.0, back)) == (value, math.copysign(1.0, value))
+
     def test_env_tolerance_beaten_by_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("BASELKIT_TOL", "1e-4")
         _, coarse, _ = run_cli(capsys, "integrate", "--kind", "log_over_1mt",
@@ -140,6 +160,19 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert all(json.loads(line)["status"] == "erratum_documented" for line in lines)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".baselkit-")]
+
+    def test_pretty_table_and_tally(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "zeta_even_exact_1,erratum_E1")
+        assert code == 0
+        assert out.splitlines() == [
+            "check              status               abs_err",
+            "-" * 47,
+            "erratum_E1         erratum_documented   exact",
+            "zeta_even_exact_1  pass                 exact",
+            "-" * 47,
+            "2 checks: 1 pass, 0 fail, 1 errata documented",
+        ]
+        assert err == "verify: 2 checks, 0 failed\n"
 
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "erratum_E1",

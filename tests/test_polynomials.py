@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselkit.polynomials as polynomials
 from baselkit.exact import bernoulli, genocchi
 from baselkit.polynomials import (
     HALVING_VARIANTS,
+    Certificate,
     RationalPolynomial,
     bernoulli_polynomial,
     check_addition_recurrence,
@@ -62,6 +64,17 @@ class TestRationalPolynomial:
     def test_serialization(self):
         assert RationalPolynomial([F(1, 6), -1, 1]).to_string_list() == ["1/6", "-1", "1"]
         assert RationalPolynomial().to_string_list() == ["0"]
+
+    def test_repr(self):
+        assert repr(RationalPolynomial()) == "RationalPolynomial(0)"
+        assert repr(RationalPolynomial([F(1, 6), -1, 1])) == (
+            "RationalPolynomial(1/6 + -1*x^1 + 1*x^2)"
+        )
+        assert repr(RationalPolynomial([0, 0, F(-3, 2)])) == "RationalPolynomial(-3/2*x^2)"
+
+    def test_never_equal_to_a_scalar(self):
+        assert RationalPolynomial([1]) != 1
+        assert RationalPolynomial([1]).__eq__(1) is NotImplemented
 
 
 def _assert_canonical(p: RationalPolynomial) -> None:
@@ -297,3 +310,11 @@ def test_failure_reports_first_mismatch():
     assert not cert.passed
     assert cert.first_mismatch == 1
     assert "lhs=2" in cert.detail
+
+
+def test_failing_value_certificate_names_both_sides(monkeypatch):
+    # the quoted B_1 = +1/2 (erratum E1) breaks G_1 = (1 - 2^1) B_1
+    real = polynomials.bernoulli
+    monkeypatch.setattr(polynomials, "bernoulli", lambda n: F(1, 2) if n == 1 else real(n))
+    cert = check_special_values(1)["g_b_relation"]
+    assert cert == Certificate("g_b_relation_n1", False, "lhs=1/2 rhs=-1/2")

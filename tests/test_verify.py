@@ -366,14 +366,14 @@ FAIL_PATHS = {
     **{
         f"zeta2_gap_zero_N{n}": (
             f"tail_zeta2_N{n}",
-            {"zeta2_partial_float": _zeta2_sum_at(n, verify._PI2_6)},
+            {"zeta2_partial_float": _zeta2_sum_at(n, verify.ZETA2)},
             f"zeta(2) - S_{n} = 0.0",
         )
         for n in verify.ZETA2_TAIL_NS
     },
     "zeta2_gap_negative_N10": (
         "tail_zeta2_N10",
-        {"zeta2_partial_float": _zeta2_sum_at(10, verify._PI2_6 + 1e-12)},
+        {"zeta2_partial_float": _zeta2_sum_at(10, verify.ZETA2 + 1e-12)},
         "zeta(2) - S_10 = -1.000",
     ),
     **{
@@ -439,3 +439,11 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     results = run_suite("all")
     assert len(results) == 59
     assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
+
+
+def test_the_divergence_rows_name_the_series_length(monkeypatch):
+    monkeypatch.setattr(verify, "ASYMPTOTIC_M_DIV", 30)
+    divergence, e3 = run_suite(["asymptotic_bernoulli_divergence", "erratum_E3"])
+    assert (divergence.status, e3.status) == ("pass", "erratum_documented")
+    assert divergence.lhs.startswith("|S_30| = ")
+    assert e3.lhs.startswith(f"literal partial sums blow up: {divergence.lhs} (Bernoulli), ")
