@@ -45,9 +45,11 @@ __all__ = [
 ]
 
 #: Largest sequence index the memo tables will grow to; indices past it
-#: raise CapacityError.  Both engines take O(n^2) big-integer steps; on
+#: raise CapacityError, as do a larger `signed_factorial_integral` k and
+#: `power_sum_check` n.  Both engines take O(n^2) big-integer steps; on
 #: CPython 3.11 and a 2-vCPU Xeon, cold B_5000 takes 15 s (peak RSS 29 MB)
-#: and cold G_5000 10 s (33 MB), both in one process 25 s (39 MB).
+#: and cold G_5000 10 s (33 MB), both in one process 25 s (39 MB); a cold
+#: power_sum_check(CAPACITY, CAPACITY) takes 63 s (39 MB).
 CAPACITY = 5000
 
 
@@ -55,20 +57,12 @@ class CapacityError(Exception):
     """A sequence index exceeded the configured capacity cap."""
 
 
-def _int_str(value: int) -> str:
-    # str() refuses ints longer than sys.get_int_max_str_digits() (4300 by
-    # default since Python 3.11); Decimal converts exactly with no limit.
-    try:
-        return str(value)
-    except ValueError:
-        return str(decimal.Decimal(value))
-
-
 def fraction_str(value: Fraction) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    if value.denominator == 1:
-        return _int_str(value.numerator)
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    # str() refuses ints longer than sys.get_int_max_str_digits() (4300 by
+    # default since Python 3.11); Decimal converts exactly with no limit.
+    num, den = (str(decimal.Decimal(v)) for v in (value.numerator, value.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -220,9 +214,8 @@ def zeta_even_exact(n: int) -> PiPower:
     zeta(2n) = 2^(2n-1) / (2n)! * ((-1)^(n-1) B_{2n}) * pi^(2n); the rational
     coefficient is strictly positive.  zeta_even_exact(1) is exactly (1/6) pi^2.
     """
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
-    coeff = Fraction(2 ** (2 * n - 1), math.factorial(2 * n)) * rectified_even_bernoulli(n)
+    # the rectified number first: it checks n before 2^(2n-1) and (2n)! are built
+    coeff = rectified_even_bernoulli(n) * Fraction(2 ** (2 * n - 1), math.factorial(2 * n))
     return PiPower(coeff, 2 * n)
 
 
@@ -234,11 +227,13 @@ def term_log_integral(n: int) -> Fraction:
 
 
 def signed_factorial_integral(k: int) -> Fraction:
-    """Exact value (-1)^k * k! of the integral of s^k * e^s over (-inf, 0].
+    """Exact value (-1)^k * k! of the integral of s^k * e^s over (-inf, 0], k <= CAPACITY.
 
     One integration by parts gives I_k = (-k) I_{k-1} with I_0 = 1.
     """
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
+    if k > CAPACITY:
+        raise CapacityError(f"index {k} exceeds the capacity cap {CAPACITY}")
     value = math.factorial(k)
     return Fraction(-value if k % 2 else value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .exact import bernoulli, fraction_str, genocchi
+from .exact import CAPACITY, CapacityError, bernoulli, fraction_str, genocchi
 
 __all__ = [
     "HALVING_VARIANTS",
@@ -304,11 +304,14 @@ def check_addition_recurrence(k: int) -> Certificate:
 
 
 def power_sum_check(k: int, n: int) -> Certificate:
-    """G_k(1) + 2 sum_{i=2..n} G_k(i) + G_k(n+1) = k sum_{i=1..n} i^(k-1)."""
+    """G_k(1) + 2 sum_{i=2..n} G_k(i) + G_k(n+1) = k sum_{i=1..n} i^(k-1),
+    for 2 <= k <= CAPACITY and 1 <= n <= CAPACITY."""
     if k < 2:
         raise ValueError(f"requires k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
+    if n > CAPACITY:
+        raise CapacityError(f"n = {n} exceeds the capacity cap {CAPACITY}")
     g = genocchi_polynomial(k)
     # integer Horner values den * G_k(i), so one Fraction is built per certificate
     scaled = g._horner(1, 1) + 2 * sum(g._horner(i, 1) for i in range(2, n + 1))

@@ -52,9 +52,10 @@ __all__ = [
 #: Tolerance of every tol-taking call that is not given one.
 DEFAULT_TOL = 1e-12
 
-#: Most terms one call may sum or sample: float series, partial sums, grids and
-#: `bisection_report`'s partial fractions (2-6 s of CPython 3.11 on a 2-vCPU
-#: Xeon).  A call that needs more raises CapacityError before summing any.
+#: Most terms one call may sum or sample: float series, partial sums, grids,
+#: `scaled_dilog_ode_residual`'s terms and a `BisectionReport`'s partial
+#: fractions (2-6 s of CPython 3.11 on a 2-vCPU Xeon).  A call that needs
+#: more raises CapacityError before summing any.
 SERIES_TERM_BUDGET = 10_000_000
 
 _PI = math.pi
@@ -141,9 +142,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
 
 
-def _check_budget(n_terms: float) -> None:
-    """The one gate on term counts; raises CapacityError past the budget."""
-    if n_terms > SERIES_TERM_BUDGET:
+def _check_count(n: int, floor: int, name: str = "n") -> None:
+    """The one gate on counts: ValueError below `floor`, CapacityError past the budget."""
+    if n < floor:
+        raise ValueError(f"need {name} >= {floor}, got {n}")
+    if n > SERIES_TERM_BUDGET:
         raise CapacityError(f"the series needs more than SERIES_TERM_BUDGET = "
                             f"{SERIES_TERM_BUDGET} terms")
 
@@ -264,18 +267,14 @@ def riemann_sum(kind: IntegralKind, n: int) -> float:
     """
     if kind not in RIEMANN_KINDS:
         raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in RIEMANN_KINDS]}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    _check_budget(n)
+    _check_count(n, 2)
     return math.fsum(_grid_values(kind, n)) / n
 
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
     """Direction of f on the sample grid k/n: +1 non-decreasing, -1
     non-increasing, 0 neither; for 3 <= n <= SERIES_TERM_BUDGET."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    _check_budget(n)
+    _check_count(n, 3)
     rising = falling = True
     for a, b in pairwise(_grid_values(kind, n)):
         rising &= b - a >= 0.0
@@ -289,9 +288,7 @@ def product_form(kind: ProductKind, n: int) -> float:
     Accumulated as sum (1/k) ln(1 -+ k/n) to dodge underflow; analytically
     identical to taking the log of the product.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    _check_budget(n)
+    _check_count(n, 2)
     if kind is ProductKind.MINUS:
         return math.fsum(
             (math.log((n - k) / n) if 2 * k > n else math.log1p(-(k / n))) / k
@@ -372,8 +369,8 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
 
 def _power_sum(q: float, denominator: Callable[[int], float], n_terms: int) -> float:
     """math.fsum of q^n / d(n) for n = 1..N, streamed, with q^n built by
-    repeated multiplication; the budget is checked before any term."""
-    _check_budget(n_terms)
+    repeated multiplication; the count is checked before any term."""
+    _check_count(n_terms, 1)
     power = 1.0
     return math.fsum((power := power * q) / denominator(n) for n in range(1, n_terms + 1))
 
@@ -458,12 +455,12 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 
     Both y and y' come from term-wise differentiation of the first
     ``n_terms`` series terms, so the residual is the truncation error of a
-    geometric tail and decays like (2|x|)^n_terms.
+    geometric tail and decays like (2|x|)^n_terms.  ``n_terms`` must lie in
+    2..SERIES_TERM_BUDGET; a larger one raises CapacityError before any term.
     """
     if not -0.5 < x < 0.5:
         raise ValueError(f"x must lie in (-1/2, 1/2), got {x}")
-    if n_terms < 2:
-        raise ValueError(f"need n_terms >= 2, got {n_terms}")
+    _check_count(n_terms, 2, "n_terms")
     s1 = 2.0  # sum 2^n x^(n-1) / n        = S', from its n = 1 term
     s2 = 0.0  # sum 2^n (n-1) x^(n-2) / n  = S''
     power = 4.0  # 2^n x^(n-2) tracked incrementally, n >= 2

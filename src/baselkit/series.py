@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .exact import CapacityError, bernoulli, fraction_str, genocchi
-from .quadrature import DEFAULT_TOL, IntegralKind, _check_budget, _power_sum, _square, integrate
+from .quadrature import DEFAULT_TOL, IntegralKind, _check_count, _power_sum, _square, integrate
 
 __all__ = [
     "EXACT_PARTIAL_CAP",
@@ -61,10 +61,9 @@ def _balanced_sum(terms: list[Fraction]) -> Fraction:
 
 def _length(n: int, exact: bool = False) -> int:
     """n, once it is a valid partial-sum length; exact sums stop at the cap."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if exact and n > EXACT_PARTIAL_CAP:
         raise CapacityError(f"exact mode capped at {EXACT_PARTIAL_CAP}; use the float view")
+    _check_count(n, 1)
     return n
 
 
@@ -92,11 +91,22 @@ def eta2_partial_float(n: int) -> float:
 @dataclass(frozen=True)
 class BisectionReport:
     """The 1/sin^2 bisection refinement at one (x, level).  Only the inputs are
-    stored: every number is computed when read, as each caller reads a few."""
+    stored, and checked on construction: every number is computed when read,
+    as each caller reads a few."""
 
     x: float
     level: int
     truncation_k: int
+
+    _JSON_KEYS = ("x", "level", "bisection_value", "exact_value", "e_n_bound",
+                  "e_n_measured", "partial_fraction_value", "truncation_k")
+
+    def __post_init__(self) -> None:
+        if not (1e-9 < self.x < math.pi - 1e-9):
+            raise ValueError(f"x must lie in (0, pi) away from the poles, got {self.x}")
+        if not 0 <= self.level <= 20:
+            raise ValueError(f"level must lie in 0..20, got {self.level}")
+        _check_count(self.truncation_k, 1, "pf_terms")
 
     @property
     def bisection_value(self) -> float:
@@ -131,36 +141,20 @@ class BisectionReport:
         return 1.0 / (x * x) + two_sided + 2.0 / (math.pi * math.pi * k_max)
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "level": self.level,
-            "bisection_value": self.bisection_value,
-            "exact_value": self.exact_value,
-            "e_n_bound": self.e_n_bound,
-            "e_n_measured": self.e_n_measured,
-            "partial_fraction_value": self.partial_fraction_value,
-            "truncation_k": self.truncation_k,
-        }
+        return {key: getattr(self, key) for key in self._JSON_KEYS}
 
 
 def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> BisectionReport:
-    """Check the arguments of a 1/sin^2(x) bisection report and return it.
+    """The 1/sin^2(x) bisection report at (x, level); the report checks its inputs.
 
     ``bisection_value`` refines 1/sin^2(x) by repeated argument halving.
     ``e_n_measured`` is the remainder of the centered 2^n-term
     partial-fraction sum, bounded by (0, 2^-n) on (0, pi/2].
     ``partial_fraction_value`` truncates the full two-sided expansion at
-    ``pf_terms`` (<= SERIES_TERM_BUDGET, checked here) and compensates the
-    tail with its integral estimate 2/(pi^2 K).  No sum runs in this call:
-    every number is computed when read.
+    ``pf_terms`` (1..SERIES_TERM_BUDGET) and compensates the tail with its
+    integral estimate 2/(pi^2 K).  No sum runs in this call: every number is
+    computed when read.
     """
-    if not (1e-9 < x < math.pi - 1e-9):
-        raise ValueError(f"x must lie in (0, pi) away from the poles, got {x}")
-    if not 0 <= level <= 20:
-        raise ValueError(f"level must lie in 0..20, got {level}")
-    if pf_terms < 1:
-        raise ValueError(f"need pf_terms >= 1, got {pf_terms}")
-    _check_budget(pf_terms)
     return BisectionReport(x, level, pf_terms)
 
 
@@ -221,10 +215,9 @@ def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> Serie
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if m_max < 1:
-        raise ValueError(f"need m_max >= 1, got {m_max}")
-    if m_max > 40:
+    if m_max > 40:  # before the gate, whose budget message would name the wrong cap
         raise CapacityError(f"m_max capped at 40, got {m_max}")
+    _check_count(m_max, 1, "m_max")
 
     if which == "bernoulli":
         terms = [bernoulli(2 * m) for m in range(1, m_max + 1)]

@@ -147,6 +147,11 @@ def _bounded(measured: float, tol: float, lhs: str, rhs: str) -> _Payload:
     return _payload(status, lhs, rhs, measured, tol)
 
 
+def _worst(errors: Iterable[float]) -> float:
+    """The largest error, or inf if any is NaN (max would keep an earlier value)."""
+    return max(math.inf if math.isnan(e) else e for e in errors)
+
+
 def _exact(ok: bool, lhs: str, rhs: str) -> _Payload:
     if ok:
         return _payload("pass", lhs, rhs, EXACT, EXACT)
@@ -169,7 +174,7 @@ def _parts_identity() -> _Payload:
 
 
 def _functional(equation, grid: tuple[float, ...], lhs: str, rhs: str) -> _Payload:
-    worst = max(equation(x, QUAD_TOL) for x in grid)
+    worst = _worst(equation(x, QUAD_TOL) for x in grid)
     return _bounded(worst, FUNCTIONAL_TOL, lhs, f"{rhs} on grid {list(grid)!r}")
 
 
@@ -180,7 +185,7 @@ def _pair(r: float, a: float, b: float) -> _Payload:
 
 def _dilog_modes() -> _Payload:
     xs = [-0.5 + i / 20 for i in range(21)]
-    worst = max(
+    worst = _worst(
         abs(scaled_dilog(x, "series", 1e-10) - scaled_dilog(x, "integral", 1e-10)) for x in xs
     )
     return _bounded(worst, 1e-9, "series mode", "integral mode on 21-point grid")
@@ -202,9 +207,9 @@ def _bisection_walk(grid: tuple[float, ...]) -> Iterator[tuple[float, int, objec
 
 def _bisection_identity() -> _Payload:
     grid = (0.3, 0.7, 1.0, 1.3, math.pi / 2, 2.0, 2.5)
-    worst = 0.0
-    for _, _, rep in _bisection_walk(grid):
-        worst = max(worst, abs(rep.bisection_value / rep.exact_value - 1.0))
+    worst = _worst(
+        abs(rep.bisection_value / rep.exact_value - 1.0) for _, _, rep in _bisection_walk(grid)
+    )
     return _bounded(
         worst,
         1e-9,

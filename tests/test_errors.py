@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from baselkit.exact import (
+    CAPACITY,
+    CapacityError,
     genocchi_from_bernoulli,
     signed_factorial_integral,
     term_log_integral,
@@ -27,7 +29,7 @@ from baselkit.quadrature import (
     sample_monotonicity,
     scaled_dilog_ode_residual,
 )
-from baselkit.series import bisection_report
+from baselkit.series import BisectionReport, bisection_report
 
 NEGATIVE_INDEX = "index must be non-negative, got -1"
 
@@ -55,6 +57,16 @@ INPUT_ERRORS = [
     (functional_eq_dilog, (1.5,), ValueError, "x must lie in [-1, 1], got 1.5"),
     (scaled_dilog_ode_residual, (0.1, 1), ValueError, "need n_terms >= 2, got 1"),
     (bisection_report, (1.0, 0, 0), ValueError, "need pf_terms >= 1, got 0"),
+    # a report built directly checks its fields as bisection_report's arguments are checked
+    (BisectionReport, (0.0, 0, 10), ValueError,
+     "x must lie in (0, pi) away from the poles, got 0.0"),
+    (BisectionReport, (1.0, 40, 5), ValueError, "level must lie in 0..20, got 40"),
+    (scaled_dilog_ode_residual, (0.1, 10**8), CapacityError,
+     "the series needs more than SERIES_TERM_BUDGET = 10000000 terms"),
+    (signed_factorial_integral, (CAPACITY + 1,), CapacityError,
+     f"index {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
+    (power_sum_check, (2, CAPACITY + 1), CapacityError,
+     f"n = {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
 ]
 
 

@@ -423,6 +423,34 @@ def test_each_fail_payload_fails_only_its_row(case, small_results, monkeypatch):
     assert {i for i in results if results[i] != small_results[i]} == {row}
 
 
+def _nan_at(bad_x):
+    """Fake whose value is NaN at the one argument ``bad_x``, and real elsewhere."""
+    return lambda real: lambda x, *rest: math.nan if x == bad_x else real(x, *rest)
+
+
+# The max-based rows, each with a NaN at a grid point after the first: row -> (name on
+# baselkit.verify, fake built from the real value).
+NAN_AFTER_FIRST = {
+    "functional_dilog_grid": ("functional_eq_dilog", _nan_at(0.5)),
+    "functional_inverse_grid": ("functional_eq_inverse", _nan_at(2.0)),
+    "dilog_modes_grid": ("scaled_dilog", _nan_at(0.25)),
+    "bisection_identity_grid": ("bisection_report", lambda real: lambda x, *rest: (
+        _Overriding(real(x, *rest), bisection_value=math.nan) if x == 2.0 else real(x, *rest)
+    )),
+}
+
+
+@pytest.mark.parametrize("row", sorted(NAN_AFTER_FIRST))
+def test_a_nan_after_the_first_grid_point_fails_only_its_row(row, small_results, monkeypatch):
+    name, fake = NAN_AFTER_FIRST[row]
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    _shrink(monkeypatch)
+    results = {r.check_id: r.to_json_dict() for r in run_suite("all")}
+    assert small_results[row]["status"] == "pass"
+    assert (results[row]["status"], results[row]["abs_err"]) == ("fail", math.inf)
+    assert {i for i in results if results[i] != small_results[i]} == {row}
+
+
 def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     # a row that bound a library function at import would miss the swap and pass
     def swapped(*args, **kwargs):
