@@ -46,10 +46,11 @@ __all__ = [
 
 #: Largest sequence index the memo tables will grow to; indices past it
 #: raise CapacityError, as do a larger `signed_factorial_integral` k and
-#: `power_sum_check` n.  Both engines take O(n^2) big-integer steps; on
+#: `power_sum_checks` n_max.  Both engines take O(n^2) big-integer steps; on
 #: CPython 3.11 and a 2-vCPU Xeon, cold B_5000 takes 15 s (peak RSS 29 MB)
 #: and cold G_5000 10 s (33 MB), both in one process 25 s (39 MB); a cold
-#: power_sum_check(CAPACITY, CAPACITY) takes 63 s (39 MB).
+#: power_sum_checks(CAPACITY, CAPACITY), which certifies all 5000 n, takes
+#: 119 s (39 MB).
 CAPACITY = 5000
 
 

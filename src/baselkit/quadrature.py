@@ -143,7 +143,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_count(n: int, floor: int, name: str = "n") -> None:
-    """The one gate on counts: ValueError below `floor`, CapacityError past the budget."""
+    """The one gate on counts: ValueError for a non-integer (NaN, 2.5, 3.0) or
+    below `floor`, CapacityError past the budget."""
+    if not isinstance(n, int):
+        raise ValueError(f"need an integer {name}, got {n!r}")
     if n < floor:
         raise ValueError(f"need {name} >= {floor}, got {n}")
     if n > SERIES_TERM_BUDGET:

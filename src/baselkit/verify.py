@@ -37,6 +37,7 @@ from .exact import (
     zeta_even_exact,
 )
 from .polynomials import (
+    _BUILT,
     HALVING_VARIANTS,
     Certificate,
     bernoulli_polynomial,
@@ -47,7 +48,7 @@ from .polynomials import (
     check_reflection,
     check_special_values,
     genocchi_polynomial,
-    power_sum_check,
+    power_sum_checks,
 )
 from .quadrature import (
     ETA2,
@@ -463,9 +464,8 @@ _REGISTRY: dict[str, Callable[[], _Payload]] = {
     ),
     "poly_power_sum_grid": lambda: _certified(
         (
-            power_sum_check(k, n)
-            for k in range(2, POWER_SUM_MAX_K + 1)
-            for n in range(1, POWER_SUM_MAX_N + 1)
+            c for k in range(2, POWER_SUM_MAX_K + 1)
+            for c in power_sum_checks(k, POWER_SUM_MAX_N)
         ),
         "telescoped power-sum identity",
         f"exact for k <= {POWER_SUM_MAX_K}, n <= {POWER_SUM_MAX_N}",
@@ -496,6 +496,8 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
     check that raises becomes a ``fail`` row with the exception type as
     ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
+    Within one call each B_n(x) and G_n(x) is built at most once, and the
+    rows share it; nothing is kept after the call returns.
     """
     if isinstance(selection, str) and selection != "all":
         selection = [selection]
@@ -508,16 +510,21 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
             raise UnknownCheckError(
                 f"unknown check ids {unknown}; valid ids: {', '.join(available_checks())}"
             )
-    results = []
-    for check_id in ids:
-        start = time.perf_counter_ns()
-        try:
-            payload = _REGISTRY[check_id]()
-        except Exception as exc:  # one crashing check is one fail row, not a lost report
-            payload = _payload("fail", type(exc).__name__, str(exc), math.inf, EXACT)
-        elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
-        results.append(CheckResult(check_id=check_id, runtime_ms=int(elapsed_ms), **payload))
-    return results
+    built = _BUILT.set({})
+    try:
+        return [_run(check_id) for check_id in ids]
+    finally:
+        _BUILT.reset(built)
+
+
+def _run(check_id: str) -> CheckResult:
+    start = time.perf_counter_ns()
+    try:
+        payload = _REGISTRY[check_id]()
+    except Exception as exc:  # one crashing check is one fail row, not a lost report
+        payload = _payload("fail", type(exc).__name__, str(exc), math.inf, EXACT)
+    elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
+    return CheckResult(check_id=check_id, runtime_ms=int(elapsed_ms), **payload)
 
 
 def report_lines(results: Sequence[CheckResult]) -> list[str]:

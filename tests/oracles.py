@@ -6,7 +6,9 @@ from the binomial recursions of their generating functions (the library
 uses integer tangent numbers and Gandhi polynomials), pi is a frozen
 60-decimal literal so that tail-bound inequalities can be certified in
 exact rational arithmetic, polynomials have a plain list-of-Fraction
-reference for the integer-backed library class, and tanh-sinh has a
+reference for the integer-backed library class, the power-sum identity is
+summed afresh at each n (the library keeps running sums over n), and
+tanh-sinh has a
 level-by-level sum that evaluates every node afresh (the library's levels
 are nested, and must give the same bits).
 """
@@ -169,6 +171,14 @@ class FractionPolynomial:
             for j in range(k + 1):
                 out[j] += c * math.comb(k, j) * a**j * b ** (k - j)
         return FractionPolynomial(out)
+
+
+def power_sum_sides(g, k: int, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of G_k(1) + 2 sum_{i=2..n} G_k(i) + G_k(n+1) = k sum_{i=1..n} i^(k-1)
+    at this one n, for any polynomial ``g`` with an exact ``evaluate``."""
+    inner = sum((g.evaluate(i) for i in range(2, n + 1)), Fraction(0))
+    lhs = g.evaluate(1) + 2 * inner + g.evaluate(n + 1)
+    return lhs, Fraction(k * sum(i ** (k - 1) for i in range(1, n + 1)))
 
 
 def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, float, bool]:

@@ -26,7 +26,7 @@ from baselkit.polynomials import (
     check_reflection,
     check_special_values,
     genocchi_polynomial,
-    power_sum_check,
+    power_sum_checks,
 )
 from baselkit.quadrature import (
     AccuracyError,
@@ -146,8 +146,7 @@ def test_criterion_6_polynomial_certificates():
         assert b2n.evaluate(Fraction(1, 2)) == Fraction(4) ** n * b2n.evaluate(Fraction(1, 4))
         assert genocchi_polynomial(2 * n).evaluate(Fraction(1, 2)) == 0
     for k in range(2, 9):
-        for n in range(1, 101):
-            assert power_sum_check(k, n).passed
+        assert all(c.passed for c in power_sum_checks(k, 100))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _passed("6 polynomial certificates")

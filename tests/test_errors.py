@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from baselkit.exact import (
@@ -18,7 +20,7 @@ from baselkit.polynomials import (
     check_construction_orderings,
     check_special_values,
     genocchi_polynomial,
-    power_sum_check,
+    power_sum_checks,
 )
 from baselkit.quadrature import (
     IntegralKind,
@@ -29,7 +31,7 @@ from baselkit.quadrature import (
     sample_monotonicity,
     scaled_dilog_ode_residual,
 )
-from baselkit.series import BisectionReport, bisection_report
+from baselkit.series import BisectionReport, bisection_report, zeta2_partial_float
 
 NEGATIVE_INDEX = "index must be non-negative, got -1"
 
@@ -47,8 +49,8 @@ INPUT_ERRORS = [
     (bernoulli_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
     (genocchi_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
     (check_construction_orderings, (-1,), ValueError, NEGATIVE_INDEX),
-    (power_sum_check, (1, 1), ValueError, "requires k >= 2, got 1"),
-    (power_sum_check, (2, 0), ValueError, "requires n >= 1, got 0"),
+    (power_sum_checks, (1, 1), ValueError, "requires k >= 2, got 1"),
+    (power_sum_checks, (2, 0), ValueError, "requires n >= 1, got 0"),
     (check_special_values, (0,), ValueError, "index must be positive, got 0"),
     (check_calculus, (0,), ValueError, "index must be positive, got 0"),
     (riemann_sum, (IntegralKind.LOG_OVER_1MT, 1), ValueError, "need n >= 2, got 1"),
@@ -65,8 +67,15 @@ INPUT_ERRORS = [
      "the series needs more than SERIES_TERM_BUDGET = 10000000 terms"),
     (signed_factorial_integral, (CAPACITY + 1,), CapacityError,
      f"index {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
-    (power_sum_check, (2, CAPACITY + 1), CapacityError,
+    (power_sum_checks, (2, CAPACITY + 1), CapacityError,
      f"n = {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
+    # a count that is no integer is refused before any work, NaN included
+    (riemann_sum, (IntegralKind.LOG1M_OVER_T, 2.5), ValueError, "need an integer n, got 2.5"),
+    (product_form, (ProductKind.PLUS, math.nan), ValueError, "need an integer n, got nan"),
+    (sample_monotonicity, (IntegralKind.LOG1M_OVER_T, 3.5), ValueError,
+     "need an integer n, got 3.5"),
+    (zeta2_partial_float, (2.5,), ValueError, "need an integer n, got 2.5"),
+    (bisection_report, (1.0, 3, math.nan), ValueError, "need an integer pf_terms, got nan"),
 ]
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import baselkit.polynomials as polynomials
-from baselkit.exact import bernoulli, genocchi
+from baselkit.exact import bernoulli, fraction_str, genocchi
 from baselkit.polynomials import (
     HALVING_VARIANTS,
     Certificate,
@@ -23,10 +23,10 @@ from baselkit.polynomials import (
     check_reflection,
     check_special_values,
     genocchi_polynomial,
-    power_sum_check,
+    power_sum_checks,
 )
 
-from oracles import FractionPolynomial
+from oracles import FractionPolynomial, power_sum_sides
 
 F = Fraction
 
@@ -241,22 +241,44 @@ class TestAdditionRecurrence:
             assert cert.passed, cert.detail
 
 
+def _power_sum_reference(g, k, n_max):
+    """The certificates of `power_sum_checks`, each n summed afresh by the oracle."""
+    out = []
+    for n in range(1, n_max + 1):
+        lhs, rhs = power_sum_sides(g, k, n)
+        detail = "" if lhs == rhs else f"lhs={fraction_str(lhs)} rhs={fraction_str(rhs)}"
+        out.append(Certificate(f"power_sum_k{k}_n{n}", lhs == rhs, detail))
+    return out
+
+
 class TestPowerSum:
     def test_hand_cases(self):
-        assert power_sum_check(2, 3).passed  # both sides 12
-        assert power_sum_check(2, 1).passed  # both sides 2
-        assert power_sum_check(5, 50).passed
+        checks = power_sum_checks(2, 3)
+        assert [c.name for c in checks] == ["power_sum_k2_n1", "power_sum_k2_n2", "power_sum_k2_n3"]
+        assert checks[0].passed  # both sides 2
+        assert checks[2].passed  # both sides 12
+        assert all(c.passed for c in power_sum_checks(5, 50))
 
     def test_grid(self):
         for k in range(2, 9):
-            for n in range(1, 101):
-                cert = power_sum_check(k, n)
-                assert cert.passed, cert.detail
+            assert power_sum_checks(k, 100) == _power_sum_reference(genocchi_polynomial(k), k, 100)
+
+    def test_corrupted_polynomial_fails_as_the_reference_does(self, monkeypatch):
+        # + (x-1)(x-2)/3 leaves n = 1 intact (it vanishes at 1 and 2) and breaks every later n
+        k, real = 5, genocchi_polynomial
+        bad = real(k) + RationalPolynomial([F(2, 3), F(-1), F(1, 3)])
+        monkeypatch.setattr(polynomials, "genocchi_polynomial",
+                            lambda n: bad if n == k else real(n))
+        got = power_sum_checks(k, 100)
+        assert got == _power_sum_reference(bad, k, 100)
+        assert got[0].passed and not any(c.passed for c in got[1:])
+        # 5 (1 + 2^4) on the right; c(3) = 2/3 more on the left
+        assert got[1] == Certificate("power_sum_k5_n2", False, "lhs=257/3 rhs=85")
 
     @given(k=st.integers(2, 10), n=st.integers(1, 150))
     @settings(max_examples=40, deadline=None)
     def test_property(self, k, n):
-        assert power_sum_check(k, n).passed
+        assert all(c.passed for c in power_sum_checks(k, n))
 
 
 class TestSpecialValues:

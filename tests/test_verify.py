@@ -5,14 +5,16 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+import baselkit.polynomials as polynomials
 import baselkit.verify as verify
 from baselkit.cli import main
-from baselkit.polynomials import Certificate
+from baselkit.polynomials import Certificate, RationalPolynomial, genocchi_polynomial
 from baselkit.quadrature import ProductKind
 from baselkit.verify import (
     CheckResult,
@@ -282,7 +284,7 @@ FAULTS = {
         None,
     ),
     "poly_power_sum_grid": (
-        "power_sum_check", lambda real: lambda k, n: _bad("poly_power_sum_grid"), None,
+        "power_sum_checks", lambda real: lambda k, n_max: [_bad("poly_power_sum_grid")], None,
     ),
     "riemann_trend_log_over_1mt": ("riemann_sum", lambda real: lambda kind, n: 0.0, None),
     **{
@@ -467,6 +469,48 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     results = run_suite("all")
     assert len(results) == 59
     assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
+
+
+def test_one_run_builds_each_polynomial_once(monkeypatch):
+    # 707 evaluations for the power-sum grid (G_k at 1..101, k = 2..8), 239 for the rest;
+    # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each
+    horner, builds = [], []
+    real_horner, real_from_ints = RationalPolynomial._horner, RationalPolynomial._from_ints
+
+    def counted_horner(self, p, q):
+        horner.append(p)
+        return real_horner(self, p, q)
+
+    def counted_from_ints(cls, num, den):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_binomial_sum":
+            builds.append((caller.f_locals["number"].__name__, caller.f_locals["n"]))
+        return real_from_ints(num, den)
+
+    monkeypatch.setattr(RationalPolynomial, "_horner", counted_horner)
+    monkeypatch.setattr(RationalPolynomial, "_from_ints", classmethod(counted_from_ints))
+    assert [r.check_id for r in run_suite("all") if r.status == "fail"] == []
+    assert len(horner) <= 1_000
+    assert len(builds) == len(set(builds)) == 122
+    # nothing is kept once the run ends, and outside a run every call builds afresh
+    assert polynomials._BUILT.get(None) is None
+    first, second = genocchi_polynomial(5), genocchi_polynomial(5)
+    assert first == second and first is not second
+
+
+def test_a_build_that_raises_costs_only_its_row(monkeypatch):
+    real, raised = polynomials.genocchi, []
+
+    def first_call_raises(n):
+        if not raised:
+            raised.append(n)
+            raise RuntimeError("injected fault")
+        return real(n)
+
+    monkeypatch.setattr(polynomials, "genocchi", first_call_raises)
+    calculus, reflection = run_suite(["poly_calculus", "poly_reflection"])
+    assert (calculus.status, calculus.lhs) == ("fail", "RuntimeError")
+    assert reflection.status == "pass"  # it builds G_1(x) again: the failed build was not kept
 
 
 def test_the_divergence_rows_name_the_series_length(monkeypatch):
