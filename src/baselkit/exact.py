@@ -44,18 +44,33 @@ __all__ = [
     "zeta_even_exact",
 ]
 
-#: Largest sequence index the memo tables will grow to; indices past it
-#: raise CapacityError, as do a larger `signed_factorial_integral` k and
-#: `power_sum_checks` n_max.  Both engines take O(n^2) big-integer steps; on
-#: CPython 3.11 and a 2-vCPU Xeon, cold B_5000 takes 15 s (peak RSS 29 MB)
-#: and cold G_5000 10 s (33 MB), both in one process 25 s (39 MB); a cold
-#: power_sum_checks(CAPACITY, CAPACITY), which certifies all 5000 n, takes
-#: 119 s (39 MB).
+#: Largest sequence index the memo tables will grow to.  A function that reads
+#: them refuses, before any work, an index whose reads would pass it: past
+#: CAPACITY // 2 where it reads index 2n (`rectified_even_*`, `zeta_even_exact`,
+#: `check_special_values`), past CAPACITY - 1 in `check_calculus`, which reads
+#: G_{n+1}, and past CAPACITY elsewhere.  Both engines take O(n^2) big-integer
+#: steps; on CPython 3.11 and a 2-vCPU Xeon, cold B_5000 takes 15 s (peak RSS
+#: 29 MB) and cold G_5000 10 s (33 MB), both in one process 25 s (39 MB); a
+#: cold power_sum_checks(CAPACITY, CAPACITY), which certifies all 5000 n,
+#: takes 119 s (39 MB).
 CAPACITY = 5000
 
 
 class CapacityError(Exception):
-    """A sequence index exceeded the configured capacity cap."""
+    """An index or count exceeded its cap."""
+
+
+def _check_index(n: int, floor: int, cap: float, name: str = "n", cap_name: str = "") -> None:
+    """The one gate on indices and counts, before any work: ValueError for a
+    non-int (bool, NaN, 2.5 and 3.0 included) or below `floor`, CapacityError
+    past `cap`, named `cap_name` in the message when it is a module constant."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"need an integer {name}, got {n!r}")
+    if n < floor:
+        raise ValueError(f"need {name} >= {floor}, got {n}")
+    if n > cap:
+        limit = f"{cap_name} = {cap}" if cap_name else cap
+        raise CapacityError(f"need {name} <= {limit}, got {n}")
 
 
 def fraction_str(value: Fraction) -> str:
@@ -97,10 +112,7 @@ class _SequenceCache:
         self._lock = threading.Lock()
 
     def get(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError(f"index must be non-negative, got {n}")
-        if n > CAPACITY:
-            raise CapacityError(f"index {n} exceeds the capacity cap {CAPACITY}")
+        _check_index(n, 0, CAPACITY, cap_name="CAPACITY")
         values = self._values
         if n < len(values):
             return values[n]
@@ -166,23 +178,20 @@ def genocchi_from_bernoulli(n: int) -> Fraction:
 
 def bernoulli_from_genocchi(n: int) -> Fraction:
     """B_n computed through the inverse relation B_n = G_n / (1 - 2^n), n >= 1."""
-    if n < 1:
-        raise ValueError("relation is undefined at n = 0 (division by 2^0 - 1)")
+    _check_index(n, 1, CAPACITY, cap_name="CAPACITY")  # 2^0 - 1 = 0 has no inverse
     return genocchi(n) / (1 - 2**n)
 
 
 def rectified_even_bernoulli(n: int) -> Fraction:
     """Sign-straightened even Bernoulli number (-1)^(n-1) B_{2n}, positive for n >= 1."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
+    _check_index(n, 1, CAPACITY // 2, cap_name="CAPACITY // 2")
     b = bernoulli(2 * n)
     return b if n % 2 == 1 else -b
 
 
 def rectified_even_genocchi(n: int) -> Fraction:
     """Sign-straightened even Genocchi number (-1)^(n-1) G_{2n} = -(2^(2n)-1) * rectified B."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
+    _check_index(n, 1, CAPACITY // 2, cap_name="CAPACITY // 2")
     g = genocchi(2 * n)
     return g if n % 2 == 1 else -g
 
@@ -195,8 +204,9 @@ class PiPower:
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.exponent < 0 or self.exponent % 2 != 0:
-            raise ValueError(f"exponent must be even and non-negative, got {self.exponent}")
+        _check_index(self.exponent, 0, math.inf, "exponent")
+        if self.exponent % 2:
+            raise ValueError(f"exponent must be even, got {self.exponent}")
 
     def to_float(self) -> float:
         """The exact product with binary64 pi, rounded once (finite at every exponent)."""
@@ -222,8 +232,7 @@ def zeta_even_exact(n: int) -> PiPower:
 
 def term_log_integral(n: int) -> Fraction:
     """Exact value -1/(n+1)^2 of the moment integral of t^n * ln(t) over [0, 1]."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+    _check_index(n, 0, math.inf)
     return Fraction(-1, (n + 1) ** 2)
 
 
@@ -232,9 +241,6 @@ def signed_factorial_integral(k: int) -> Fraction:
 
     One integration by parts gives I_k = (-k) I_{k-1} with I_0 = 1.
     """
-    if k < 0:
-        raise ValueError(f"index must be non-negative, got {k}")
-    if k > CAPACITY:
-        raise CapacityError(f"index {k} exceeds the capacity cap {CAPACITY}")
+    _check_index(k, 0, CAPACITY, "k", "CAPACITY")
     value = math.factorial(k)
     return Fraction(-value if k % 2 else value)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .exact import CAPACITY, CapacityError, bernoulli, fraction_str, genocchi
+from .exact import CAPACITY, _check_index, bernoulli, fraction_str, genocchi
 
 __all__ = [
     "HALVING_VARIANTS",
@@ -205,8 +205,7 @@ _BUILT: ContextVar[dict] = ContextVar("_BUILT")
 
 def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
     """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+    _check_index(n, 0, CAPACITY, cap_name="CAPACITY")
     built = _BUILT.get({})  # outside a run, a dict that is dropped on return
     if (number, n) not in built:  # a build that raises is not stored
         values = [number(n - k) for k in range(n + 1)]
@@ -305,9 +304,8 @@ def check_halving(n: int, variant: str) -> Certificate:
 
 
 def check_addition_recurrence(k: int) -> Certificate:
-    """G_k(x+1) + G_k(x) = k x^(k-1), exactly, for k >= 2."""
-    if k < 2:
-        raise ValueError(f"identity is stated for k >= 2, got {k}")
+    """G_k(x+1) + G_k(x) = k x^(k-1), exactly, for 2 <= k <= CAPACITY."""
+    _check_index(k, 2, CAPACITY, "k", "CAPACITY")
     g = genocchi_polynomial(k)
     lhs = g.compose_affine(1, 1) + g
     rhs = RationalPolynomial.monomial(k, k - 1)
@@ -319,12 +317,8 @@ def power_sum_checks(k: int, n_max: int) -> list[Certificate]:
     certificate per n = 1..n_max in order, for 2 <= k <= CAPACITY and
     1 <= n_max <= CAPACITY.  Both sides are running integer sums over one
     evaluation of G_k at each of 1..n_max+1."""
-    if k < 2:
-        raise ValueError(f"requires k >= 2, got {k}")
-    if n_max < 1:
-        raise ValueError(f"requires n >= 1, got {n_max}")
-    if n_max > CAPACITY:
-        raise CapacityError(f"n = {n_max} exceeds the capacity cap {CAPACITY}")
+    _check_index(k, 2, CAPACITY, "k", "CAPACITY")
+    _check_index(n_max, 1, CAPACITY, "n_max", "CAPACITY")
     g = genocchi_polynomial(k)
     den_k = g._den * k
     # inner = den * [G_k(1) + 2 sum_{i=2..n} G_k(i)] and powers = sum_{i=1..n} i^(k-1)
@@ -344,9 +338,9 @@ def power_sum_checks(k: int, n_max: int) -> list[Certificate]:
 
 
 def check_special_values(n: int) -> dict[str, Certificate]:
-    """Special-argument evaluations tied to the halving identities, for n >= 1."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
+    """Special-argument evaluations tied to the halving identities, for
+    1 <= n <= CAPACITY // 2, since they read index 2n."""
+    _check_index(n, 1, CAPACITY // 2, cap_name="CAPACITY // 2")
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     b_n = bernoulli_polynomial(n)
     b_2n = bernoulli_polynomial(2 * n)
@@ -367,13 +361,13 @@ def check_special_values(n: int) -> dict[str, Certificate]:
 
 
 def check_calculus(n: int) -> dict[str, Certificate]:
-    """Derivative and unit-interval integral relations of G_n(x), for n >= 1.
+    """Derivative and unit-interval integral relations of G_n(x), for
+    1 <= n <= CAPACITY - 1, since they read G_{n+1}.
 
     G_n'(x) = n G_{n-1}(x) and the integral of G_n over [0, 1] equals
     -2 G_{n+1} / (n+1).
     """
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
+    _check_index(n, 1, CAPACITY - 1, cap_name="CAPACITY - 1")
     g = genocchi_polynomial(n)
     derivative = _poly_certificate(
         f"derivative_n{n}", g.derivative(), genocchi_polynomial(n - 1) * n

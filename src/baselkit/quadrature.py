@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from itertools import count, pairwise
 from typing import Callable, Iterator
 
-from .exact import CapacityError
+from .exact import _check_index
 
 __all__ = [
     "DEFAULT_TOL",
@@ -143,15 +143,8 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_count(n: int, floor: int, name: str = "n") -> None:
-    """The one gate on counts: ValueError for a non-integer (NaN, 2.5, 3.0) or
-    below `floor`, CapacityError past the budget."""
-    if not isinstance(n, int):
-        raise ValueError(f"need an integer {name}, got {n!r}")
-    if n < floor:
-        raise ValueError(f"need {name} >= {floor}, got {n}")
-    if n > SERIES_TERM_BUDGET:
-        raise CapacityError(f"the series needs more than SERIES_TERM_BUDGET = "
-                            f"{SERIES_TERM_BUDGET} terms")
+    """The index gate with the term budget as its cap, read at call time."""
+    _check_index(n, floor, SERIES_TERM_BUDGET, name, "SERIES_TERM_BUDGET")
 
 
 @functools.cache

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .exact import CapacityError, bernoulli, fraction_str, genocchi
+from .exact import _check_index, bernoulli, fraction_str, genocchi
 from .quadrature import DEFAULT_TOL, IntegralKind, _check_count, _power_sum, _square, integrate
 
 __all__ = [
@@ -59,33 +59,27 @@ def _balanced_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-def _length(n: int, exact: bool = False) -> int:
-    """n, once it is a valid partial-sum length; exact sums stop at the cap."""
-    if exact and n > EXACT_PARTIAL_CAP:
-        raise CapacityError(f"exact mode capped at {EXACT_PARTIAL_CAP}; use the float view")
-    _check_count(n, 1)
-    return n
-
-
 def zeta2_partial(n: int) -> Fraction:
-    """Exact sum_{k<=n} 1/k^2; the tail satisfies 0 < zeta(2) - S_n < 1/n."""
-    return _balanced_sum([Fraction(1, k * k) for k in range(1, _length(n, exact=True) + 1)])
+    """Exact sum_{k<=n} 1/k^2, n <= EXACT_PARTIAL_CAP; 0 < zeta(2) - S_n < 1/n."""
+    _check_index(n, 1, EXACT_PARTIAL_CAP, cap_name="EXACT_PARTIAL_CAP")
+    return _balanced_sum([Fraction(1, k * k) for k in range(1, n + 1)])
 
 
 def zeta2_partial_float(n: int) -> float:
     """Float view of the same partial sum, exactly rounded, n <= SERIES_TERM_BUDGET."""
-    return _power_sum(1.0, _square, _length(n))
+    return _power_sum(1.0, _square, n)
 
 
 def eta2_partial(n: int) -> Fraction:
-    """Exact alternating sum_{k<=n} (-1)^(k-1)/k^2; |pi^2/12 - S_n| < 1/(n+1)^2."""
-    n = _length(n, exact=True)
+    """Exact alternating sum_{k<=n} (-1)^(k-1)/k^2, n <= EXACT_PARTIAL_CAP;
+    |pi^2/12 - S_n| < 1/(n+1)^2."""
+    _check_index(n, 1, EXACT_PARTIAL_CAP, cap_name="EXACT_PARTIAL_CAP")
     return _balanced_sum([Fraction(1 if k % 2 else -1, k * k) for k in range(1, n + 1)])
 
 
 def eta2_partial_float(n: int) -> float:
     """Float view of the alternating sum, exactly rounded, n <= SERIES_TERM_BUDGET."""
-    return -_power_sum(-1.0, _square, _length(n))
+    return -_power_sum(-1.0, _square, n)
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,7 @@ class BisectionReport:
     def __post_init__(self) -> None:
         if not (1e-9 < self.x < math.pi - 1e-9):
             raise ValueError(f"x must lie in (0, pi) away from the poles, got {self.x}")
-        if not 0 <= self.level <= 20:
-            raise ValueError(f"level must lie in 0..20, got {self.level}")
+        _check_index(self.level, 0, 20, "level")
         _check_count(self.truncation_k, 1, "pf_terms")
 
     @property
@@ -145,7 +138,8 @@ class BisectionReport:
 
 
 def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> BisectionReport:
-    """The 1/sin^2(x) bisection report at (x, level); the report checks its inputs.
+    """The 1/sin^2(x) bisection report at (x, level), 0 <= level <= 20; the
+    report checks its inputs.
 
     ``bisection_value`` refines 1/sin^2(x) by repeated argument halving.
     ``e_n_measured`` is the remainder of the centered 2^n-term
@@ -212,12 +206,11 @@ def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> Serie
     ``bernoulli``: terms B_{2m}, m = 1..m_max (the alternating signs of the
     rectified sequence cancel against the sign straightening).
     ``genocchi``: terms (-1)^(n-1) G_n, n = 1..m_max, zeros included.
+    ``m_max`` runs 1..40; a larger one raises CapacityError.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if m_max > 40:  # before the gate, whose budget message would name the wrong cap
-        raise CapacityError(f"m_max capped at 40, got {m_max}")
-    _check_count(m_max, 1, "m_max")
+    _check_index(m_max, 1, 40, "m_max")
 
     if which == "bernoulli":
         terms = [bernoulli(2 * m) for m in range(1, m_max + 1)]

@@ -189,7 +189,7 @@ class TestExitCodes:
     def test_usage_error_bad_value(self, capsys):
         code, _, err = run_cli(capsys, "bernoulli", "--n", "-1")
         assert code == 2
-        assert "non-negative" in err
+        assert "need n >= 0, got -1" in err
 
     def test_usage_error_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "bernoulli", "--frobnicate")

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
 from baselkit.exact import (
     CAPACITY,
     CapacityError,
+    PiPower,
+    bernoulli,
+    bernoulli_from_genocchi,
+    genocchi,
     genocchi_from_bernoulli,
     signed_factorial_integral,
     term_log_integral,
@@ -16,8 +22,10 @@ from baselkit.exact import (
 )
 from baselkit.polynomials import (
     bernoulli_polynomial,
+    check_addition_recurrence,
     check_calculus,
     check_construction_orderings,
+    check_reflection,
     check_special_values,
     genocchi_polynomial,
     power_sum_checks,
@@ -31,28 +39,38 @@ from baselkit.quadrature import (
     sample_monotonicity,
     scaled_dilog_ode_residual,
 )
-from baselkit.series import BisectionReport, bisection_report, zeta2_partial_float
+from baselkit.series import (
+    BisectionReport,
+    asymptotic_report,
+    bisection_report,
+    zeta2_partial,
+    zeta2_partial_float,
+)
 
-NEGATIVE_INDEX = "index must be non-negative, got -1"
+NEGATIVE_INDEX = "need n >= 0, got -1"
 
-# (call, arguments, error type, message).  genocchi_from_bernoulli and
+# (call, arguments, error type, message).  Every index and count goes through
+# one gate, so a message is "need an integer {name}", "need {name} >= {floor}"
+# or "need {name} <= {cap}".  genocchi_from_bernoulli, check_reflection and
 # check_construction_orderings check no index themselves: the message comes
 # from the bernoulli and genocchi_polynomial calls they make first.
 INPUT_ERRORS = [
-    (zeta_even_exact, (0,), ValueError, "index must be positive, got 0"),
+    (zeta_even_exact, (0,), ValueError, "need n >= 1, got 0"),
     (term_log_integral, (-1,), ValueError, NEGATIVE_INDEX),
-    (signed_factorial_integral, (-1,), ValueError, NEGATIVE_INDEX),
+    (signed_factorial_integral, (-1,), ValueError, "need k >= 0, got -1"),
     (genocchi_from_bernoulli, (-1,), ValueError, NEGATIVE_INDEX),
     # 2^n of so large a negative n raises OverflowError: the index check must come first
     (genocchi_from_bernoulli, (-(10**400),), ValueError,
-     f"index must be non-negative, got {-(10**400)}"),
+     f"need n >= 0, got {-(10**400)}"),
     (bernoulli_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
     (genocchi_polynomial, (-1,), ValueError, NEGATIVE_INDEX),
     (check_construction_orderings, (-1,), ValueError, NEGATIVE_INDEX),
-    (power_sum_checks, (1, 1), ValueError, "requires k >= 2, got 1"),
-    (power_sum_checks, (2, 0), ValueError, "requires n >= 1, got 0"),
-    (check_special_values, (0,), ValueError, "index must be positive, got 0"),
-    (check_calculus, (0,), ValueError, "index must be positive, got 0"),
+    (power_sum_checks, (1, 1), ValueError, "need k >= 2, got 1"),
+    (power_sum_checks, (2, 0), ValueError, "need n_max >= 1, got 0"),
+    (check_special_values, (0,), ValueError, "need n >= 1, got 0"),
+    (check_calculus, (0,), ValueError, "need n >= 1, got 0"),
+    (check_addition_recurrence, (1,), ValueError, "need k >= 2, got 1"),
+    (bernoulli_from_genocchi, (0,), ValueError, "need n >= 1, got 0"),
     (riemann_sum, (IntegralKind.LOG_OVER_1MT, 1), ValueError, "need n >= 2, got 1"),
     (sample_monotonicity, (IntegralKind.LOG_OVER_1MT, 2), ValueError, "need n >= 3, got 2"),
     (product_form, (ProductKind.MINUS, 1), ValueError, "need n >= 2, got 1"),
@@ -62,13 +80,23 @@ INPUT_ERRORS = [
     # a report built directly checks its fields as bisection_report's arguments are checked
     (BisectionReport, (0.0, 0, 10), ValueError,
      "x must lie in (0, pi) away from the poles, got 0.0"),
-    (BisectionReport, (1.0, 40, 5), ValueError, "level must lie in 0..20, got 40"),
+    (BisectionReport, (1.0, 40, 5), CapacityError, "need level <= 20, got 40"),
     (scaled_dilog_ode_residual, (0.1, 10**8), CapacityError,
-     "the series needs more than SERIES_TERM_BUDGET = 10000000 terms"),
+     "need n_terms <= SERIES_TERM_BUDGET = 10000000, got 100000000"),
     (signed_factorial_integral, (CAPACITY + 1,), CapacityError,
-     f"index {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
+     f"need k <= CAPACITY = {CAPACITY}, got {CAPACITY + 1}"),
     (power_sum_checks, (2, CAPACITY + 1), CapacityError,
-     f"n = {CAPACITY + 1} exceeds the capacity cap {CAPACITY}"),
+     f"need n_max <= CAPACITY = {CAPACITY}, got {CAPACITY + 1}"),
+    # the cap is the highest index read, so the refusal comes before the work:
+    # check_calculus(n) reads G_{n+1}, the others index 2n
+    (check_calculus, (CAPACITY,), CapacityError,
+     f"need n <= CAPACITY - 1 = {CAPACITY - 1}, got {CAPACITY}"),
+    (check_special_values, (3000,), CapacityError,
+     f"need n <= CAPACITY // 2 = {CAPACITY // 2}, got 3000"),
+    (zeta_even_exact, (CAPACITY // 2 + 1,), CapacityError,
+     f"need n <= CAPACITY // 2 = {CAPACITY // 2}, got {CAPACITY // 2 + 1}"),
+    (asymptotic_report, ("bernoulli", 41), CapacityError, "need m_max <= 40, got 41"),
+    (zeta2_partial, (10_001,), CapacityError, "need n <= EXACT_PARTIAL_CAP = 10000, got 10001"),
     # a count that is no integer is refused before any work, NaN included
     (riemann_sum, (IntegralKind.LOG1M_OVER_T, 2.5), ValueError, "need an integer n, got 2.5"),
     (product_form, (ProductKind.PLUS, math.nan), ValueError, "need an integer n, got nan"),
@@ -76,6 +104,24 @@ INPUT_ERRORS = [
      "need an integer n, got 3.5"),
     (zeta2_partial_float, (2.5,), ValueError, "need an integer n, got 2.5"),
     (bisection_report, (1.0, 3, math.nan), ValueError, "need an integer pf_terms, got nan"),
+    # an index that is no integer, bool included, is refused the same way
+    (bernoulli, (3.0,), ValueError, "need an integer n, got 3.0"),
+    (bernoulli, (math.nan,), ValueError, "need an integer n, got nan"),
+    (bernoulli, (True,), ValueError, "need an integer n, got True"),
+    (genocchi, (2.5,), ValueError, "need an integer n, got 2.5"),
+    (zeta_even_exact, (2.0,), ValueError, "need an integer n, got 2.0"),
+    (zeta_even_exact, (True,), ValueError, "need an integer n, got True"),
+    (bernoulli_polynomial, (3.0,), ValueError, "need an integer n, got 3.0"),
+    (check_reflection, (2.0,), ValueError, "need an integer n, got 2.0"),
+    (power_sum_checks, (2.0, 3), ValueError, "need an integer k, got 2.0"),
+    (power_sum_checks, (2, 3.0), ValueError, "need an integer n_max, got 3.0"),
+    (term_log_integral, (2.5,), ValueError, "need an integer n, got 2.5"),
+    (signed_factorial_integral, (2.5,), ValueError, "need an integer k, got 2.5"),
+    (bisection_report, (1.0, 2.5), ValueError, "need an integer level, got 2.5"),
+    (bisection_report, (1.0, 3, True), ValueError, "need an integer pf_terms, got True"),
+    (asymptotic_report, ("bernoulli", True), ValueError, "need an integer m_max, got True"),
+    (zeta2_partial, (20000.0,), ValueError, "need an integer n, got 20000.0"),
+    (PiPower, (Fraction(1), 2.0), ValueError, "need an integer exponent, got 2.0"),
 ]
 
 
@@ -88,3 +134,11 @@ def test_documented_input_error(call, args, error, message):
         call(*args)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call, n", [(check_calculus, CAPACITY), (check_special_values, 3000)])
+def test_an_index_past_the_cap_is_refused_before_any_work(call, n):
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        call(n)
+    assert time.perf_counter() - start < 1.0

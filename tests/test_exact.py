@@ -172,6 +172,11 @@ class TestMemoGrowth:
             bernoulli(exact.CAPACITY + 1)
         with pytest.raises(CapacityError):
             genocchi(exact.CAPACITY + 1)
+        for index in (3.0, 2.5, math.nan, True):  # refused by the same gate, before the table
+            with pytest.raises(ValueError):
+                bernoulli(index)
+            with pytest.raises(ValueError):
+                genocchi(index)
         assert cold_caches == {"B": [], "G": []}
 
     def test_threads_on_a_cold_cache_match_a_serial_run(self, cold_caches):

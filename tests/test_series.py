@@ -126,7 +126,7 @@ class TestBisectionReport:
             bisection_report(0.0, 3)
         with pytest.raises(ValueError):
             bisection_report(math.pi, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):  # the level cap, as m_max's and the term budget
             bisection_report(1.0, 21)
 
     def test_to_json_matches_eager_formula(self):
