@@ -67,10 +67,21 @@ def _check_index(n: int, floor: int, cap: float, name: str = "n", cap_name: str 
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"need an integer {name}, got {n!r}")
     if n < floor:
-        raise ValueError(f"need {name} >= {floor}, got {n}")
+        raise ValueError(f"need {name} >= {floor}, got {_int_text(n)}")
     if n > cap:
         limit = f"{cap_name} = {cap}" if cap_name else cap
-        raise CapacityError(f"need {name} <= {limit}, got {n}")
+        raise CapacityError(f"need {name} <= {limit}, got {_int_text(n)}")
+
+
+def _int_text(n: int) -> str:
+    """n in decimal up to 4000 digits, and its sign and digit count past that:
+    str() refuses an int of more than sys.get_int_max_str_digits() digits
+    (4300 by default since Python 3.11), where Decimal has no limit."""
+    exact = decimal.Decimal(n)
+    digits = exact.adjusted() + 1
+    if digits <= 4000:
+        return str(exact)
+    return f"{'a negative' if n < 0 else 'an'} integer of {digits} digits"
 
 
 def fraction_str(value: Fraction) -> str:

@@ -71,6 +71,7 @@ class RationalPolynomial:
 
     @classmethod
     def monomial(cls, coefficient: _Scalar, degree: int) -> "RationalPolynomial":
+        _check_index(degree, 0, CAPACITY, "degree", "CAPACITY")
         return cls([0] * degree + [coefficient])
 
     @property

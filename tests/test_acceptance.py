@@ -269,8 +269,10 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# the pair's integral half changed variable, and b/a past 1e6 returns values).
-SERIES_SHA256 = "2349655e0bb5f91fddc9134e9e39e9eb5e4566437b4ed9494658b9f0e0fb28fd"
+# the pair's series at r = -1 and past 10^5 terms near r = 1 came from the
+# Boole and Lerch expansions, which moved 11 pair lines, each to within
+# 0.53 * 2^-52 relative of mpmath).
+SERIES_SHA256 = "cb4c2c70e5433adb25c3ae5c6c63b593b766132dd8f641d77980b444704e85e1"
 
 
 def test_series_outputs_are_pinned():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from baselkit.polynomials import (
     check_construction_orderings,
     check_reflection,
     check_special_values,
+    RationalPolynomial,
     genocchi_polynomial,
     power_sum_checks,
 )
@@ -122,12 +124,32 @@ INPUT_ERRORS = [
     (asymptotic_report, ("bernoulli", True), ValueError, "need an integer m_max, got True"),
     (zeta2_partial, (20000.0,), ValueError, "need an integer n, got 20000.0"),
     (PiPower, (Fraction(1), 2.0), ValueError, "need an integer exponent, got 2.0"),
+    # str() refuses an int past 4300 digits (the CPython default), so an index
+    # that long is named by its digit count, and the gate's own error comes out
+    (bernoulli, (10**5000,), CapacityError,
+     "need n <= CAPACITY = 5000, got an integer of 5001 digits"),
+    (bernoulli, (-(10**5000),), ValueError, "need n >= 0, got a negative integer of 5001 digits"),
+    (genocchi_from_bernoulli, (10**4300,), CapacityError,
+     "need n <= CAPACITY = 5000, got an integer of 4301 digits"),
+    (term_log_integral, (-(10**3999),), ValueError, f"need n >= 0, got {-(10**3999)}"),  # 4000 digits
+    (RationalPolynomial.monomial, (5, -1), ValueError, "need degree >= 0, got -1"),
+    (RationalPolynomial.monomial, (1, 2.5), ValueError, "need an integer degree, got 2.5"),
+    (RationalPolynomial.monomial, (1, True), ValueError, "need an integer degree, got True"),
+    (RationalPolynomial.monomial, (1, CAPACITY + 1), CapacityError,
+     f"need degree <= CAPACITY = {CAPACITY}, got {CAPACITY + 1}"),
 ]
+
+
+def _case_id(call, args: tuple) -> str:
+    """The call's name and its argument tuple, cut to 48 characters; an int
+    is spelled out by Decimal, which has no digit limit."""
+    shown = [str(Decimal(a)) if type(a) is int else repr(a) for a in args]
+    return f"{call.__name__}({', '.join(shown)}{',' if len(args) == 1 else ''})"[:48]
 
 
 @pytest.mark.parametrize(
     "call, args, error, message", INPUT_ERRORS,
-    ids=[f"{call.__name__}{args}"[:48] for call, args, _, _ in INPUT_ERRORS],
+    ids=[_case_id(call, args) for call, args, _, _ in INPUT_ERRORS],
 )
 def test_documented_input_error(call, args, error, message):
     with pytest.raises(Exception) as caught:
