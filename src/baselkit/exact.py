@@ -96,14 +96,14 @@ _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Inverse of :func:`fraction_str`, for any number of digits."""
+    """Inverse of :func:`fraction_str`, for any number of digits; ValueError if malformed or p/0."""
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError) as exc:
         match = _RATIO.fullmatch(text.strip())
-        if match is None:
-            raise
-        num, den = (int(decimal.Decimal(part)) for part in match.groups("1"))
+        num, den = (int(decimal.Decimal(part)) for part in match.groups("1")) if match else (0, 0)
+        if den == 0:
+            raise ValueError(f"not a fraction with a nonzero denominator: {text[:50]!r}") from exc
         return Fraction(num, den)
 
 

@@ -269,16 +269,18 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# the pair's series at r = -1 and past 10^5 terms near r = 1 came from the
-# Boole and Lerch expansions, which moved 11 pair lines, each to within
-# 0.53 * 2^-52 relative of mpmath).
-SERIES_SHA256 = "cb4c2c70e5433adb25c3ae5c6c63b593b766132dd8f641d77980b444704e85e1"
+# the dilog series took q = +-1 from zeta(2) and -eta(2), and every other q
+# through Landen's or Euler's reflection to |z| <= 1/2, which moved 51 dilog
+# lines, each to within 0.91 tol of mpmath; before that the pair's Boole and
+# Lerch expansions moved 11 pair lines, each to within 0.53 * 2^-52 relative).
+SERIES_SHA256 = "540079a4ec673e81690f765f931e14352f7780f2dc8d25aed20a8b236905bf6d"
 
 
 def test_series_outputs_are_pinned():
     lines = _series_outputs(2013)
     assert len(lines) == 113
-    assert "CapacityError" in lines[40]  # q = +1 at tol 1e-15 needs 22M terms
+    assert lines[40] == "dilog 0.5 1e-15 1.6449340668482264"  # q = +1 is zeta(2) at every tol
+    assert not any("CapacityError" in line for line in lines if line.startswith("dilog"))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_SHA256
 
 

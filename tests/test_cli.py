@@ -236,11 +236,11 @@ class TestExitCodes:
         assert out == ""
         assert err == "baselkit integrate: no convergence (injected)\n"
 
-    def test_series_past_the_term_budget_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "dilog", "--x", "0.5", "--tol", "1e-15")
-        assert code == 2
-        assert out == ""
-        assert "SERIES_TERM_BUDGET" in err
+    def test_dilog_at_the_edge_exits_0_at_the_finest_tol(self, capsys):
+        # q = +1 is zeta(2); its old rule needed 22M terms here and exited 2
+        code, out, err = run_cli(capsys, "dilog", "--x", "0.5", "--tol", "1e-15", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 1.6449340668482264
 
     @pytest.mark.parametrize(
         "argv",

@@ -323,6 +323,9 @@ class TestSeriesIntegralPair:
             (1e-6, 1e-10, 1e-9, 1e-10),  # the integral half read 907.56 for 909.09
             (-0.06, 1e-10, 1e-4, 1e-10),  # a miss of 3.6e4 tol
             (0.5, 1.0, 100.0, 1e-3),  # the old peak u^100 at a coarse tol
+            # sum 8.68, levels 8.9e-15 apart: the stop asked for tol below the
+            # contract's floor and hit the level cap
+            (0.5 ** (1 / 4096), 1.0, 0.0, 1e-15),
         ],
     )
     def test_found_inputs_meet_the_lerch_reference(self, r, a, b, tol):
@@ -637,24 +640,35 @@ def _reference_geometric(q, denominator, tol, cap=math.inf):
     return None
 
 
-def _reference_alternating(denominator, n_terms):
-    terms = [(-1.0) ** n / denominator(n) for n in range(1, n_terms + 1)]
-    return math.fsum(terms) + (-1.0) ** (n_terms + 1) / (2.0 * denominator(n_terms + 1))
+def _reduced_argument(q: float) -> list[float]:
+    """The z that `scaled_dilog`'s series sums for q = 2x, by its docstring:
+    none at q = +-1, Landen's q/(q-1) for q < 0, Euler's 1-q for q > 1/2."""
+    if abs(q) == 1.0:
+        return []
+    return [q / (q - 1.0) if q < 0.0 else 1.0 - q if q > 0.5 else q]
 
 
-def test_series_kernels_match_the_documented_rules_bit_for_bit():
+def test_series_kernels_match_the_documented_rules_bit_for_bit(monkeypatch):
     rng = random.Random(2013)
     tols = (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
+    sums = []
+    power_sum = quadrature._power_sum
+
+    def recorded(z, denominator, n_terms):
+        sums.append((z, power_sum(z, denominator, n_terms)))
+        return sums[-1][1]
+
+    monkeypatch.setattr(quadrature, "_power_sum", recorded)
     for x in [0.5, -0.5, 0.4999, -0.4999] + [rng.uniform(-0.5, 0.5) for _ in range(150)]:
-        tol = rng.choice(tols[1:] if abs(x) == 0.5 else tols)
-        q = 2.0 * x
-        if q == 1.0:
-            continue  # telescoping bracket, not a kernel
-        if q == -1.0:
-            want = _reference_alternating(lambda n: n * n, math.ceil((2.0 / tol) ** (1 / 3)))
-        else:
-            want = math.fsum(_reference_geometric(q, lambda n: n * n, tol))
-        assert scaled_dilog(x, "series", tol) == want, (x, tol)
+        tol = rng.choice(tols)
+        sums.clear()
+        value = scaled_dilog(x, "series", tol)
+        assert [z for z, _ in sums] == _reduced_argument(2.0 * x), (x, tol)
+        for z, got in sums:
+            assert got == math.fsum(_reference_geometric(z, lambda n: n * n, tol)), (x, tol)
+        with mpmath.workdps(40):
+            ref = float(mpmath.polylog(2, 2 * mpmath.mpf(x)))
+        assert abs(value - ref) <= tol * max(1.0, abs(ref)), (x, tol, value, ref)
     expanded = 0
     for r in [-1.0, 0.9999, -0.9999] + [rng.uniform(-0.99, 0.99) for _ in range(150)]:
         a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
@@ -697,11 +711,11 @@ def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
 
 
 def test_series_terms_stream_into_fsum():
-    # 69k terms at x = 0.4999; a list of them would hold megabytes
+    # 200,277 and 10^6 terms; a list of either would hold megabytes
     tracemalloc.start()
     try:
-        scaled_dilog(0.4999)
-        series_integral_pair(0.9999, 1.0, 0.0, 1e-10)
+        series_integral_pair(-0.9999, 1.0, 0.0, 1e-10)
+        zeta2_partial_float(10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -754,15 +768,18 @@ _COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms", "zeta2_float",
 
 
 class TestSeriesTermBudget:
-    """Near |q| -> 1 the series kernels raise CapacityError instead of running
-    for hours.  The pair's series raises only where it still sums: r in
-    (-1, 1/2), or r in [1/2, 1) with v |mu| past _LERCH_REACH (v = 1 + b/a,
-    mu = ln r); r = -1 and the rest of [1/2, 1) take an expansion."""
+    """A series that would need more than SERIES_TERM_BUDGET terms raises
+    CapacityError before summing, instead of running for hours.  The pair's
+    series raises only where it still sums: r in (-1, 1/2), or r in [1/2, 1)
+    with v |mu| past _LERCH_REACH (v = 1 + b/a, mu = ln r); r = -1 and the
+    rest of [1/2, 1) take an expansion.  The dilog series never meets the
+    budget: q = +-1 are closed forms, and every other q is reflected to a
+    |z| <= 1/2 that takes at most 40 terms."""
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: scaled_dilog(0.4999999), lambda: series_integral_pair(-1 + 1e-9, 1.0, 0.0)],
-        ids=["dilog_40M_terms", "pair_2.4e10_terms"],
+        [lambda: series_integral_pair(-1 + 1e-9, 1.0, 0.0)],
+        ids=["pair_2.4e10_terms"],
     )
     def test_geometric_series_past_the_budget_raises(self, call):
         # the term count is found before summing, so the real budget raises at once
@@ -771,11 +788,16 @@ class TestSeriesTermBudget:
             call()
         assert time.perf_counter() - start < 1.0
 
-    def test_fixed_length_series_raise_before_summing(self):
+    @pytest.mark.parametrize("x, tol", [(0.4999999, 1e-12), (0.5, 1e-15)],
+                             ids=["dilog_40M_terms", "dilog_22M_terms"])
+    def test_dilog_edge_returns_at_once(self, x, tol):
+        # the counts are what the geometric and telescoping rules once needed
         start = time.perf_counter()
-        with pytest.raises(CapacityError):
-            scaled_dilog(0.5, tol=1e-15)  # q = +1 needs 22M terms
+        value = scaled_dilog(x, tol=tol)
         assert time.perf_counter() - start < 1.0
+        with mpmath.workdps(40):
+            ref = float(mpmath.polylog(2, 2 * mpmath.mpf(x)))
+        assert abs(value - ref) <= (tol + 2e-15) * max(1.0, abs(ref)), (value, ref)
 
     @pytest.mark.parametrize("call", _COUNTED_CALLS, ids=_COUNTED_IDS)
     def test_counted_calls_refuse_past_the_budget_at_once(self, call):
@@ -792,23 +814,18 @@ class TestSeriesTermBudget:
             call(101)
 
     def test_edge_case_inside_the_budget_still_returns(self):
-        # 69,275 terms; the numeric benchmark calls exactly this
+        # the numeric benchmark calls exactly this
         assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
 
     def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
-        need = quadrature._geometric_length(0.98, lambda n: n * n, 1e-12)
-        want = scaled_dilog(0.49)
+        need = quadrature._geometric_length(0.98, lambda n: 1.0 * n, 1e-12)
+        assert need == 1209
+        want = series_integral_pair(0.98, 1.0, 0.0)[0]
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need)
-        assert scaled_dilog(0.49) == want
+        assert series_integral_pair(0.98, 1.0, 0.0)[0] == want
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need - 1)
         with pytest.raises(CapacityError):
-            scaled_dilog(0.49)
-        n_terms = math.ceil((2.0 / 1e-12) ** (1.0 / 3.0))  # q = -1 at tol 1e-12
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", n_terms)
-        scaled_dilog(-0.5)
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", n_terms - 1)
-        with pytest.raises(CapacityError):
-            scaled_dilog(-0.5)
+            series_integral_pair(0.98, 1.0, 0.0)
 
 
 # Distance from a domain edge, log-uniform over [1e-12, 1e-1].
@@ -829,6 +846,30 @@ def _meets_tol_or_raises(call, ref: float, tol: float, errors=(CapacityError, Ac
         assert abs(value - ref) <= (tol + 2e-15) * max(1.0, abs(ref)), (value, ref)
 
 
+@given(
+    x=st.one_of(st.floats(min_value=-0.5, max_value=0.5), st.just(0.5), st.just(-0.5),
+                _NEAR.map(lambda d: 0.5 - d), _NEAR.map(lambda d: d - 0.5)),
+    tol=_TOLS,
+)
+@example(x=0.4999999, tol=1e-15)  # 4 * 10^7 terms by the geometric rule alone
+@example(x=0.5, tol=1e-15)
+@example(x=0.5 - 2.0**-54, tol=1e-15)
+@example(x=-0.5 + 2.0**-54, tol=1e-15)
+@settings(max_examples=200, deadline=None)
+def test_dilog_series_never_raises_and_sums_at_most_40_terms(x, tol):
+    counts = []
+    power_sum = quadrature._power_sum
+
+    def counted(z, denominator, n_terms):
+        counts.append(n_terms)
+        return power_sum(z, denominator, n_terms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_power_sum", counted)
+        assert math.isfinite(scaled_dilog(x, "series", tol))
+    assert len(counts) <= 1 and all(n <= 40 for n in counts), counts
+
+
 class TestDomainEdges:
     @given(
         x=st.one_of(st.just(0.5), _NEAR.map(lambda d: 0.5 - d)),
@@ -840,9 +881,12 @@ class TestDomainEdges:
     @example(x=0.5, sign=1.0, mode="series", tol=1e-3)
     @settings(max_examples=60, deadline=None)
     def test_scaled_dilog_near_half(self, x, sign, mode, tol):
+        # the series route has no term budget and must meet the bound; only
+        # the integral route may hit the level cap
         with mpmath.workdps(40):
             ref = float(mpmath.polylog(2, 2 * mpmath.mpf(sign * x)))
-        _meets_tol_or_raises(lambda: [scaled_dilog(sign * x, mode, tol)], ref, tol)
+        errors = (AccuracyError,) if mode == "integral" else ()
+        _meets_tol_or_raises(lambda: [scaled_dilog(sign * x, mode, tol)], ref, tol, errors)
 
     @given(
         r=st.one_of(st.just(-1.0), _NEAR.map(lambda d: -1.0 + d), _NEAR.map(lambda d: 1.0 - d)),
