@@ -36,6 +36,7 @@ from baselkit.quadrature import (
     IntegralKind,
     ProductKind,
     functional_eq_dilog,
+    integrate,
     product_form,
     riemann_sum,
     sample_monotonicity,
@@ -76,6 +77,14 @@ INPUT_ERRORS = [
     (riemann_sum, (IntegralKind.LOG_OVER_1MT, 1), ValueError, "need n >= 2, got 1"),
     (sample_monotonicity, (IntegralKind.LOG_OVER_1MT, 2), ValueError, "need n >= 3, got 2"),
     (product_form, (ProductKind.MINUS, 1), ValueError, "need n >= 2, got 1"),
+    # a kind that is no enum member, its string value included, is refused
+    (integrate, ("log_over_1pt",), ValueError, "kind must be an IntegralKind, got 'log_over_1pt'"),
+    (integrate, ("log1p_over_t",), ValueError, "kind must be an IntegralKind, got 'log1p_over_t'"),
+    (integrate, (ProductKind.PLUS,), ValueError,
+     "kind must be an IntegralKind, got <ProductKind.PLUS: 'plus'>"),
+    (product_form, ("minus", 10**5), ValueError, "kind must be a ProductKind, got 'minus'"),
+    (sample_monotonicity, ("log_over_1mt", 100), ValueError,
+     "kind must be an IntegralKind, got 'log_over_1mt'"),
     (functional_eq_dilog, (1.5,), ValueError, "x must lie in [-1, 1], got 1.5"),
     (scaled_dilog_ode_residual, (0.1, 1), ValueError, "need n_terms >= 2, got 1"),
     (bisection_report, (1.0, 0, 0), ValueError, "need pf_terms >= 1, got 0"),

@@ -57,8 +57,14 @@ _PAIR_RATIOS = st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=12.0)
 
 def _pair_reference(r: float, a: float, b: float) -> float:
     """sum_{n>=1} r^n / (a n + b) = (r/a) Phi(r, 1, (a+b)/a), by mpmath at 40
-    digits plus those of b/a, which mpmath's Phi(r, 1, v) loses for large v."""
-    with mpmath.workdps(40 + int(math.log10(1.0 + b / a))):
+    digits plus those of b/a, which mpmath's Phi(r, 1, v) loses for large v;
+    b/a is taken in mpmath, where it cannot overflow.  For |r| <= 1/2 the
+    series is summed instead, to 2^-150 of its first term: mpmath's Phi is
+    off there for tiny |r| (0.50137 + 0.0039j for 1/2 at r = -1e-300)."""
+    with mpmath.workdps(40 + int(mpmath.log10(1 + mpmath.mpf(b) / a))):
+        if abs(r) <= 0.5:
+            return float(mpmath.fsum(mpmath.mpf(r) ** n / (mpmath.mpf(a) * n + b)
+                                     for n in range(1, 151)))
         return float(mpmath.mpf(r) / a * mpmath.lerchphi(r, 1, (mpmath.mpf(a) + b) / a))
 
 
@@ -326,6 +332,10 @@ class TestSeriesIntegralPair:
             # sum 8.68, levels 8.9e-15 apart: the stop asked for tol below the
             # contract's floor and hit the level cap
             (0.5 ** (1 / 4096), 1.0, 0.0, 1e-15),
+            # a + b near PAIR_A_MIN and r near 1: f overflowed, and the
+            # integral half raised AccuracyError at every tol
+            (1 - 2.0**-53, 2.0863686426010246e-301, 0.0, 1e-15),
+            (1 - 1e-9, 2.0**-1000, 0.0, 1e-3),
         ],
     )
     def test_found_inputs_meet_the_lerch_reference(self, r, a, b, tol):
@@ -360,6 +370,17 @@ class TestSeriesIntegralPair:
             except (CapacityError, AccuracyError):
                 return
         assert abs(s - i) <= 2.0 * max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(s)), (s, i)
+
+    def test_a_scaled_integral_carries_its_scale_into_the_best_result(self, monkeypatch):
+        # a = 2^-1000 is integrated as 2^-600 of itself; the power of two moves no bit
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        best = []
+        for a in (1.0, 2.0**-1000):
+            with pytest.raises(AccuracyError) as caught:
+                series_integral_pair(0.9, a, 0.0, 1e-15)
+            best.append(caught.value.best)
+        assert best[1].value == best[0].value * 2.0**1000
+        assert best[1].err_estimate == best[0].err_estimate * 2.0**1000
 
     def test_smallest_decade_of_a_keeps_its_values(self):
         # both within 1 ulp of 1e300 ln 2 = 6.931471805599453e299
@@ -398,9 +419,32 @@ class TestSeriesIntegralPair:
         s, i = series_integral_pair(r, a, b, 1e-10)
         assert abs(s - i) < 1e-8
 
+    @given(
+        r=st.one_of(st.just(-1.0),
+                    st.floats(min_value=-15.0, max_value=-1.0).map(lambda e: -(1.0 - 10.0**e))),
+        a_b=st.tuples(_PAIR_AS, _PAIR_RATIOS).map(lambda t: (t[0], t[0] * t[1])),
+        tol=st.sampled_from((1e-15, 1e-12, 1e-10)),
+    )
+    # b/a overflows to inf: Boole summation raised OverflowError here
+    @example(r=-1.0, a_b=(2.0**-1000, 1e300), tol=1e-12)
+    @example(r=-1.0, a_b=(1e-300, 1.7e308), tol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    def test_r_near_minus_one_meets_the_reference_without_raising(self, r, a_b, tol):
+        # no term budget applies: a series past _PAIR_SUM_TERMS takes Euler's transform
+        a, b = a_b
+        ref = _pair_reference(r, a, b)
+        for value in series_integral_pair(r, a, b, tol):
+            assert _within_pair_contract(value, ref, tol), (value, ref)
+
 
 def _within_pair_contract(value: float, ref: float, tol: float) -> bool:
     return abs(value - ref) <= max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(ref))
+
+
+def _euler_route(r: float, a: float, b: float, tol: float) -> bool:
+    """Whether the documented rule takes the series from Euler's transform."""
+    return r == -1.0 or r < 0.0 and (
+        quadrature._geometric_length(r, lambda n: a * n + b, tol) > quadrature._PAIR_SUM_TERMS)
 
 
 def _lerch_route(r: float, a: float, b: float, tol: float) -> bool:
@@ -422,14 +466,15 @@ class _CountedPowerSum:
 
 
 class TestPairExpansions:
-    """The series half's two expansions: Boole summation with Genocchi
-    numbers at r = -1, and the Lerch expansion with Bernoulli numbers for
-    r in [1/2, 1) past the term threshold."""
+    """The series half's two expansions past the term threshold: Euler's
+    transform for r < 0 (and always at r = -1), and the Lerch expansion with
+    Bernoulli numbers for r in [1/2, 1)."""
 
     @pytest.mark.parametrize("r, a, b, tol", [
         (-1.0, 1e-6, 0.0, 1e-12),  # the midpoint rule wanted 1e9 terms here
         (-1.0, 1e-3, 0.0, 1e-12),
         (1 - 1e-9, 1.0, 0.0, 1e-12),  # the geometric rule wanted 2.4e10
+        (-1 + 1e-9, 1.0, 0.0, 1e-12),  # and 2.4e10 here, where CapacityError was raised
     ])
     def test_long_series_meet_the_lerch_reference_at_once(self, r, a, b, tol):
         ref = _pair_reference(r, a, b)
@@ -445,6 +490,8 @@ class TestPairExpansions:
         (0.9999, 2.5, 4.0, 1e-12),
         (0.99995, 0.5, 300.0, 1e-15),
         (0.5 ** (1 / 4096), 1.0, 0.0, 1e-15),
+        (-0.9999, 1.0, 0.0, 1e-10),
+        (-0.99, 1e-3, 2.0, 1e-15),
     ])
     def test_both_sides_of_the_term_threshold_meet_the_reference(self, r, a, b, tol, monkeypatch):
         ref = _pair_reference(r, a, b)
@@ -488,15 +535,25 @@ class TestPairExpansions:
         assert counted.calls == 0
         assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
 
-    @given(a=_PAIR_AS, ratio=_PAIR_RATIOS)
-    @example(a=1e-12, ratio=0.0)
-    @example(a=1.0, ratio=19.0)  # y = 20: no shift
-    @example(a=2.0**-1000, ratio=2.0**1000)  # y = 2^1000: 1/y^2 underflows to 0
+    @given(
+        r=st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=-5e-324)),
+        a=_PAIR_AS,
+        ratio=_PAIR_RATIOS,
+    )
+    @example(r=-1.0, a=1e-12, ratio=0.0)
+    @example(r=-1.0, a=1.0, ratio=19.0)
+    @example(r=-1.0, a=2.0**-1000, ratio=2.0**1000)  # v = 2^1000: the terms past 1/v underflow
     @settings(max_examples=60, deadline=None)
-    def test_boole_route_meets_the_reference(self, a, ratio):
+    def test_euler_route_meets_the_reference(self, r, a, ratio):
+        # a threshold of 0 puts every r < 0 on the transform
         b = ratio * a
-        series = quadrature._pair_series(-1.0, a, b, 1e-15)
-        assert _within_pair_contract(series, _pair_reference(-1.0, a, b), 1e-15)
+        counted = _CountedPowerSum()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_PAIR_SUM_TERMS", 0)
+            patch.setattr(quadrature, "_power_sum", counted)
+            series = quadrature._pair_series(r, a, b, 1e-15)
+        assert counted.calls == 0
+        assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
 
 
 def test_err_estimate_never_zero():
@@ -674,14 +731,14 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit(monkeypatch):
         a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
         tol = rng.choice(tols[2:] if abs(r) > 0.99 else tols)
         series = series_integral_pair(r, a, b, tol)[0]
-        if r == -1.0 or _lerch_route(r, a, b, tol):
+        if _euler_route(r, a, b, tol) or _lerch_route(r, a, b, tol):
             # an expansion: held to the contract, which is tighter than tol here
             assert _within_pair_contract(series, _pair_reference(r, a, b), 0.0), (r, a, b, tol)
             expanded += 1
         else:
             assert series == math.fsum(_reference_geometric(r, lambda n: a * n + b, tol)), (
                 r, a, b, tol)
-    assert expanded == 2  # r = -1 and r = 0.9999
+    assert expanded == 3  # r = -1, 0.9999 and -0.9999
 
 
 def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
@@ -711,10 +768,10 @@ def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
 
 
 def test_series_terms_stream_into_fsum():
-    # 200,277 and 10^6 terms; a list of either would hold megabytes
+    # 196,358 and 10^6 terms; a list of either would hold megabytes
     tracemalloc.start()
     try:
-        series_integral_pair(-0.9999, 1.0, 0.0, 1e-10)
+        series_integral_pair(0.9999, 1.0, 1e5, 1e-10)
         zeta2_partial_float(10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -770,15 +827,15 @@ _COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms", "zeta2_float",
 class TestSeriesTermBudget:
     """A series that would need more than SERIES_TERM_BUDGET terms raises
     CapacityError before summing, instead of running for hours.  The pair's
-    series raises only where it still sums: r in (-1, 1/2), or r in [1/2, 1)
-    with v |mu| past _LERCH_REACH (v = 1 + b/a, mu = ln r); r = -1 and the
-    rest of [1/2, 1) take an expansion.  The dilog series never meets the
-    budget: q = +-1 are closed forms, and every other q is reflected to a
-    |z| <= 1/2 that takes at most 40 terms."""
+    series raises only for r in [1/2, 1) with v |mu| past _LERCH_REACH
+    (v = 1 + b/a, mu = ln r): every r < 0 past _PAIR_SUM_TERMS takes Euler's
+    transform, and the rest of [1/2, 1) the Lerch expansion.  The dilog
+    series never meets the budget: q = +-1 are closed forms, and every other
+    q is reflected to a |z| <= 1/2 that takes at most 40 terms."""
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: series_integral_pair(-1 + 1e-9, 1.0, 0.0)],
+        [lambda: series_integral_pair(1 - 1e-9, 1.0, 1e10)],  # v |mu| ~ 10
         ids=["pair_2.4e10_terms"],
     )
     def test_geometric_series_past_the_budget_raises(self, call):
@@ -900,9 +957,9 @@ class TestDomainEdges:
     @example(r=-1.0, a=1e-12, ratio=0.0, tol=1e-15)
     @settings(max_examples=25, deadline=None)
     def test_series_integral_pair_near_one(self, r, a, ratio, tol):
-        # both the series and the integral value are held to the contract; at
-        # r = -1 the series takes no term count, so only the integral may raise
+        # both the series and the integral value are held to the contract; for
+        # r < 0 the series has no term budget, so only the integral may raise
         b = ratio * a
         ref = _pair_reference(r, a, b)
-        errors = (AccuracyError,) if r == -1.0 else (CapacityError, AccuracyError)
+        errors = (AccuracyError,) if r < 0.0 else (CapacityError, AccuracyError)
         _meets_tol_or_raises(lambda: series_integral_pair(r, a, b, tol), ref, tol, errors)

@@ -85,6 +85,22 @@ class TestEta2Partial:
             assert abs(PI2_12 - eta2_partial_float(n)) < 1.0 / (n + 1) ** 2
 
 
+@pytest.mark.parametrize("float_sum, exact_sum, ulps", [
+    (zeta2_partial_float, zeta2_partial, 1.33),
+    (eta2_partial_float, eta2_partial, 2.15),
+], ids=["zeta2", "eta2"])
+def test_float_partial_sums_meet_their_documented_bound(float_sum, exact_sum, ulps):
+    # each 1/k^2 is rounded before fsum, so the value is within
+    # 2^-53 sum 1/k^2 + 1/2 ulp of the exact sum, not always exactly rounded
+    # (zeta2 at n = 22 and eta2 at n = 24 are not)
+    for n in range(1, 301):
+        exact = exact_sum(n)
+        ulp = Fraction(math.ulp(float(exact)))
+        error = abs(Fraction(float_sum(n)) - exact)
+        assert error <= Fraction(2.0**-53) * zeta2_partial(n) + ulp / 2, n
+        assert error <= Fraction(ulps) * ulp, n
+
+
 class TestBisectionReport:
     def test_level_zero_at_right_angle(self):
         rep = bisection_report(math.pi / 2, 0)
