@@ -8,7 +8,9 @@ at t = 0 or t = 1 cost nothing, and the trapezoid sum converges roughly one
 binary digit per node at each level.  Integrands receive each node both as a
 distance from 0 and as a distance from 1, so values like ln(1 - t) stay
 fully accurate where t rounds to 1.0 in binary64; the endpoints themselves
-are never evaluated.
+are never evaluated.  A level ends at its first node weight below
+_WEIGHT_MIN = 2^-160 (t ~ 4.3): a dropped term, at most 2^-159 max|f| and
+added last, is below 2^-106 |I| when |f| <= 2^53 |I|, so it moves no bit.
 
 All results are binary64.  pi means the nearest binary64 to pi, so no claim
 is made below about 1e-15.
@@ -61,6 +63,7 @@ SERIES_TERM_BUDGET = 10_000_000
 _PI = math.pi
 _TOL_MIN, _TOL_MAX = 1e-15, 1e-3
 _MAX_LEVEL = 10
+_WEIGHT_MIN = 2.0**-160  # see the module docstring; the pair at r = 1 - 2^-53 has the largest |f|/|I|
 
 #: zeta(2) = pi^2/6 and eta(2) = pi^2/12 = zeta(2)/2, as the nearest binary64.
 ZETA2 = _PI * _PI / 6.0
@@ -150,24 +153,24 @@ def _check_count(n: int, floor: int, name: str = "n") -> None:
 
 
 @functools.cache
-def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
-    """(weight, q) of the nodes t = k 2^-level that `level` adds: every k >= 1
-    at level 0, odd k after it (even k are the level before's nodes, exactly,
-    since k 2^-level is).  Ends before the first node whose distance q
-    underflows to 0, near t = 6.16; q falls as t grows, so a level's new and
-    kept nodes end together."""
+def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+    """(weight, q/2, 1 - q/2) of the nodes t = k 2^-level that `level` adds:
+    every k >= 1 at level 0, odd k after it (even k are the level before's
+    nodes, exactly, since k 2^-level is); q/2 = 1/(e^(2u) + 1) is the distance
+    to the near endpoint.  Ends before the first weight below _WEIGHT_MIN =
+    2^-160, where u < 58; weights fall as t grows, so a level's new and kept
+    nodes end together, and a dropped term is below 2^-106 |I| for |f| <= 2^53 |I|."""
     h = 0.5**level
     nodes = []
     for k in count(1, 1 if level == 0 else 2):
         t = k * h
         u = 0.5 * _PI * math.sinh(t)
-        # node distance to the near endpoint: q/2 with q = 1 - tanh(u)
-        q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
-        if q == 0.0:
-            break
         sech_u = 1.0 / math.cosh(u)
-        nodes.append(((_PI / 4.0) * math.cosh(t) * sech_u * sech_u, q))
-    return tuple(nodes)
+        weight = (_PI / 4.0) * math.cosh(t) * sech_u * sech_u
+        if weight < _WEIGHT_MIN:
+            return tuple(nodes)
+        half_q = 1.0 / (math.exp(2.0 * u) + 1.0)
+        nodes.append((weight, half_q, 1.0 - half_q))
 
 
 def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResult:
@@ -177,18 +180,15 @@ def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResul
     calls f only at its new odd nodes, so ``evaluations`` counts the calls
     to f.  The terms are summed in node order from the centre at every
     level, so each level's value is that of a trapezoid sum built afresh.
+    Nodes of weight below _WEIGHT_MIN = 2^-160 are left out: for |f| <= 2^53 |I|
+    each such term, which would come last, is below 2^-106 |I| and moves no bit.
     """
     centre = (_PI / 4.0) * f(0.5, 0.5)
     evaluations = 1
     terms: list[float] = []
-    previous = None
-    value = 0.0
-    err = math.inf
+    previous, value, err = None, 0.0, math.inf
     for level in range(_MAX_LEVEL + 1):
-        new = []
-        for weight, q in _level_nodes(level):
-            half_q = 0.5 * q
-            new.append(weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q)))
+        new = [w * (f(c, s) + f(s, c)) for w, s, c in _level_nodes(level)]
         evaluations += 2 * len(new)
         if level == 0:
             terms = new
@@ -205,9 +205,8 @@ def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResul
         value = 0.5**level * total
         if previous is not None:
             err = abs(value - previous)
-            floor = abs(value) * 2.0**-52 or 5e-324
             if err <= tol * max(1.0, abs(value)):
-                return QuadResult(value, max(err, floor), evaluations)
+                return QuadResult(value, max(err, abs(value) * 2.0**-52 or 5e-324), evaluations)
         previous = value
     best = QuadResult(value, err, evaluations)
     raise AccuracyError(f"no convergence to tol={tol} within level cap {_MAX_LEVEL}", best)

@@ -10,7 +10,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from itertools import count, zip_longest
+from itertools import count
 from pathlib import Path
 
 import mpmath
@@ -276,6 +276,19 @@ class TestFunctionalEquations:
         x = 10.0**e
         lx = math.log(x)
         assert functional_eq_inverse(x, tol) <= max(tol, INVERSE_FLOOR_ULPS * 2.0**-52) * lx * lx, x
+
+    @pytest.mark.parametrize("x, tol", [
+        # 42.2 times the contract: levels 1 and 2 of h(x) agree to 1.25e-8, both 7.6e-7 off
+        pytest.param(3.5984773908353653e-66, 1.8293137418183592e-08,
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+        # 277.9 times the contract, the same way
+        pytest.param(3.287840675381471e231, 1e-12,
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+    ])
+    def test_inverse_known_misses_meet_the_contract(self, x, tol):
+        # two levels that miss the same part of a peak agree, and the kernel stops
+        lx = math.log(x)
+        assert functional_eq_inverse(x, tol) <= max(tol, INVERSE_FLOOR_ULPS * 2.0**-52) * lx * lx / 2
 
 
 class TestSeriesIntegralPair:
@@ -598,6 +611,32 @@ def test_nested_levels_give_the_bits_of_fresh_levels(cap, monkeypatch):
             assert (repr(result.value), repr(result.err_estimate)) == (repr(value), repr(err))
 
 
+def test_the_weight_floor_drops_no_bit_of_any_library_integrand(monkeypatch):
+    # every f the library integrates, drawn at its call's extremes, against
+    # the oracle's sum over every node up to the underflow of q
+    kernel, calls = quadrature._tanh_sinh_unit, []
+
+    def recorder(f, tol):
+        calls.append((f, tol, kernel(f, tol)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
+    for kind in IntegralKind:
+        integrate(kind)
+    series_integral_pair(1.0 - 2.0**-53, 1.0, 0.0)
+    for x in (0.5, -0.5):
+        scaled_dilog(x, "integral")
+    for x in (1.0, -1.0):
+        functional_eq_dilog(x)
+    for x in (1e308, 1e-307):
+        functional_eq_inverse(x)
+    assert len(calls) == 4 + 1 + 2 + 6 + 4
+    for f, tol, result in calls:
+        value, err, converged = tanh_sinh_level_by_level(f, tol, quadrature._MAX_LEVEL)
+        assert converged
+        assert (repr(result.value), repr(result.err_estimate)) == (repr(value), repr(err))
+
+
 class _Recording:
     """An integrand that records every (t, 1 - t) pair it is called with."""
 
@@ -631,33 +670,34 @@ def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
                 break
         assert converged
     assert [len(quadrature._level_nodes(level)) for level in range(11)] == [
-        6, 6, 12, 25, 49, 99, 197, 394, 789, 1577, 3155]
+        4, 4, 9, 17, 34, 69, 138, 275, 550, 1101, 2201]
 
 
-def _nodes_with_three_stops(level):
-    """The node rule with two extra stops, t > 6.2 and weight == 0: the
-    reference that shows neither fires before q == 0."""
+def _nodes_up_to_the_underflow_of_q(level):
+    """(weight, q/2, 1 - q/2) of every node `level` adds, by the rule that
+    ends only where q underflows to 0, near t = 6.16."""
     h = 0.5**level
     for k in count(1, 1 if level == 0 else 2):
-        t = k * h
-        if t > 6.2:
-            return
-        u = 0.5 * math.pi * math.sinh(t)
+        u = 0.5 * math.pi * math.sinh(k * h)
         q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
         if q == 0.0:
             return
         sech_u = 1.0 / math.cosh(u)
-        weight = (math.pi / 4.0) * math.cosh(t) * sech_u * sech_u
-        if weight == 0.0:
-            return
-        yield weight, q
+        yield (math.pi / 4.0) * math.cosh(k * h) * sech_u * sech_u, 0.5 * q, 1.0 - 0.5 * q
 
 
-def test_the_underflow_of_q_alone_ends_every_level():
-    # uncached, as level 17 has 403,832 nodes; the other two stops never came first
+def test_the_weight_floor_ends_every_level():
+    # uncached, as level 17 has 281,753 nodes
+    kept = 0
     for level in range(18):
         nodes = quadrature._level_nodes.__wrapped__(level)
-        assert all(a == b for a, b in zip_longest(nodes, _nodes_with_three_stops(level))), level
+        full = list(_nodes_up_to_the_underflow_of_q(level))
+        assert nodes == tuple(full[:len(nodes)]), level
+        assert min(weight for weight, _, _ in nodes) >= quadrature._WEIGHT_MIN
+        assert full[len(nodes)][0] < quadrature._WEIGHT_MIN
+        # the merge rule of the kernel: new node 2j-1, then kept node 2j
+        assert level == 0 or len(nodes) in (kept, kept + 1), level
+        kept += len(nodes)
 
 
 def test_importing_the_cli_builds_no_nodes():
