@@ -54,10 +54,11 @@ __all__ = [
 #: Tolerance of every tol-taking call that is not given one.
 DEFAULT_TOL = 1e-12
 
-#: Most terms one call may sum or sample: float series, partial sums, grids,
+#: Most terms one call may sum or sample: the float partial sums, grids,
 #: `scaled_dilog_ode_residual`'s terms and a `BisectionReport`'s partial
 #: fractions (2-6 s of CPython 3.11 on a 2-vCPU Xeon).  A call that needs
-#: more raises CapacityError before summing any.
+#: more raises CapacityError before summing any.  The dilog and pair series
+#: sum at most 40 and _PAIR_SUM_TERMS = 10^5 terms, so they never meet it.
 SERIES_TERM_BUDGET = 10_000_000
 
 _PI = math.pi
@@ -468,60 +469,59 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 _EULER_GAMMA = 0.5772156649015329
 
 #: The pair's series is summed up to this many terms, as the geometric rule
-#: predicts them.  Past it, r < 0 takes Euler's transform, and r in [1/2, 1)
-#: the Lerch expansion when v |mu| <= _LERCH_REACH (v = 1 + b/a, mu = ln r).
+#: predicts them.  Past it, r < 0 takes Euler's transform, and r >= 0 (then
+#: r >= 1/2: below it no valid input needs more than 1,040 terms) the
+#: Euler-Maclaurin tail from _TAIL_START.
 _PAIR_SUM_TERMS = 100_000
-
-#: Largest v |mu| the Lerch expansion takes.  Over 40 draws each with v |mu|
-#: fixed, its worst error was 1.5 * 2^-52 relative at 0.5, 2.9 at 1, 7.3 at
-#: 1.5 and 178 at 2.
-_LERCH_REACH = 1.0
+_TAIL_START = 40
 
 
-def _lerch_bracket(mu: float, v: float) -> float:
-    """Phi(e^mu, 1, v) e^(v mu) = -ln(-mu) - gamma - psi(v) - sum_{k>=1} B_k(v) mu^k / (k k!)
-    for mu < 0, v >= 1 and v |mu| <= _LERCH_REACH (Erdelyi et al., Higher
-    Transcendental Functions I, 1.11).
+def _pair_tail(mu: float, a: float, b: float) -> float:
+    """sum_{n>=N} f(n), f(x) = e^(mu x) / (a x + b), N = _TAIL_START, for mu in
+    [-ln 2, 0), by Euler-Maclaurin: int_N^inf f + f(N)/2 - sum_{k<=10} B_2k/(2k)! f^(2k-1)(N).
 
-    psi(v) = psi(w) - sum_{v <= u < w} 1/u with w = v + m >= 10, and
-    psi(w) ~ ln w - 1/(2w) - sum_{k>=1} B_2k / (2k w^2k) (A&S 6.3.18), whose
-    ln w joins -ln(-mu) as one log.  B_k(v) mu^k / k! is the convolution of
-    B_j mu^j / j! with x^i / i!, x = v mu, so no power of v is formed; 18
-    terms leave out less than 1 / (19 * 19!) at |x| = 1.
+    With y = N + b/a and x = -mu y, int_N^inf f = f(N) y e^x E1(x), and by
+    Leibniz B_2k/(2k)! f^(2k-1)(N) = f(N) B_2k/(2k) sum_{i+j=2k-1} mu^i/i! (-1/y)^j,
+    so f(N) = e^(mu N) / (a N + b) stands outside and a b/a past binary64
+    leaves y e^x E1(x) -> 1/|mu|.  Below x = 1, e^x E1(x) is e^x (-gamma - ln x
+    - sum_{k<=24} (-x)^k / (k k!)); from x = 1 up, 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))
+    evaluated backward from depth 120 (A&S 5.1.11 and the even part of 5.1.22),
+    within 0.002 * 2^-52 at x = 1.  With |mu| <= ln 2 and y >= 40, the first
+    term left out (k = 11) is below 2^-66 f(N).
     """
-    shift = max(0, math.ceil(10.0 - v))
-    w = v + shift
-    terms = [-_EULER_GAMMA, -math.log(-mu * w), 0.5 / w]
-    terms += [1.0 / (v + i) for i in range(shift)]
-    terms += [float(bernoulli(2 * k)) / (2 * k) * w ** (-2 * k) for k in range(1, 9)]
-    x = v * mu
-    mu_powers, x_powers = [1.0], [1.0]  # mu^j / j! and x^i / i!
-    for j in range(1, 19):
-        mu_powers.append(mu_powers[-1] * mu / j)
-        x_powers.append(x_powers[-1] * x / j)
-    scaled = [float(bernoulli(j)) * c for j, c in enumerate(mu_powers)]
-    for k in range(1, 19):
-        terms.append(-math.fsum(scaled[j] * x_powers[k - j] for j in range(k + 1)) / k)
-    return math.fsum(terms)
+    y = _TAIL_START + b / a
+    x = -mu * y
+    if x < 1.0:
+        powers = accumulate(range(2, 25), lambda p, k: -p * x / k, initial=-x)  # (-x)^k / k!
+        terms = [-_EULER_GAMMA, -math.log(x)] + [-p / k for k, p in enumerate(powers, 1)]
+        y_e1 = y * math.exp(x) * math.fsum(terms)
+    else:
+        t = functools.reduce(lambda t, k: k * k / (x + 2 * k + 1 - t), range(120, 0, -1), 0.0)
+        y_e1 = 1.0 / ((1.0 - t) / y - mu)  # y / (x + 1 - t)
+    mu_powers = list(accumulate(range(1, 20), lambda p, i: p * mu / i, initial=1.0))
+    inv_powers = list(accumulate(range(19), lambda p, _: -p / y, initial=1.0))
+    terms = [y_e1, 0.5]
+    for k in range(1, 11):
+        c = float(bernoulli(2 * k)) / (2 * k)
+        terms += [-c * mu_powers[i] * inv_powers[2 * k - 1 - i] for i in range(2 * k)]
+    return math.exp(mu * _TAIL_START) / (a * _TAIL_START + b) * math.fsum(terms)
 
 
 def _pair_series(r: float, a: float, b: float, tol: float) -> float:
     """The series half of `series_integral_pair`, for valid arguments."""
-    v = 1.0 + b / a
 
     def denominator(n: int) -> float:
         return a * n + b
 
     n_terms = math.inf if r == -1.0 else _geometric_length(r, denominator, tol)
-    if n_terms > _PAIR_SUM_TERMS and r < 0.0:
+    if n_terms <= _PAIR_SUM_TERMS:
+        return _power_sum(r, denominator, n_terms)
+    if r < 0.0:
+        v = 1.0 + b / a
         w = -r / (1.0 - r)  # Euler's transform, as `series_integral_pair` gives it
         terms = accumulate(range(1, 60), lambda term, k: term * w * k / (v + k), initial=1.0 / v)
         return r / (1.0 - r) / a * math.fsum(terms)
-    if n_terms > _PAIR_SUM_TERMS and r >= 0.5:
-        mu = math.log1p(r - 1.0)
-        if -v * mu <= _LERCH_REACH:
-            return r / a * math.exp(-v * mu) * _lerch_bracket(mu, v)
-    return _power_sum(r, denominator, n_terms)
+    return _power_sum(r, denominator, _TAIL_START - 1) + _pair_tail(math.log1p(r - 1.0), a, b)
 
 
 #: Smallest `a` that `series_integral_pair` takes, about 9.3e-302.  Its sum
@@ -542,26 +542,25 @@ def series_integral_pair(
     each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of the sum;
     anything else (NaN included) raises ValueError.
 
-    The series half, with v = 1 + b/a and mu = ln r, is the sum (r/a) Phi(r, 1, v):
+    The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  It is
+    summed to the geometric tail bound |r|^(N+1) / ((a(N+1)+b)(1-|r|)) <= tol
+    when that takes at most _PAIR_SUM_TERMS = 10^5 terms.  Past it:
 
-    * r = -1, or r < 0 when the geometric rule below would sum more than
-      _PAIR_SUM_TERMS = 10^5 terms: Euler's transform (Knopp, Infinite Series,
+    * r < 0, and always r = -1: Euler's transform (Knopp, Infinite Series,
       1928), r/(a(1-r)) sum_{k>=0} w^k k!/(v (v+1)...(v+k)), w = -r/(1-r) <= 1/2,
       whose positive terms fall by w or more: 60 leave out < 2^-59 of the sum.
-    * r in [1/2, 1), past the same _PAIR_SUM_TERMS and with
-      v |mu| <= _LERCH_REACH = 1: the Lerch expansion about r = 1 with
-      Bernoulli numbers (`_lerch_bracket`).
-    * otherwise: summed to the geometric tail bound
-      |r|^(N+1) / ((a(N+1)+b)(1-|r|)) <= tol.  A sum of more than
-      SERIES_TERM_BUDGET terms raises CapacityError before any is summed,
-      which only r in [1/2, 1) with v |mu| > 1 can need.
+    * r in [1/2, 1), the only other r that gets past it: the first 39 terms
+      summed, then the Euler-Maclaurin tail from n = 40 of f(x) = r^x/(ax+b),
+      with B_2k for k <= 10 from `exact` (`_pair_tail`).
 
-    Against mpmath over sweeps of a, b/a and r, Euler's transform was within
-    1.85 * 2^-52 relative (1,600 draws, 40% at r = -1) and the Lerch expansion
-    within 3 * 2^-52.  The integral half stops when two tanh-sinh levels agree
-    to max(tol, 8 * 2^-52) * max(1, |integral|), half the contract; near tol
-    1e-15 and a large |sum| the level cap can still come first, which raises
-    AccuracyError.
+    So the series never raises CapacityError.  Against mpmath over sweeps of
+    a, b/a and r, Euler's transform was within 1.85 * 2^-52 relative (1,600
+    draws, 40% at r = -1) and the tail route within 2 * 2^-52 (3,000 draws:
+    r = 1 - 10^U(-15, log10 1/2) or within 10^-3 above 1/2, a = 10^U(-6, 6),
+    b/a 0 or 10^U(-3, 15)).  The integral half stops when two tanh-sinh
+    levels agree to max(tol, 8 * 2^-52) * max(1, |integral|), half the
+    contract; near tol 1e-15 and a large |sum| the level cap can still come
+    first, which raises AccuracyError.
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")

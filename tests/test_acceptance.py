@@ -269,12 +269,13 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# Euler's transform replaced Boole summation at r = -1, which moved 6
-# "pair -1.0" lines in their last digits, each to within 0.90 * 2^-52
-# relative of mpmath; before that the dilog series took q = +-1 from zeta(2)
-# and -eta(2), and every other q through Landen's or Euler's reflection to
-# |z| <= 1/2, which moved 51 dilog lines, each to within 0.91 tol of mpmath).
-SERIES_SHA256 = "0614105df1741081b6eb72758eae9987e70c56e6f940210074bf0c04841472a6"
+# the Euler-Maclaurin tail replaced the Lerch expansion for r in [1/2, 1),
+# which moved the one line "pair 0.9998187905399166 0.002029622343290259 0.0
+# 1e-08" from 4245.054251711284 to 4245.0542517112835, 0.53 and 0.43 * 2^-52
+# relative from mpmath; before that Euler's transform replaced Boole summation
+# at r = -1, which moved 6 "pair -1.0" lines in their last digits, each to
+# within 0.90 * 2^-52 relative of mpmath).
+SERIES_SHA256 = "028e716f1dfb0da9ce2fecac939a3aba29f83aec42bb9d92261638c280f478a6"
 
 
 def test_series_outputs_are_pinned():

@@ -373,16 +373,24 @@ class TestSeriesIntegralPair:
     @example(r=0.5, a=1.0, ratio=1e6, tol=1e-10)
     @example(r=0.99, a=1.0, ratio=1e3, tol=1e-12)
     @example(r=0.5, a=1e-12, ratio=1e12, tol=1e-15)
+    @example(r=1 - 1e-9, a=1.0, ratio=1e10, tol=1e-12)  # 2.4e10 terms: CapacityError before the tail
     @settings(max_examples=60, deadline=None)
     def test_halves_agree_to_tol_or_raise(self, r, a, ratio, tol):
+        # no CapacityError at any r: the series half hands _power_sum at most
+        # _PAIR_SUM_TERMS terms, and only the integral half may raise
         b = ratio * a
+        counted = _CountedPowerSum()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
+            patch.setattr(quadrature, "_power_sum", counted)
             try:
                 s, i = series_integral_pair(r, a, b, tol)
-            except (CapacityError, AccuracyError):
-                return
-        assert abs(s - i) <= 2.0 * max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(s)), (s, i)
+            except AccuracyError:
+                s = i = None
+        assert len(counted.counts) <= 1, counted.counts
+        assert all(n <= quadrature._PAIR_SUM_TERMS for n in counted.counts), counted.counts
+        if s is not None:
+            bound = 2.0 * max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(s))
+            assert abs(s - i) <= bound, (s, i)
 
     def test_a_scaled_integral_carries_its_scale_into_the_best_result(self, monkeypatch):
         # a = 2^-1000 is integrated as 2^-600 of itself; the power of two moves no bit
@@ -411,15 +419,11 @@ class TestSeriesIntegralPair:
     @example(r=0.5, a=1e-300, b=0.0, tol=1e-12)
     @settings(max_examples=60, deadline=None)
     def test_tiny_a_returns_finite_values_or_raises(self, r, a, b, tol):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
-            try:
-                values = series_integral_pair(r, a, b, tol)
-            except CapacityError:
-                return
-            except ValueError as exc:
-                assert str(exc).startswith("a must be at least PAIR_A_MIN"), exc
-                return
+        try:
+            values = series_integral_pair(r, a, b, tol)
+        except ValueError as exc:
+            assert str(exc).startswith("a must be at least PAIR_A_MIN"), exc
+            return
         assert all(map(math.isfinite, values)), values
 
     @given(
@@ -460,34 +464,37 @@ def _euler_route(r: float, a: float, b: float, tol: float) -> bool:
         quadrature._geometric_length(r, lambda n: a * n + b, tol) > quadrature._PAIR_SUM_TERMS)
 
 
-def _lerch_route(r: float, a: float, b: float, tol: float) -> bool:
-    """Whether the documented rule takes the series from the Lerch expansion."""
-    n_terms = quadrature._geometric_length(r, lambda n: a * n + b, tol)
-    reach = -(1.0 + b / a) * math.log(r) if r >= 0.5 else math.inf
-    return n_terms > quadrature._PAIR_SUM_TERMS and reach <= quadrature._LERCH_REACH
+def _tail_route(r: float, a: float, b: float, tol: float) -> bool:
+    """Whether the documented rule adds the Euler-Maclaurin tail to the series."""
+    return r >= 0.5 and (
+        quadrature._geometric_length(r, lambda n: a * n + b, tol) > quadrature._PAIR_SUM_TERMS)
 
 
 class _CountedPowerSum:
-    """`_power_sum`, counting the calls that reach it."""
+    """`_power_sum`, recording the term count of each call that reaches it."""
 
     def __init__(self):
-        self.calls, self.real = 0, quadrature._power_sum
+        self.counts, self.real = [], quadrature._power_sum
 
-    def __call__(self, *args):
-        self.calls += 1
-        return self.real(*args)
+    def __call__(self, q, denominator, n_terms):
+        self.counts.append(n_terms)
+        return self.real(q, denominator, n_terms)
 
 
 class TestPairExpansions:
-    """The series half's two expansions past the term threshold: Euler's
-    transform for r < 0 (and always at r = -1), and the Lerch expansion with
-    Bernoulli numbers for r in [1/2, 1)."""
+    """The series half's two routes past the term threshold: Euler's
+    transform for r < 0 (and always at r = -1), and for r in [1/2, 1) the
+    first 39 terms summed plus the Euler-Maclaurin tail, with the B_2k of
+    `exact`, from n = 40."""
 
     @pytest.mark.parametrize("r, a, b, tol", [
         (-1.0, 1e-6, 0.0, 1e-12),  # the midpoint rule wanted 1e9 terms here
         (-1.0, 1e-3, 0.0, 1e-12),
         (1 - 1e-9, 1.0, 0.0, 1e-12),  # the geometric rule wanted 2.4e10
         (-1 + 1e-9, 1.0, 0.0, 1e-12),  # and 2.4e10 here, where CapacityError was raised
+        (1 - 1e-9, 1.0, 1e10, 1e-12),  # README's example: 2.4e10 and CapacityError, v |mu| ~ 10
+        (0.9999, 1.0, 1e5, 1e-10),  # a sum of 196,358 terms, 9.7e-11 off and 30 ms
+        (1 - 1e-6, 2.0**-1000, 1e8, 1e-12),  # b/a overflows; 2.3e7 terms and CapacityError
     ])
     def test_long_series_meet_the_lerch_reference_at_once(self, r, a, b, tol):
         ref = _pair_reference(r, a, b)
@@ -511,41 +518,45 @@ class TestPairExpansions:
         n_terms = quadrature._geometric_length(r, lambda n: a * n + b, tol)
         counted = _CountedPowerSum()
         monkeypatch.setattr(quadrature, "_power_sum", counted)
-        for threshold, summed in ((n_terms, 1), (n_terms - 1, 0)):
+        # past the threshold, r < 0 sums nothing and r >= 1/2 the 39 terms before the tail
+        for threshold, counts in ((n_terms, [n_terms]), (n_terms - 1, [] if r < 0.0 else [39])):
             monkeypatch.setattr(quadrature, "_PAIR_SUM_TERMS", threshold)
-            counted.calls = 0
+            counted.counts.clear()
             series = quadrature._pair_series(r, a, b, tol)
-            assert counted.calls == summed, threshold
+            assert counted.counts == counts, threshold
             assert _within_pair_contract(series, ref, tol), (threshold, series, ref)
 
-    def test_the_benchmark_case_sums_no_terms(self, monkeypatch):
+    def test_the_benchmark_case_sums_39_terms(self, monkeypatch):
         counted = _CountedPowerSum()
         monkeypatch.setattr(quadrature, "_power_sum", counted)
         series, _ = series_integral_pair(0.9999, 1.0, 0.0, 1e-10)
-        assert counted.calls == 0
+        assert counted.counts == [39]
         assert abs(series + math.log1p(-0.9999)) <= 4 * 2.0**-52 * abs(series)
 
     @given(
-        r=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
-        a=_PAIR_AS,
-        reach=st.floats(min_value=0.0, max_value=1.0),
-        tol=st.sampled_from((1e-15, 1e-12, 1e-6)),
+        r=st.one_of(st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+                    st.floats(min_value=-16.0, max_value=-0.31).map(
+                        lambda e: 1.0 - max(10.0**e, 2.0**-53))),
+        a=st.one_of(st.just(quadrature.PAIR_A_MIN), _PAIR_AS),
+        reach=st.floats(min_value=-16.0, max_value=6.0).map(lambda e: 10.0**e),
     )
-    @example(r=1 - 2.0**-53, a=1.0, reach=0.0, tol=1e-15)
-    @example(r=1 - 1e-12, a=1e-12, reach=1.0, tol=1e-15)
-    @settings(max_examples=60, deadline=None)
-    def test_lerch_route_meets_the_reference_out_to_its_reach(self, r, a, reach, tol):
-        # b is chosen so that v |mu| = reach; a threshold of 1 puts every
-        # series of more than one term on the expansion
+    @example(r=1 - 2.0**-53, a=quadrature.PAIR_A_MIN, reach=0.0)
+    @example(r=1 - 2.0**-53, a=1.0, reach=1e6)
+    @example(r=0.5, a=quadrature.PAIR_A_MIN, reach=0.0)
+    @example(r=0.5, a=1e6, reach=1e6)
+    @example(r=1 - 1e-9, a=1.0, reach=1.0 - 39e-9)  # x = v |mu| + 39 |mu| = 1
+    @example(r=1 - 1e-9, a=1.0, reach=1.0 - 40e-9)  # just below it, on the E1 series
+    @settings(max_examples=80, deadline=None)
+    def test_tail_route_meets_the_reference_at_every_reach(self, r, a, reach):
+        # b is chosen so that v |mu| = reach, where v >= 1 allows it; a threshold of 0
+        # puts every r >= 1/2 on the tail, after one sum of 39 terms
         b = a * max(0.0, reach / -math.log(r) - 1.0)
         counted = _CountedPowerSum()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_PAIR_SUM_TERMS", 1)
-            if not _lerch_route(r, a, b, tol):
-                return
+            patch.setattr(quadrature, "_PAIR_SUM_TERMS", 0)
             patch.setattr(quadrature, "_power_sum", counted)
-            series = quadrature._pair_series(r, a, b, tol)
-        assert counted.calls == 0
+            series = quadrature._pair_series(r, a, b, 1e-15)
+        assert counted.counts == [39]
         assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
 
     @given(
@@ -565,7 +576,7 @@ class TestPairExpansions:
             patch.setattr(quadrature, "_PAIR_SUM_TERMS", 0)
             patch.setattr(quadrature, "_power_sum", counted)
             series = quadrature._pair_series(r, a, b, 1e-15)
-        assert counted.calls == 0
+        assert counted.counts == []
         assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
 
 
@@ -752,16 +763,16 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit(monkeypatch):
     power_sum = quadrature._power_sum
 
     def recorded(z, denominator, n_terms):
-        sums.append((z, power_sum(z, denominator, n_terms)))
-        return sums[-1][1]
+        sums.append((z, n_terms, power_sum(z, denominator, n_terms)))
+        return sums[-1][2]
 
     monkeypatch.setattr(quadrature, "_power_sum", recorded)
     for x in [0.5, -0.5, 0.4999, -0.4999] + [rng.uniform(-0.5, 0.5) for _ in range(150)]:
         tol = rng.choice(tols)
         sums.clear()
         value = scaled_dilog(x, "series", tol)
-        assert [z for z, _ in sums] == _reduced_argument(2.0 * x), (x, tol)
-        for z, got in sums:
+        assert [z for z, _, _ in sums] == _reduced_argument(2.0 * x), (x, tol)
+        for z, _, got in sums:
             assert got == math.fsum(_reference_geometric(z, lambda n: n * n, tol)), (x, tol)
         with mpmath.workdps(40):
             ref = float(mpmath.polylog(2, 2 * mpmath.mpf(x)))
@@ -770,9 +781,12 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit(monkeypatch):
     for r in [-1.0, 0.9999, -0.9999] + [rng.uniform(-0.99, 0.99) for _ in range(150)]:
         a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
         tol = rng.choice(tols[2:] if abs(r) > 0.99 else tols)
+        sums.clear()
         series = series_integral_pair(r, a, b, tol)[0]
-        if _euler_route(r, a, b, tol) or _lerch_route(r, a, b, tol):
-            # an expansion: held to the contract, which is tighter than tol here
+        if _euler_route(r, a, b, tol) or _tail_route(r, a, b, tol):
+            # an expansion, after 39 summed terms on the tail route: held to the
+            # contract, which is tighter than tol here
+            assert [n for _, n, _ in sums] == ([39] if r > 0.0 else []), (r, a, b, tol)
             assert _within_pair_contract(series, _pair_reference(r, a, b), 0.0), (r, a, b, tol)
             expanded += 1
         else:
@@ -808,10 +822,12 @@ def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
 
 
 def test_series_terms_stream_into_fsum():
-    # 196,358 and 10^6 terms; a list of either would hold megabytes
+    # 96,756 terms (the pair's sum just below _PAIR_SUM_TERMS) and 10^6; a list
+    # of either would hold megabytes
+    assert quadrature._geometric_length(0.9998, lambda n: n + 1e5, 1e-10) == 96_756
     tracemalloc.start()
     try:
-        series_integral_pair(0.9999, 1.0, 1e5, 1e-10)
+        series_integral_pair(0.9998, 1.0, 1e5, 1e-10)
         zeta2_partial_float(10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -866,24 +882,12 @@ _COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms", "zeta2_float",
 
 class TestSeriesTermBudget:
     """A series that would need more than SERIES_TERM_BUDGET terms raises
-    CapacityError before summing, instead of running for hours.  The pair's
-    series raises only for r in [1/2, 1) with v |mu| past _LERCH_REACH
-    (v = 1 + b/a, mu = ln r): every r < 0 past _PAIR_SUM_TERMS takes Euler's
-    transform, and the rest of [1/2, 1) the Lerch expansion.  The dilog
-    series never meets the budget: q = +-1 are closed forms, and every other
-    q is reflected to a |z| <= 1/2 that takes at most 40 terms."""
-
-    @pytest.mark.parametrize(
-        "call",
-        [lambda: series_integral_pair(1 - 1e-9, 1.0, 1e10)],  # v |mu| ~ 10
-        ids=["pair_2.4e10_terms"],
-    )
-    def test_geometric_series_past_the_budget_raises(self, call):
-        # the term count is found before summing, so the real budget raises at once
-        start = time.perf_counter()
-        with pytest.raises(CapacityError):
-            call()
-        assert time.perf_counter() - start < 1.0
+    CapacityError before summing, instead of running for hours.  Neither
+    geometric series meets the budget.  The pair's series sums at most
+    _PAIR_SUM_TERMS = 10^5 terms: past that, r < 0 takes Euler's transform
+    and r in [1/2, 1) sums 39 terms and adds the Euler-Maclaurin tail.  The
+    dilog's q = +-1 are closed forms, and every other q is reflected to a
+    |z| <= 1/2 that takes at most 40 terms."""
 
     @pytest.mark.parametrize("x, tol", [(0.4999999, 1e-12), (0.5, 1e-15)],
                              ids=["dilog_40M_terms", "dilog_22M_terms"])
@@ -915,14 +919,16 @@ class TestSeriesTermBudget:
         assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
 
     def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
-        need = quadrature._geometric_length(0.98, lambda n: 1.0 * n, 1e-12)
-        assert need == 1209
-        want = series_integral_pair(0.98, 1.0, 0.0)[0]
+        # a count the geometric rule works out, not one the caller sets: the
+        # dilog series at q = 2x = 1/2, which needs no reflection
+        need = quadrature._geometric_length(0.5, quadrature._square, 1e-15)
+        assert need == 40
+        want = scaled_dilog(0.25, tol=1e-15)
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need)
-        assert series_integral_pair(0.98, 1.0, 0.0)[0] == want
+        assert scaled_dilog(0.25, tol=1e-15) == want
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need - 1)
         with pytest.raises(CapacityError):
-            series_integral_pair(0.98, 1.0, 0.0)
+            scaled_dilog(0.25, tol=1e-15)
 
 
 # Distance from a domain edge, log-uniform over [1e-12, 1e-1].
@@ -930,15 +936,13 @@ _NEAR = st.floats(min_value=-12.0, max_value=-1.0).map(lambda e: 10.0**e)
 _TOLS = st.sampled_from((1e-15, 1e-3))
 
 
-def _meets_tol_or_raises(call, ref: float, tol: float, errors=(CapacityError, AccuracyError)) -> None:
+def _meets_tol_or_raises(call, ref: float, tol: float, errors: tuple) -> None:
     """Each value is within (tol + 2e-15) * max(1, |ref|) of the mpmath value,
-    or the call raises one of `errors`; the term budget bounds the time."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadrature, "SERIES_TERM_BUDGET", 100_000)
-        try:
-            values = call()
-        except errors:
-            return
+    or the call raises one of `errors`."""
+    try:
+        values = call()
+    except errors:
+        return
     for value in values:
         assert abs(value - ref) <= (tol + 2e-15) * max(1.0, abs(ref)), (value, ref)
 
@@ -995,11 +999,11 @@ class TestDomainEdges:
     @example(r=-1.0, a=1e-6, ratio=0.0, tol=1e-3)
     @example(r=-1.0, a=1e-6, ratio=1e3, tol=1e-15)
     @example(r=-1.0, a=1e-12, ratio=0.0, tol=1e-15)
+    @example(r=1 - 1e-9, a=1.0, ratio=1e10, tol=1e-3)  # CapacityError before the tail route
     @settings(max_examples=25, deadline=None)
     def test_series_integral_pair_near_one(self, r, a, ratio, tol):
-        # both the series and the integral value are held to the contract; for
-        # r < 0 the series has no term budget, so only the integral may raise
+        # both the series and the integral value are held to the contract; the
+        # series never meets the term budget, so only the integral may raise
         b = ratio * a
         ref = _pair_reference(r, a, b)
-        errors = (AccuracyError,) if r < 0.0 else (CapacityError, AccuracyError)
-        _meets_tol_or_raises(lambda: series_integral_pair(r, a, b, tol), ref, tol, errors)
+        _meets_tol_or_raises(lambda: series_integral_pair(r, a, b, tol), ref, tol, (AccuracyError,))
