@@ -492,7 +492,7 @@ class TestPairExpansions:
         (-1.0, 1e-3, 0.0, 1e-12),
         (1 - 1e-9, 1.0, 0.0, 1e-12),  # the geometric rule wanted 2.4e10
         (-1 + 1e-9, 1.0, 0.0, 1e-12),  # and 2.4e10 here, where CapacityError was raised
-        (1 - 1e-9, 1.0, 1e10, 1e-12),  # README's example: 2.4e10 and CapacityError, v |mu| ~ 10
+        pytest.param(1 - 1e-9, 1.0, 1e10, 1e-12, id="README"),  # 2.4e10 and CapacityError, v |mu| ~ 10
         (0.9999, 1.0, 1e5, 1e-10),  # a sum of 196,358 terms, 9.7e-11 off and 30 ms
         (1 - 1e-6, 2.0**-1000, 1e8, 1e-12),  # b/a overflows; 2.3e7 terms and CapacityError
     ])
