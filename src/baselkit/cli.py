@@ -10,8 +10,8 @@ Exit codes: 0 success; 1 at least one verification check failed; 2 no
 result, with the message on stderr and nothing on stdout: a usage error
 (unknown flag, value out of domain, unknown check id, empty ``--suite``
 selection, the other ``series`` mode's flag, ``--tol`` on a partial sum),
-an exact index past the capacity, a grid, partial sum or ``--pf-terms``
-past ``SERIES_TERM_BUDGET`` terms (refused before any is summed), an
+an exact index past the capacity, a grid or ``--pf-terms`` past
+``SERIES_TERM_BUDGET`` terms (refused before any is summed), an
 ``AccuracyError`` at the quadrature level cap, or an unwritable ``--out``.
 
 The default tolerance is ``DEFAULT_TOL``; where a tolerance is read, the

@@ -99,6 +99,8 @@ class RationalPolynomial:
 
     def _combine(self, other: "RationalPolynomial", sign: int) -> "RationalPolynomial":
         # self + sign * other over the lcm of the two denominators
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         den = math.lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         a, b = self._num, other._num
@@ -122,6 +124,8 @@ class RationalPolynomial:
             return RationalPolynomial._from_ints(
                 [n * s.numerator for n in self._num], self._den * s.denominator
             )
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         a, b = self._num, other._num
         out = [0] * (len(a) + len(b))
         for i, x in enumerate(a):

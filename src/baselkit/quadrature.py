@@ -54,11 +54,10 @@ __all__ = [
 #: Tolerance of every tol-taking call that is not given one.
 DEFAULT_TOL = 1e-12
 
-#: Most terms one call may sum or sample: the float partial sums, grids,
-#: `scaled_dilog_ode_residual`'s terms and a `BisectionReport`'s partial
-#: fractions (2-6 s of CPython 3.11 on a 2-vCPU Xeon).  A call that needs
-#: more raises CapacityError before summing any.  The dilog and pair series
-#: sum at most 40 and _PAIR_SUM_TERMS = 10^5 terms, so they never meet it.
+#: Most terms a grid, `scaled_dilog_ode_residual` or a `BisectionReport`'s partial
+#: fractions may sum or sample (2-6 s of CPython 3.11 on a 2-vCPU Xeon); more raises
+#: CapacityError before any is summed.  No convergent series meets it: the float zeta(2)
+#: and eta(2) sums take closed tails past it, and the dilog and pair sum <= 10^5 terms.
 SERIES_TERM_BUDGET = 10_000_000
 
 _PI = math.pi
@@ -344,16 +343,15 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     its weight is 2 max(L, 1)^2.
 
     Takes every x with x and 1/x positive and finite; anything else (NaN
-    included) raises ValueError.  The residual is then about
-    max(tol, 8 * 2^-52) * (ln x)^2 / 2: over 10^5 log-uniform x in
-    [1e-307, 1.7e308] the worst was 7.2 * 2^-52 at tol 1e-12, 0.35 tol at
-    tol 1e-3 and 1.5 tol at tol 1e-6.  The kernel stops when two levels
-    agree, which two levels that both miss part of a peak can do, and the
-    residual then shows the miss: over 10^5 random (x, tol) with tol in
-    [1e-12, 1e-3], 13 residuals exceeded tol, the worst by 42 times, and
-    x = 3.287840675381471e231 at tol 1e-12 gives 278 tol (no other of
-    4 * 10^5 log-uniform x exceeded tol there).  Near tol 1e-15 the level
-    cap can come first, which raises AccuracyError.
+    included) raises ValueError.  A miss is a residual above
+    max(tol, 8 * 2^-52) * (ln x)^2 / 2.  Over 10^5 log-uniform x in [1e-307, 1.7e308]
+    (seed 7) the worst residual was 7.2 * 2^-52, 1.5 tol and 0.35 tol times (ln x)^2 / 2
+    at tol 1e-12, 1e-6 (22 misses) and 1e-3.  The kernel stops when two levels agree,
+    which two levels that both miss part of a peak can do: of 10^5 log-uniform draws of
+    x in [1e-307, 1e308] and tol in [1e-12, 1e-3], 29 missed, the worst by 112.5 times
+    at (4.0242598639250284e-22, 1.2943264646999796e-08); at tol 1e-12, 1 of 4 * 10^5 x
+    missed, 2.3829078157115738e59 by 449 times, and 3.287840675381471e231 misses by 278
+    times.  Near tol 1e-15 the level cap can come first, which raises AccuracyError.
     """
     if not (0.0 < x < math.inf and 1.0 / x < math.inf):
         raise ValueError(f"x and 1/x must be positive and finite, got {x}")

@@ -16,7 +16,7 @@ import baselkit.cli as cli
 from baselkit import exact
 from baselkit.cli import main
 from baselkit.exact import bernoulli, fraction_str, genocchi, parse_fraction, zeta_even_exact
-from baselkit.quadrature import AccuracyError, IntegralKind, QuadResult, integrate
+from baselkit.quadrature import ETA2, ZETA2, AccuracyError, IntegralKind, QuadResult, integrate
 from baselkit.series import bisection_report
 
 
@@ -245,9 +245,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [("riemann", "--kind", "log_over_1mt", "--n", str(10**12)),
-         ("mei", "--x", "1", "--level", "0", "--pf-terms", str(10**12)),
-         ("series", "--which", "zeta2", "--n", str(10**12))],
-        ids=["riemann", "mei_pf_terms", "zeta2_float"],
+         ("mei", "--x", "1", "--level", "0", "--pf-terms", str(10**12))],
+        ids=["riemann", "mei_pf_terms"],
     )
     def test_term_counts_past_the_budget_exit_2_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -256,6 +255,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "SERIES_TERM_BUDGET" in err
+
+    @pytest.mark.parametrize("which", ["zeta2", "eta2"])
+    def test_partial_sums_past_the_budget_exit_0_at_once(self, capsys, which):
+        # 10^12 terms from the closed tail; no exact value past EXACT_PARTIAL_CAP.
+        # The float gap is within an ulp of the tail bound, 1/n for zeta(2)
+        # and 1/(n+1)^2 for eta(2)
+        n = 10**12
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "series", "--which", which, "--n", str(n), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert list(record) == ["which", "n", "value_float"]
+        limit, bound = (ZETA2, 1 / n) if which == "zeta2" else (ETA2, 1 / (n + 1) ** 2)
+        gap = limit - record["value_float"]
+        assert 0.0 <= gap < bound + math.ulp(limit)
 
     def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -51,6 +52,7 @@ from baselkit.series import (
 )
 
 NEGATIVE_INDEX = "need n >= 0, got -1"
+X = RationalPolynomial([0, 1])
 
 # (call, arguments, error type, message).  Every index and count goes through
 # one gate, so a message is "need an integer {name}", "need {name} >= {floor}"
@@ -146,6 +148,16 @@ INPUT_ERRORS = [
     (RationalPolynomial.monomial, (1, True), ValueError, "need an integer degree, got True"),
     (RationalPolynomial.monomial, (1, CAPACITY + 1), CapacityError,
      f"need degree <= CAPACITY = {CAPACITY}, got {CAPACITY + 1}"),
+    # an operand that is no polynomial (nor an int or Fraction factor) gets
+    # Python's TypeError from NotImplemented, not an AttributeError
+    (operator.add, (X, 1), TypeError,
+     "unsupported operand type(s) for +: 'RationalPolynomial' and 'int'"),
+    (operator.sub, (X, 1), TypeError,
+     "unsupported operand type(s) for -: 'RationalPolynomial' and 'int'"),
+    (operator.mul, (X, 0.5), TypeError,
+     "unsupported operand type(s) for *: 'RationalPolynomial' and 'float'"),
+    (operator.mul, (0.5, X), TypeError,
+     "unsupported operand type(s) for *: 'float' and 'RationalPolynomial'"),
 ]
 
 

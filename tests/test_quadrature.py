@@ -271,8 +271,8 @@ class TestFunctionalEquations:
         # twice the documented bound: the kernel stops when two levels agree,
         # and over 10^5 log-uniform x at tol 1e-6, 22 residuals exceeded tol,
         # the worst by 1.5 times.  Rarer level pairs that agree while both
-        # miss give more (278 tol at x = 3.287840675381471e231, tol 1e-12;
-        # none other in 4 * 10^5 x at that tol), see the docstring.
+        # miss give more (449 tol at x = 2.3829078157115738e59 and 278 tol at
+        # x = 3.287840675381471e231, both at tol 1e-12), see the docstring.
         x = 10.0**e
         lx = math.log(x)
         assert functional_eq_inverse(x, tol) <= max(tol, INVERSE_FLOOR_ULPS * 2.0**-52) * lx * lx, x
@@ -283,6 +283,12 @@ class TestFunctionalEquations:
                      marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
         # 277.9 times the contract, the same way
         pytest.param(3.287840675381471e231, 1e-12,
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+        # 112.5 times: the worst of the 10^5 (x, tol) draws in the docstring
+        pytest.param(4.0242598639250284e-22, 1.2943264646999796e-08,
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+        # 449.4 times: the one miss of 4 * 10^5 log-uniform x at tol 1e-12
+        pytest.param(2.3829078157115738e59, 1e-12,
                      marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
     ])
     def test_inverse_known_misses_meet_the_contract(self, x, tol):
@@ -874,20 +880,20 @@ _COUNTED_CALLS = [
     lambda n: product_form(ProductKind.PLUS, n),
     lambda n: sample_monotonicity(IntegralKind.LOG_OVER_1PT, n),
     lambda n: bisection_report(1.0, 0, n).partial_fraction_value,
-    zeta2_partial_float,
-    eta2_partial_float,
 ]
-_COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms", "zeta2_float", "eta2_float"]
+_COUNTED_IDS = ["riemann", "product", "monotonicity", "pf_terms"]
 
 
 class TestSeriesTermBudget:
-    """A series that would need more than SERIES_TERM_BUDGET terms raises
-    CapacityError before summing, instead of running for hours.  Neither
-    geometric series meets the budget.  The pair's series sums at most
-    _PAIR_SUM_TERMS = 10^5 terms: past that, r < 0 takes Euler's transform
-    and r in [1/2, 1) sums 39 terms and adds the Euler-Maclaurin tail.  The
-    dilog's q = +-1 are closed forms, and every other q is reflected to a
-    |z| <= 1/2 that takes at most 40 terms."""
+    """A grid or a count the caller sets that is larger than SERIES_TERM_BUDGET
+    raises CapacityError before summing, instead of running for hours.  No
+    convergent series meets the budget.  The float partial sums of zeta(2)
+    and eta(2) sum up to the budget and take their Euler-Maclaurin and Boole
+    tails past it.  The pair's series sums at most _PAIR_SUM_TERMS = 10^5
+    terms: past that, r < 0 takes Euler's transform and r in [1/2, 1) sums
+    39 terms and adds the Euler-Maclaurin tail.  The dilog's q = +-1 are
+    closed forms, and every other q is reflected to a |z| <= 1/2 that takes
+    at most 40 terms."""
 
     @pytest.mark.parametrize("x, tol", [(0.4999999, 1e-12), (0.5, 1e-15)],
                              ids=["dilog_40M_terms", "dilog_22M_terms"])
@@ -913,6 +919,15 @@ class TestSeriesTermBudget:
         call(100)
         with pytest.raises(CapacityError):
             call(101)
+
+    @pytest.mark.parametrize("call, limit", [(zeta2_partial_float, PI2_6), (eta2_partial_float, PI2_12)],
+                             ids=["zeta2_float", "eta2_float"])
+    def test_float_partial_sums_past_the_budget_return_at_once(self, call, limit):
+        # 10^12 terms, and an n past binary64's range, from the closed tails
+        start = time.perf_counter()
+        assert abs(limit - call(10**12)) < 1e-12 + math.ulp(limit)
+        assert call(10**5000) == limit
+        assert time.perf_counter() - start < 1.0
 
     def test_edge_case_inside_the_budget_still_returns(self):
         # the numeric benchmark calls exactly this

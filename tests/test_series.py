@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import fields
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from baselkit import quadrature
 from baselkit.exact import CapacityError
 from baselkit.series import (
     BisectionReport,
@@ -46,6 +49,14 @@ class TestZeta2Partial:
         for n in (10, 100, 1000, 10000):
             gap = PI2_6 - zeta2_partial_float(n)
             assert 0.0 < gap < 1.0 / n
+        # past the budget the float is within 0.64 ulp of the sum, and ZETA2
+        # 0.14 ulp below zeta(2), so the gap is within an ulp of (0, 1/n):
+        # 1/n + 0.40 ulp at n = 10^12.  From about 10^16 on the float is
+        # ZETA2, a gap of 0.
+        for n in (10**7 + 1, 10**8, 10**12, 10**16, 10**30):
+            gap = PI2_6 - zeta2_partial_float(n)
+            assert 0.0 <= gap < 1 / n + math.ulp(PI2_6), n
+        assert zeta2_partial_float(10**17) == PI2_6
 
     def test_float_matches_exact(self):
         assert zeta2_partial_float(500) == pytest.approx(float(zeta2_partial(500)), abs=1e-15)
@@ -83,6 +94,9 @@ class TestEta2Partial:
     def test_float_bound(self):
         for n in (10, 100, 1000):
             assert abs(PI2_12 - eta2_partial_float(n)) < 1.0 / (n + 1) ** 2
+        # past the budget, within an ulp of the bound, as for zeta(2)
+        for n in (10**7 + 1, 10**8, 10**12, 10**30):
+            assert abs(PI2_12 - eta2_partial_float(n)) < 1 / (n + 1) ** 2 + math.ulp(PI2_12), n
 
 
 @pytest.mark.parametrize("float_sum, exact_sum, ulps", [
@@ -99,6 +113,47 @@ def test_float_partial_sums_meet_their_documented_bound(float_sum, exact_sum, ul
         error = abs(Fraction(float_sum(n)) - exact)
         assert error <= Fraction(2.0**-53) * zeta2_partial(n) + ulp / 2, n
         assert error <= Fraction(ulps) * ulp, n
+
+
+@pytest.mark.parametrize("float_sum, exact_sum, ulps", [
+    (zeta2_partial_float, zeta2_partial, 1.33),
+    (eta2_partial_float, eta2_partial, 2.15),
+], ids=["zeta2", "eta2"])
+def test_float_partial_sums_past_the_budget_meet_the_exact_sums(float_sum, exact_sum, ulps,
+                                                                monkeypatch):
+    # with the budget at 10^3 the closed tails start where the exact sums
+    # still reach; n = 10^3 keeps the fsum's bits, and past it a sum of
+    # more than 10^3 terms would raise CapacityError
+    summed = float_sum(1000)
+    monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 1000)
+    assert float_sum(1000) == summed
+    for n in [1001, 1002, 1003, 2048, 4999, 10_000] + random.Random(3).sample(range(1004, 10_000), 6):
+        exact = exact_sum(n)
+        ulp = Fraction(math.ulp(float(exact)))
+        assert abs(Fraction(float_sum(n)) - exact) <= Fraction(ulps) * ulp, n
+
+
+def _mp_partial_sums(n: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """sum_{k<=n} 1/k^2 and sum_{k<=n} (-1)^(k-1)/k^2 at 60 digits, as zeta(2)
+    and eta(2) less their tails: zeta(2, n+1), and (-1)^n times
+    sum_{k>=0} (-1)^k/(m+k)^2 = (zeta(2, m/2) - zeta(2, (m+1)/2))/4, m = n+1."""
+    with mpmath.workdps(60):
+        m = mpmath.mpf(n) + 1
+        alternating = (mpmath.zeta(2, m / 2) - mpmath.zeta(2, (m + 1) / 2)) / 4
+        return (mpmath.zeta(2) - mpmath.zeta(2, m),
+                mpmath.pi**2 / 12 - (alternating if n % 2 == 0 else -alternating))
+
+
+@given(n=st.floats(min_value=7.0, max_value=30.0).map(lambda e: int(10.0**e) + 1))
+@example(n=10**7 + 1)  # the first n past SERIES_TERM_BUDGET
+@example(n=2**53)
+@example(n=10**5000)  # past binary64's range: 1/n rounds to 0
+@settings(max_examples=200, deadline=None)
+def test_float_partial_sums_past_the_budget_meet_their_documented_bound(n):
+    zeta_ref, eta_ref = _mp_partial_sums(n)
+    for value, ref, ulps in ((zeta2_partial_float(n), zeta_ref, 1.33),
+                             (eta2_partial_float(n), eta_ref, 2.15)):
+        assert abs(value - ref) <= ulps * math.ulp(float(ref)), (n, value)
 
 
 class TestBisectionReport:
