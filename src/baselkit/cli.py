@@ -21,13 +21,11 @@ The default tolerance is ``DEFAULT_TOL``; where a tolerance is read, the
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import tempfile
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .exact import CapacityError, bernoulli, fraction_str, genocchi, zeta_even_exact
 from .polynomials import bernoulli_polynomial, genocchi_polynomial
@@ -73,6 +71,8 @@ def _csv_value(value) -> str:
 
 
 def _csv_rows(rows) -> str:
+    import csv  # only csv output needs it; a module-level import would cost every process
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue().rstrip("\n")
@@ -89,6 +89,8 @@ def _render_record(record: dict, fmt: str) -> str:
 
 def _write_atomic(path: str, payload: str) -> None:
     """Write through a temp file in the target directory, then rename it."""
+    import tempfile  # only --out needs it, as csv above
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".baselkit-")
     try:
@@ -168,11 +170,9 @@ _N = _arg("--n", type=int, required=True)
 _X = _arg("--x", type=float, required=True)
 
 
-class _Command(NamedTuple):
-    help: str
-    arguments: list  # (flag, add_argument options) pairs, before --format/--out
-    run: Callable  # args -> (text, exit code)
-    tol: bool = False  # takes --tol, read through _tol
+# help: str; arguments: (flag, add_argument options) pairs, before --format/--out;
+# run: args -> (text, exit code); tol: takes --tol, read through _tol (default False)
+_Command = namedtuple("_Command", "help arguments run tol", defaults=(False,))
 
 
 # One row per subcommand, in --help order.  The library calls sit inside the

@@ -23,9 +23,8 @@ import decimal
 import math
 import re
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 __all__ = [
     "CAPACITY",
@@ -207,7 +206,60 @@ def rectified_even_genocchi(n: int) -> Fraction:
     return g if n % 2 == 1 else -g
 
 
-@dataclass(frozen=True)
+def _record(cls: type) -> type:
+    """Make ``cls`` an immutable record, as ``@dataclass(frozen=True)`` would.
+
+    The fields are the class's own annotations, in order; a class-level value
+    is that field's default.  ``__init__`` stores the fields and then runs
+    ``__post_init__`` if there is one.  ``==`` (same class only), ``hash``,
+    ``repr`` and ``__match_args__`` go by the fields; assigning or deleting an
+    attribute raises AttributeError.  A record is not a tuple: it neither
+    iterates nor orders.  Every record of the library is built here, because
+    ``dataclasses`` imports ``inspect`` (and with it ``dis``, ``ast`` and
+    ``tokenize``), which was about a third of the time of ``import baselkit.cli``.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    # generated once per class, so construction runs no loop; object.__setattr__
+    # rather than writes to self.__dict__, which would make CPython give up its
+    # compact attribute storage (slower reads, more memory per record)
+    source = [
+        "def __init__(self, "
+        + ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names) + "):",
+        *(f"    _set(self, {n!r}, {n})" for n in names),
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        f"def _values(self): return ({''.join(f'self.{n}, ' for n in names)})",
+    ]
+    namespace = {"_defaults": defaults, "_set": object.__setattr__}
+    exec("\n".join(source), namespace)
+    values = namespace["_values"]
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (namespace["__init__"], __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"  # as in TypeError messages
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@_record
 class PiPower:
     """Exact multiple of an even power of pi: ``coefficient * pi**exponent``."""
 

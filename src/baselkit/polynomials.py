@@ -13,12 +13,11 @@ that degree, not a sampled approximation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
 
-from .exact import CAPACITY, _check_index, bernoulli, fraction_str, genocchi
+from .exact import CAPACITY, _check_index, _record, bernoulli, fraction_str, genocchi
 
 __all__ = [
     "HALVING_VARIANTS",
@@ -35,7 +34,7 @@ __all__ = [
     "power_sum_checks",
 ]
 
-_Scalar = Union[int, Fraction]
+_Scalar = int | Fraction
 
 
 class RationalPolynomial:
@@ -240,7 +239,7 @@ def _genocchi_polynomial_reversed(n: int) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
+@_record
 class Certificate:
     """Outcome of one exact identity check.
 

@@ -22,11 +22,10 @@ import enum
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterator
 from itertools import accumulate, count, pairwise
-from typing import Callable, Iterator
 
-from .exact import _check_index, bernoulli
+from .exact import _check_index, _record, bernoulli
 
 __all__ = [
     "DEFAULT_TOL",
@@ -104,7 +103,7 @@ _CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class QuadResult:
     """Quadrature value with its error estimate and evaluation count."""
 
@@ -113,7 +112,7 @@ class QuadResult:
     evaluations: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 class AccuracyError(Exception):

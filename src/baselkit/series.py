@@ -17,12 +17,11 @@ Three families live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from . import quadrature
-from .exact import _check_index, bernoulli, fraction_str, genocchi
+from .exact import _check_index, _record, bernoulli, fraction_str, genocchi
 from .quadrature import DEFAULT_TOL, ETA2, ZETA2, IntegralKind, integrate
 from .quadrature import _check_count, _power_sum, _square
 
@@ -94,7 +93,7 @@ def eta2_partial_float(n: int) -> float:
     return math.fsum([ETA2] + [sign * float(genocchi(j)) * (-x) ** (j + 1) for j in range(1, 5)])
 
 
-@dataclass(frozen=True)
+@_record
 class BisectionReport:
     """The 1/sin^2 bisection refinement at one (x, level).  Only the inputs are
     stored, and checked on construction: every number is computed when read,
@@ -164,7 +163,7 @@ def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> Bisectio
     return BisectionReport(x, level, pf_terms)
 
 
-@dataclass(frozen=True)
+@_record
 class SeriesReport:
     """Diagnostics for one of the alternating Bernoulli/Genocchi series.
 

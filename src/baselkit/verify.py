@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import (
+    _record,
     bernoulli,
     bernoulli_from_genocchi,
     fraction_str,
@@ -112,7 +112,7 @@ PAIR_CASES = ((0.5, 1.0, 0.0), (-0.9, 1.0, 0.0), (0.9, 2.0, 3.0))
 REPORT_FIELDS = ("check_id", "status", "lhs", "rhs", "abs_err", "tol")
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     """Outcome of a single suite check.
 

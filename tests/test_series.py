@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -226,7 +225,8 @@ class TestBisectionReport:
         assert reads == ["partial_fraction_value"]
         bisection_report(1.0, 12)
         assert reads == ["partial_fraction_value"]
-        assert [f.name for f in fields(BisectionReport)] == ["x", "level", "truncation_k"]
+        assert BisectionReport.__match_args__ == ("x", "level", "truncation_k")
+        assert list(vars(bisection_report(1.0, 3))) == ["x", "level", "truncation_k"]
 
     @given(
         x=st.floats(min_value=0.1, max_value=math.pi - 0.1, allow_nan=False),

@@ -1,13 +1,17 @@
 """The library imports nothing but the standard library.
 
 The test extras (scipy, mpmath) are installed wherever the tests run, so an
-import of either from `src/baselkit` would otherwise pass unnoticed.
+import of either from `src/baselkit` would otherwise pass unnoticed.  Start-up
+is a tracked figure, so `import baselkit.cli` must not load the slow stdlib
+modules that only type hints or ``dataclasses`` once needed.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +44,14 @@ def test_every_library_import_is_stdlib():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_the_cli_import_loads_no_heavy_stdlib_module():
+    # a diff of sys.modules, so a host whose site already loads some of them passes too
+    code = ("import sys; before = set(sys.modules); import baselkit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    added = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.split())
+    assert "baselkit.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing", "tempfile", "csv"}, sorted(added)
