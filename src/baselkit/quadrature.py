@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from itertools import accumulate, count, pairwise
 
@@ -56,7 +55,7 @@ DEFAULT_TOL = 1e-12
 #: Most terms a grid, `scaled_dilog_ode_residual` or a `BisectionReport`'s partial
 #: fractions may sum or sample (2-6 s of CPython 3.11 on a 2-vCPU Xeon); more raises
 #: CapacityError before any is summed.  No convergent series meets it: the float zeta(2)
-#: and eta(2) sums take closed tails past it, and the dilog and pair sum <= 10^5 terms.
+#: and eta(2) sums take closed tails past it, and the dilog and pair sum <= 60 terms.
 SERIES_TERM_BUDGET = 10_000_000
 
 _PI = math.pi
@@ -364,29 +363,20 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     return abs(h(-1.0, 2.0) + h(1.0, 2.0 * max(lx, 1.0) ** 2) - 0.5 * lx * lx)
 
 
+#: Terms summed of a positive or alternating series whose term ratio is at most 1/2
+#: in size.  What is left out is at most 2^-59 of the sum: for positive terms, twice
+#: the 61st, which is at most 2^-60 of the first; for alternating ones, the 61st,
+#: against a sum of at least half the first.  Euler's transform, the dilog's reduced
+#: series and the pair at 0 <= r < 1/2 are such series, so none of them reads tol.
+_SERIES_TERMS = 60
+
+
 def _power_sum(q: float, denominator: Callable[[int], float], n_terms: int) -> float:
     """math.fsum of q^n / d(n) for n = 1..N, streamed, with q^n built by
     repeated multiplication; the count is checked before any term."""
     _check_count(n_terms, 1)
     power = 1.0
     return math.fsum((power := power * q) / denominator(n) for n in range(1, n_terms + 1))
-
-
-def _geometric_length(q: float, denominator: Callable[[int], float], tol: float) -> int:
-    """First N >= 1 whose tail bound |q|^(N+1) / (d(N+1) (1-|q|)) is at most
-    tol, for |q| < 1 and d positive, non-decreasing.  The bound falls
-    with N, so doubling and then bisection find the N a term-by-term scan
-    stops at, after O(log N) evaluations of it."""
-    aq = abs(q)
-
-    def enough(n: int) -> bool:
-        return aq ** (n + 1) / (denominator(n + 1) * (1.0 - aq)) <= tol
-
-    n_terms = 1
-    while not enough(n_terms):
-        n_terms *= 2
-    candidates = range(n_terms // 2 + 1, n_terms + 1)  # n_terms // 2 is too few
-    return candidates[bisect_left(candidates, True, key=enough)]
 
 
 def _square(n: int) -> int:
@@ -407,11 +397,11 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     * q < 0, Landen: Li2(q) = -Li2(q/(q-1)) - ln(1-q)^2 / 2;
     * q > 1/2, Euler: Li2(q) = zeta(2) - ln(q) ln(1-q) - Li2(1-q), 1-q exact.
 
-    Li2(z) is summed to the tail bound |z|^(N+1) / ((N+1)^2 (1-|z|)) <= tol,
-    in at most 40 terms (z = 1/2 at tol 1e-15).  Over 20,000 draws of x
-    against mpmath (uniform, within 1e-16 of +-1/2, near 1/4, tiny), the
-    worst error was 1.08 tol * max(1, |value|) at tol 1e-15, and at most
-    0.98 tol * max(1, |value|) at every tol >= 1e-13.
+    z lies in [0, 1/2], so Li2(z) sums its first _SERIES_TERMS = 60 terms, and
+    the rest is below 2^-59 of it.  tol is validated in both modes but read only
+    by the integral route: the series value is the same at every tol.  Over
+    7,500 draws of x against mpmath (uniform, within 1e-16..1e-1 of +-1/2, near
+    1/4, tiny), its worst relative error was 1.72 * 2^-52.
     """
     if not -0.5 <= x <= 0.5:
         raise ValueError(f"x must lie in [-1/2, 1/2], got {x}")
@@ -424,7 +414,7 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     if abs(q) == 1.0:
         return ZETA2 if q > 0.0 else -ETA2
     z = q / (q - 1.0) if q < 0.0 else 1.0 - q if q > 0.5 else q
-    li2_z = _power_sum(z, _square, _geometric_length(z, _square, tol))
+    li2_z = _power_sum(z, _square, _SERIES_TERMS)
     if q < 0.0:
         return -li2_z - 0.5 * math.log1p(-q) ** 2
     if q > 0.5:
@@ -465,11 +455,6 @@ def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:
 #: Euler's constant gamma, the nearest binary64.
 _EULER_GAMMA = 0.5772156649015329
 
-#: The pair's series is summed up to this many terms, as the geometric rule
-#: predicts them.  Past it, r < 0 takes Euler's transform, and r >= 0 (then
-#: r >= 1/2: below it no valid input needs more than 1,040 terms) the
-#: Euler-Maclaurin tail from _TAIL_START.
-_PAIR_SUM_TERMS = 100_000
 _TAIL_START = 40
 
 
@@ -504,20 +489,20 @@ def _pair_tail(mu: float, a: float, b: float) -> float:
     return math.exp(mu * _TAIL_START) / (a * _TAIL_START + b) * math.fsum(terms)
 
 
-def _pair_series(r: float, a: float, b: float, tol: float) -> float:
+def _pair_series(r: float, a: float, b: float) -> float:
     """The series half of `series_integral_pair`, for valid arguments."""
+    if r < 0.0:
+        v = 1.0 + b / a
+        w = -r / (1.0 - r)  # Euler's transform, as `series_integral_pair` gives it
+        terms = accumulate(range(1, _SERIES_TERMS), lambda term, k: term * w * k / (v + k),
+                           initial=1.0 / v)
+        return r / (1.0 - r) / a * math.fsum(terms)
 
     def denominator(n: int) -> float:
         return a * n + b
 
-    n_terms = math.inf if r == -1.0 else _geometric_length(r, denominator, tol)
-    if n_terms <= _PAIR_SUM_TERMS:
-        return _power_sum(r, denominator, n_terms)
-    if r < 0.0:
-        v = 1.0 + b / a
-        w = -r / (1.0 - r)  # Euler's transform, as `series_integral_pair` gives it
-        terms = accumulate(range(1, 60), lambda term, k: term * w * k / (v + k), initial=1.0 / v)
-        return r / (1.0 - r) / a * math.fsum(terms)
+    if r < 0.5:
+        return _power_sum(r, denominator, _SERIES_TERMS)
     return _power_sum(r, denominator, _TAIL_START - 1) + _pair_tail(math.log1p(r - 1.0), a, b)
 
 
@@ -537,22 +522,26 @@ def series_integral_pair(
     p = a/(a+b), as int_0^1 r / ((a+b)(1 - r w^p)) dw, which has no peak.
     For r in [-1, 1), PAIR_A_MIN = 2^-1000 <= a < inf and 0 <= b < inf,
     each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of the sum;
-    anything else (NaN included) raises ValueError.
+    anything else (NaN included) raises ValueError.  Only the integral half
+    reads tol, so only it is bound by that contract: the series half is the
+    same at every tol, and within about 2 * 2^-52 relative of the sum.
 
-    The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  It is
-    summed to the geometric tail bound |r|^(N+1) / ((a(N+1)+b)(1-|r|)) <= tol
-    when that takes at most _PAIR_SUM_TERMS = 10^5 terms.  Past it:
+    The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  Its
+    route depends on r alone:
 
-    * r < 0, and always r = -1: Euler's transform (Knopp, Infinite Series,
+    * r < 0, r = -1 included: Euler's transform (Knopp, Infinite Series,
       1928), r/(a(1-r)) sum_{k>=0} w^k k!/(v (v+1)...(v+k)), w = -r/(1-r) <= 1/2,
-      whose positive terms fall by w or more: 60 leave out < 2^-59 of the sum.
-    * r in [1/2, 1), the only other r that gets past it: the first 39 terms
-      summed, then the Euler-Maclaurin tail from n = 40 of f(x) = r^x/(ax+b),
-      with B_2k for k <= 10 from `exact` (`_pair_tail`).
+      whose positive terms fall by w or more, to _SERIES_TERMS = 60 terms.
+    * 0 <= r < 1/2: the first 60 terms, whose ratio r(an+b)/(a(n+1)+b) is at most r.
+    * r in [1/2, 1): the first 39 terms summed, then the Euler-Maclaurin tail
+      from n = 40 of f(x) = r^x/(ax+b), with B_2k for k <= 10 from `exact`
+      (`_pair_tail`).
 
-    So the series never raises CapacityError.  Against mpmath over sweeps of
-    a, b/a and r, Euler's transform was within 1.85 * 2^-52 relative (1,600
-    draws, 40% at r = -1) and the tail route within 2 * 2^-52 (3,000 draws:
+    So the series half never raises.  Against mpmath over sweeps of a, b/a
+    and r, Euler's transform was within 1.94 * 2^-52 relative (1,600 draws
+    near r = -1, 40% at it, and 1,000 at r in [-1/2, 0)), the 60 terms at
+    r in [0, 1/2) within 1.00 * 2^-52 (2,000 draws, a = 10^U(-12, 6), b/a 0
+    or 10^U(-3, 12)) and the tail route within 2 * 2^-52 (3,000 draws:
     r = 1 - 10^U(-15, log10 1/2) or within 10^-3 above 1/2, a = 10^U(-6, 6),
     b/a 0 or 10^U(-3, 15)).  The integral half stops when two tanh-sinh
     levels agree to max(tol, 8 * 2^-52) * max(1, |integral|), half the
@@ -567,7 +556,7 @@ def series_integral_pair(
         raise ValueError(f"b must be non-negative and finite, got {b}")
     _check_tol(tol)
 
-    series = _pair_series(r, a, b, tol)
+    series = _pair_series(r, a, b)
     p = a / (a + b)
     # f reaches |scale| / (1 - r), past binary64 for a + b near PAIR_A_MIN; a scale past
     # 2^900 is cut by 2^-600, which moves no bit: the integral (>= |scale|/2) stops relatively

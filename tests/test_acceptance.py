@@ -207,10 +207,12 @@ def test_criterion_9_functional_equations():
 
 # sha256 of the full `verify --suite all --format json` report.  Performance
 # work must leave these bytes unchanged; only a deliberate correctness fix to a
-# row may move this value, and it says so.  It last moved when the x <-> 1/x
-# equation and the series-integral pair changed variable: the rows
-# functional_inverse_grid and series_vs_integral_3 moved in their last digits.
-REPORT_SHA256 = "411c9c72b0d90b53520f73e4f56b0e32371cf286b2d2b368b9dd2339373ae0b8"
+# row may move this value, and it says so.  It last moved when the float
+# series stopped reading tol (ROADMAP item 8, the series half): the rows
+# dilog_modes_grid and series_vs_integral_1..3 moved, their abs_err falling
+# from 8.9e-11, 6.0e-11, 5.0e-12 and 8.8e-11 to 4.4e-16 or less.  Before that
+# the x <-> 1/x equation and the series-integral pair changed variable.
+REPORT_SHA256 = "d13b0d39a35960fa395af883c70ff117856d5ff6737e5e9c3628acb7d28fdbb3"
 
 
 def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
@@ -269,13 +271,13 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# the Euler-Maclaurin tail replaced the Lerch expansion for r in [1/2, 1),
-# which moved the one line "pair 0.9998187905399166 0.002029622343290259 0.0
-# 1e-08" from 4245.054251711284 to 4245.0542517112835, 0.53 and 0.43 * 2^-52
-# relative from mpmath; before that Euler's transform replaced Boole summation
-# at r = -1, which moved 6 "pair -1.0" lines in their last digits, each to
-# within 0.90 * 2^-52 relative of mpmath).
-SERIES_SHA256 = "028e716f1dfb0da9ce2fecac939a3aba29f83aec42bb9d92261638c280f478a6"
+# the dilog and the pair stopped summing to tol and take 60 terms, 39 and a
+# tail, or Euler's transform by their argument alone, which moved 67 of the
+# 113 lines, 39 "dilog" and 28 "pair", each to within 1.00 * 2^-52 relative
+# of mpmath, from as far as 4.5e15 * 2^-52; their integral halves did not
+# move.  Before that the Euler-Maclaurin tail replaced the Lerch expansion for
+# r in [1/2, 1), and Euler's transform replaced Boole summation at r = -1).
+SERIES_SHA256 = "62714aab20447719e47ab2b69a4ebc14a379d9579d503058a9aebd788d7325a4"
 
 
 def test_series_outputs_are_pinned():

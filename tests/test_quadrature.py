@@ -24,6 +24,7 @@ from baselkit.quadrature import (
     AccuracyError,
     IntegralKind,
     ProductKind,
+    QuadResult,
     functional_eq_dilog,
     functional_eq_inverse,
     integrate,
@@ -383,7 +384,7 @@ class TestSeriesIntegralPair:
     @settings(max_examples=60, deadline=None)
     def test_halves_agree_to_tol_or_raise(self, r, a, ratio, tol):
         # no CapacityError at any r: the series half hands _power_sum at most
-        # _PAIR_SUM_TERMS terms, and only the integral half may raise
+        # _SERIES_TERMS = 60 terms, and only the integral half may raise
         b = ratio * a
         counted = _CountedPowerSum()
         with pytest.MonkeyPatch.context() as patch:
@@ -393,7 +394,7 @@ class TestSeriesIntegralPair:
             except AccuracyError:
                 s = i = None
         assert len(counted.counts) <= 1, counted.counts
-        assert all(n <= quadrature._PAIR_SUM_TERMS for n in counted.counts), counted.counts
+        assert all(n <= quadrature._SERIES_TERMS for n in counted.counts), counted.counts
         if s is not None:
             bound = 2.0 * max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(s))
             assert abs(s - i) <= bound, (s, i)
@@ -413,6 +414,23 @@ class TestSeriesIntegralPair:
         # both within 1 ulp of 1e300 ln 2 = 6.931471805599453e299
         s, i = series_integral_pair(0.5, 1e-300, 0.0)
         assert (s, i) == (6.931471805599452e299, 6.931471805599454e299)
+
+    # A sum of 1e-294, far below the absolute floor of the contract: b = 1e300 swamps a n.
+    _TINY_SUM = (1 - 1e-6, 2.0**-1000, 1e300, 1e-12)
+
+    def test_a_tiny_sum_keeps_its_series_half_relative(self):
+        # the series half once stopped at an absolute tol and read 9.99999e-301
+        r, a, b, tol = self._TINY_SUM
+        ref = r / ((1 - r) * b)
+        assert abs(series_integral_pair(r, a, b, tol)[0] - ref) <= 2 * 2.0**-52 * ref
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the integral half stops at an absolute tol")
+    def test_a_tiny_sum_keeps_its_integral_half_relative(self):
+        # 3.4e-6 relative off: inside the contract, whose floor is absolute
+        r, a, b, tol = self._TINY_SUM
+        ref = r / ((1 - r) * b)
+        integral = series_integral_pair(r, a, b, tol)[1]
+        assert abs(integral - ref) <= max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * ref
 
     @given(
         r=st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=1.0, exclude_max=True)),
@@ -453,7 +471,7 @@ class TestSeriesIntegralPair:
     @example(r=-1.0, a_b=(1e-300, 1.7e308), tol=1e-12)
     @settings(max_examples=60, deadline=None)
     def test_r_near_minus_one_meets_the_reference_without_raising(self, r, a_b, tol):
-        # no term budget applies: a series past _PAIR_SUM_TERMS takes Euler's transform
+        # no term budget applies: every r < 0 takes Euler's transform
         a, b = a_b
         ref = _pair_reference(r, a, b)
         for value in series_integral_pair(r, a, b, tol):
@@ -464,16 +482,14 @@ def _within_pair_contract(value: float, ref: float, tol: float) -> bool:
     return abs(value - ref) <= max(tol, PAIR_FLOOR_ULPS * 2.0**-52) * max(1.0, abs(ref))
 
 
-def _euler_route(r: float, a: float, b: float, tol: float) -> bool:
+def _euler_route(r: float) -> bool:
     """Whether the documented rule takes the series from Euler's transform."""
-    return r == -1.0 or r < 0.0 and (
-        quadrature._geometric_length(r, lambda n: a * n + b, tol) > quadrature._PAIR_SUM_TERMS)
+    return r < 0.0
 
 
-def _tail_route(r: float, a: float, b: float, tol: float) -> bool:
+def _tail_route(r: float) -> bool:
     """Whether the documented rule adds the Euler-Maclaurin tail to the series."""
-    return r >= 0.5 and (
-        quadrature._geometric_length(r, lambda n: a * n + b, tol) > quadrature._PAIR_SUM_TERMS)
+    return r >= 0.5
 
 
 class _CountedPowerSum:
@@ -488,10 +504,10 @@ class _CountedPowerSum:
 
 
 class TestPairExpansions:
-    """The series half's two routes past the term threshold: Euler's
-    transform for r < 0 (and always at r = -1), and for r in [1/2, 1) the
-    first 39 terms summed plus the Euler-Maclaurin tail, with the B_2k of
-    `exact`, from n = 40."""
+    """The series half's routes, chosen by r alone: Euler's transform for
+    r < 0 (r = -1 included), the first 60 terms for r in [0, 1/2), and for
+    r in [1/2, 1) the first 39 terms summed plus the Euler-Maclaurin tail,
+    with the B_2k of `exact`, from n = 40."""
 
     @pytest.mark.parametrize("r, a, b, tol", [
         (-1.0, 1e-6, 0.0, 1e-12),  # the midpoint rule wanted 1e9 terms here
@@ -510,27 +526,6 @@ class TestPairExpansions:
         assert time.perf_counter() - start < 0.01
         for value in values:
             assert _within_pair_contract(value, ref, tol), (value, ref)
-
-    @pytest.mark.parametrize("r, a, b, tol", [
-        (0.9999, 1.0, 0.0, 1e-10),
-        (0.9999, 2.5, 4.0, 1e-12),
-        (0.99995, 0.5, 300.0, 1e-15),
-        (0.5 ** (1 / 4096), 1.0, 0.0, 1e-15),
-        (-0.9999, 1.0, 0.0, 1e-10),
-        (-0.99, 1e-3, 2.0, 1e-15),
-    ])
-    def test_both_sides_of_the_term_threshold_meet_the_reference(self, r, a, b, tol, monkeypatch):
-        ref = _pair_reference(r, a, b)
-        n_terms = quadrature._geometric_length(r, lambda n: a * n + b, tol)
-        counted = _CountedPowerSum()
-        monkeypatch.setattr(quadrature, "_power_sum", counted)
-        # past the threshold, r < 0 sums nothing and r >= 1/2 the 39 terms before the tail
-        for threshold, counts in ((n_terms, [n_terms]), (n_terms - 1, [] if r < 0.0 else [39])):
-            monkeypatch.setattr(quadrature, "_PAIR_SUM_TERMS", threshold)
-            counted.counts.clear()
-            series = quadrature._pair_series(r, a, b, tol)
-            assert counted.counts == counts, threshold
-            assert _within_pair_contract(series, ref, tol), (threshold, series, ref)
 
     def test_the_benchmark_case_sums_39_terms(self, monkeypatch):
         counted = _CountedPowerSum()
@@ -554,14 +549,13 @@ class TestPairExpansions:
     @example(r=1 - 1e-9, a=1.0, reach=1.0 - 40e-9)  # just below it, on the E1 series
     @settings(max_examples=80, deadline=None)
     def test_tail_route_meets_the_reference_at_every_reach(self, r, a, reach):
-        # b is chosen so that v |mu| = reach, where v >= 1 allows it; a threshold of 0
-        # puts every r >= 1/2 on the tail, after one sum of 39 terms
+        # b is chosen so that v |mu| = reach, where v >= 1 allows it; every r >= 1/2
+        # takes the tail, after one sum of 39 terms
         b = a * max(0.0, reach / -math.log(r) - 1.0)
         counted = _CountedPowerSum()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_PAIR_SUM_TERMS", 0)
             patch.setattr(quadrature, "_power_sum", counted)
-            series = quadrature._pair_series(r, a, b, 1e-15)
+            series = quadrature._pair_series(r, a, b)
         assert counted.counts == [39]
         assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
 
@@ -575,15 +569,42 @@ class TestPairExpansions:
     @example(r=-1.0, a=2.0**-1000, ratio=2.0**1000)  # v = 2^1000: the terms past 1/v underflow
     @settings(max_examples=60, deadline=None)
     def test_euler_route_meets_the_reference(self, r, a, ratio):
-        # a threshold of 0 puts every r < 0 on the transform
+        # every r < 0 takes the transform, which hands _power_sum nothing
         b = ratio * a
         counted = _CountedPowerSum()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_PAIR_SUM_TERMS", 0)
             patch.setattr(quadrature, "_power_sum", counted)
-            series = quadrature._pair_series(r, a, b, 1e-15)
+            series = quadrature._pair_series(r, a, b)
         assert counted.counts == []
         assert _within_pair_contract(series, _pair_reference(r, a, b), 1e-15)
+
+    @given(r=st.floats(min_value=0.0, max_value=0.5, exclude_max=True), a=_PAIR_AS,
+           ratio=_PAIR_RATIOS)
+    @example(r=0.5 - 2.0**-54, a=quadrature.PAIR_A_MIN, ratio=0.0)
+    @example(r=0.0, a=1.0, ratio=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_short_route_meets_the_reference_relatively(self, r, a, ratio):
+        # r in [0, 1/2): 60 terms of ratio at most r, held to 2 * 2^-52 of the sum
+        b = ratio * a
+        counted = _CountedPowerSum()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_power_sum", counted)
+            series = quadrature._pair_series(r, a, b)
+        assert counted.counts == [60]
+        ref = _pair_reference(r, a, b)
+        assert abs(series - ref) <= 2 * 2.0**-52 * abs(ref), (series, ref)
+
+    @given(r=st.one_of(st.just(-1.0), st.just(0.5),
+                       st.floats(min_value=-1.0, max_value=1.0, exclude_max=True)),
+           a=_PAIR_AS, ratio=_PAIR_RATIOS)
+    @settings(max_examples=60, deadline=None)
+    def test_series_half_is_the_same_at_every_tol(self, r, a, ratio):
+        # the integral half, which alone reads tol and may reach the level cap, is stubbed
+        b = ratio * a
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_tanh_sinh_unit", lambda f, tol: QuadResult(0.0, 0.0, 0))
+            series = [series_integral_pair(r, a, b, tol)[0] for tol in (1e-15, 1e-3)]
+        assert repr(series[0]) == repr(series[1]), series
 
 
 def test_err_estimate_never_zero():
@@ -741,17 +762,13 @@ def test_threads_on_a_cold_node_cache_give_the_serial_bits():
     assert threaded == serial
 
 
-def _reference_geometric(q, denominator, tol, cap=math.inf):
-    """Documented stopping rule, written out as a plain list of terms; None
-    if the rule does not stop within cap terms."""
-    terms, power, n = [], 1.0, 1
-    while n <= cap:
+def _first_terms(q, denominator):
+    """The documented sum's terms q^n / d(n), n = 1..60, written out as a plain list."""
+    terms, power = [], 1.0
+    for n in range(1, 61):
         power *= q
         terms.append(power / denominator(n))
-        if abs(q) ** (n + 1) / (denominator(n + 1) * (1.0 - abs(q))) <= tol:
-            return terms
-        n += 1
-    return None
+    return terms
 
 
 def _reduced_argument(q: float) -> list[float]:
@@ -779,61 +796,31 @@ def test_series_kernels_match_the_documented_rules_bit_for_bit(monkeypatch):
         value = scaled_dilog(x, "series", tol)
         assert [z for z, _, _ in sums] == _reduced_argument(2.0 * x), (x, tol)
         for z, _, got in sums:
-            assert got == math.fsum(_reference_geometric(z, lambda n: n * n, tol)), (x, tol)
+            assert got == math.fsum(_first_terms(z, lambda n: n * n)), (x, tol)
         with mpmath.workdps(40):
             ref = float(mpmath.polylog(2, 2 * mpmath.mpf(x)))
-        assert abs(value - ref) <= tol * max(1.0, abs(ref)), (x, tol, value, ref)
+        assert abs(value - ref) <= 2 * 2.0**-52 * abs(ref), (x, tol, value, ref)
     expanded = 0
     for r in [-1.0, 0.9999, -0.9999] + [rng.uniform(-0.99, 0.99) for _ in range(150)]:
         a, b = rng.uniform(0.5, 4.0), rng.choice([0.0, rng.uniform(0.0, 5.0)])
         tol = rng.choice(tols[2:] if abs(r) > 0.99 else tols)
         sums.clear()
         series = series_integral_pair(r, a, b, tol)[0]
-        if _euler_route(r, a, b, tol) or _tail_route(r, a, b, tol):
+        if _euler_route(r) or _tail_route(r):
             # an expansion, after 39 summed terms on the tail route: held to the
-            # contract, which is tighter than tol here
+            # contract's floor, which is tighter than tol here
             assert [n for _, n, _ in sums] == ([39] if r > 0.0 else []), (r, a, b, tol)
             assert _within_pair_contract(series, _pair_reference(r, a, b), 0.0), (r, a, b, tol)
             expanded += 1
         else:
-            assert series == math.fsum(_reference_geometric(r, lambda n: a * n + b, tol)), (
-                r, a, b, tol)
-    assert expanded == 3  # r = -1, 0.9999 and -0.9999
-
-
-def test_geometric_length_matches_a_scan_of_the_documented_rule(monkeypatch):
-    # the scan stops at the budget; past it the search still returns its N,
-    # which the kernel then refuses
-    budget = 100_000
-    monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", budget)
-    rng = random.Random(1307)
-    tols = (1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
-    cases = [(q, lambda n: n * n) for q in (0.5, -0.5, 1.0 - 2.0**-53)]
-    for _ in range(40):
-        q = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-15.0, -0.5))
-        a = 10.0 ** rng.uniform(-8.0, 8.0)
-        b = rng.choice((0.0, a * 10.0 ** rng.uniform(-3.0, 30.0)))
-        square = rng.random() < 0.3
-        cases.append((q, (lambda n: n * n) if square else (lambda n, a=a, b=b: a * n + b)))
-    for q, denominator in cases:
-        tol = rng.choice(tols)
-        want = _reference_geometric(q, denominator, tol, cap=budget)
-        got = quadrature._geometric_length(q, denominator, tol)
-        if want is None:
-            assert got > budget, (q, tol)
-            with pytest.raises(CapacityError):
-                quadrature._power_sum(q, denominator, got)
-        else:
-            assert got == len(want), (q, tol)
+            assert series == math.fsum(_first_terms(r, lambda n: a * n + b)), (r, a, b, tol)
+    assert 0 < expanded < 153
 
 
 def test_series_terms_stream_into_fsum():
-    # 96,756 terms (the pair's sum just below _PAIR_SUM_TERMS) and 10^6; a list
-    # of either would hold megabytes
-    assert quadrature._geometric_length(0.9998, lambda n: n + 1e5, 1e-10) == 96_756
+    # 10^6 terms; a list of them would hold megabytes
     tracemalloc.start()
     try:
-        series_integral_pair(0.9998, 1.0, 1e5, 1e-10)
         zeta2_partial_float(10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -889,11 +876,11 @@ class TestSeriesTermBudget:
     raises CapacityError before summing, instead of running for hours.  No
     convergent series meets the budget.  The float partial sums of zeta(2)
     and eta(2) sum up to the budget and take their Euler-Maclaurin and Boole
-    tails past it.  The pair's series sums at most _PAIR_SUM_TERMS = 10^5
-    terms: past that, r < 0 takes Euler's transform and r in [1/2, 1) sums
-    39 terms and adds the Euler-Maclaurin tail.  The dilog's q = +-1 are
-    closed forms, and every other q is reflected to a |z| <= 1/2 that takes
-    at most 40 terms."""
+    tails past it.  The pair's series sums at most _SERIES_TERMS = 60 terms:
+    r < 0 takes Euler's transform, r in [0, 1/2) sums 60 terms, and r in
+    [1/2, 1) sums 39 terms and adds the Euler-Maclaurin tail.  The dilog's
+    q = +-1 are closed forms, and every other q is reflected to a |z| <= 1/2
+    that sums 60 terms."""
 
     @pytest.mark.parametrize("x, tol", [(0.4999999, 1e-12), (0.5, 1e-15)],
                              ids=["dilog_40M_terms", "dilog_22M_terms"])
@@ -934,14 +921,12 @@ class TestSeriesTermBudget:
         assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
 
     def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
-        # a count the geometric rule works out, not one the caller sets: the
-        # dilog series at q = 2x = 1/2, which needs no reflection
-        need = quadrature._geometric_length(0.5, quadrature._square, 1e-15)
-        assert need == 40
+        # a count the library fixes, not one the caller sets: the dilog series
+        # at q = 2x = 1/2, which needs no reflection, sums _SERIES_TERMS = 60
         want = scaled_dilog(0.25, tol=1e-15)
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need)
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 60)
         assert scaled_dilog(0.25, tol=1e-15) == want
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", need - 1)
+        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 59)
         with pytest.raises(CapacityError):
             scaled_dilog(0.25, tol=1e-15)
 
@@ -972,7 +957,7 @@ def _meets_tol_or_raises(call, ref: float, tol: float, errors: tuple) -> None:
 @example(x=0.5 - 2.0**-54, tol=1e-15)
 @example(x=-0.5 + 2.0**-54, tol=1e-15)
 @settings(max_examples=200, deadline=None)
-def test_dilog_series_never_raises_and_sums_at_most_40_terms(x, tol):
+def test_dilog_series_never_raises_and_sums_60_terms(x, tol):
     counts = []
     power_sum = quadrature._power_sum
 
@@ -983,7 +968,7 @@ def test_dilog_series_never_raises_and_sums_at_most_40_terms(x, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadrature, "_power_sum", counted)
         assert math.isfinite(scaled_dilog(x, "series", tol))
-    assert len(counts) <= 1 and all(n <= 40 for n in counts), counts
+    assert counts == ([] if abs(2.0 * x) == 1.0 else [60]), counts
 
 
 class TestDomainEdges:
