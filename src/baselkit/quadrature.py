@@ -22,7 +22,8 @@ import enum
 import functools
 import math
 from collections.abc import Callable, Iterator
-from itertools import accumulate, count, pairwise
+from itertools import accumulate, chain, count, pairwise, repeat
+from operator import truediv
 
 from .exact import _check_index, _record, bernoulli
 
@@ -249,9 +250,33 @@ RIEMANN_KINDS = (
 
 
 def _grid_values(kind: IntegralKind, n: int) -> Iterator[float]:
-    """f(k/n) for k = 1..n-1, one at a time."""
-    f = _integrand(kind)
-    return (f(k / n, (n - k) / n) for k in range(1, n))
+    """f(k/n) for k = 1..n-1 in order, one at a time, with the bits of
+    _integrand(kind)(k/n, (n-k)/n) and one generator frame per term.
+
+    _log_of's test t <= 1/2 is made by the split h = n // 2: for n < 2^53,
+    k/n rounds to at most 1/2 exactly when 2k <= n, that is k <= h, since
+    for 2k > n, k/n - 1/2 >= 1/(2n) is more than half an ulp above 1/2.
+    Likewise (n-k)/n <= 1/2 exactly when n - k <= h.
+    """
+    log, log1p = math.log, math.log1p
+    h = n // 2
+
+    def by_log(js: range) -> Iterator[float]:  # ln(j/n) / ((n-j)/n), for 2j <= n
+        return (log(j / n) / ((n - j) / n) for j in js)
+
+    def by_log1p(js: range) -> Iterator[float]:  # ln(1 - j/n) / (j/n), for 2j < n
+        return (log1p(-s) / s for s in map(truediv, js, repeat(n)))
+
+    if kind is IntegralKind.LOG_OVER_1MT:  # j = k up to h, then j = n - k
+        return chain(by_log(range(1, h + 1)), by_log1p(range(n - h - 1, 0, -1)))
+    if kind is IntegralKind.LOG1M_OVER_T:  # the same grid read from k = n - 1 down
+        return chain(by_log1p(range(1, n - h)), by_log(range(h, 0, -1)))
+    if kind is IntegralKind.LOG_OVER_1PT:
+        return chain((log(t) / (1.0 + t) for t in map(truediv, range(1, h + 1), repeat(n))),
+                     (log1p(-((n - k) / n)) / (1.0 + k / n) for k in range(h + 1, n)))
+    if kind is IntegralKind.LOG1P_OVER_T:
+        return (log1p(t) / t for t in map(truediv, range(1, n), repeat(n)))
+    raise ValueError(f"kind must be an IntegralKind, got {kind!r}")
 
 
 def riemann_sum(kind: IntegralKind, n: int) -> float:
@@ -286,11 +311,10 @@ def product_form(kind: ProductKind, n: int) -> float:
     if not isinstance(kind, ProductKind):
         raise ValueError(f"kind must be a ProductKind, got {kind!r}")
     _check_count(n, 2)
-    if kind is ProductKind.MINUS:
-        return math.fsum(
-            (math.log((n - k) / n) if 2 * k > n else math.log1p(-(k / n))) / k
-            for k in range(1, n)
-        )
+    if kind is ProductKind.MINUS:  # ln(1 - k/n) from ln((n-k)/n) past h, as in _grid_values
+        log, log1p, h = math.log, math.log1p, n // 2
+        return math.fsum(chain((log1p(-(k / n)) / k for k in range(1, h + 1)),
+                               (log((n - k) / n) / k for k in range(h + 1, n))))
     return math.fsum(math.log1p(k / n) / k for k in range(1, n))
 
 
@@ -309,13 +333,14 @@ def _unit_log_kernel(y: float, tol: float) -> float:
     """
     if y == 0.0:
         return 0.0
-    one_minus_y = 1.0 - y
+    one_minus_y, minus_y = 1.0 - y, -y
     last_log1p = 0.5 if y > 0.0 else 1.0
+    log, log1p = math.log, math.log1p
 
     def f(u: float, omu: float) -> float:
         if u <= last_log1p:
-            return math.log1p(-y * u) / u
-        return math.log(one_minus_y + y * omu) / u
+            return log1p(minus_y * u) / u
+        return log(one_minus_y + y * omu) / u
 
     return _tanh_sinh_unit(f, tol).value
 
@@ -354,10 +379,11 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     if not (0.0 < x < math.inf and 1.0 / x < math.inf):
         raise ValueError(f"x and 1/x must be positive and finite, got {x}")
     _check_tol(tol)
-    lx = math.log(max(x, 1.0 / x))
+    lx, exp = math.log(max(x, 1.0 / x)), math.exp
 
     def h(sign: float, weight: float) -> float:
-        f = _tanh_sinh_unit(lambda s, oms: weight * s / (1.0 + math.exp(sign * lx * s)), tol)
+        rate = sign * lx
+        f = _tanh_sinh_unit(lambda s, oms: weight * s / (1.0 + exp(rate * s)), tol)
         return lx * lx / weight * f.value
 
     return abs(h(-1.0, 2.0) + h(1.0, 2.0 * max(lx, 1.0) ** 2) - 0.5 * lx * lx)
@@ -458,6 +484,12 @@ _EULER_GAMMA = 0.5772156649015329
 _TAIL_START = 40
 
 
+@functools.cache
+def _tail_coefficients() -> tuple[float, ...]:
+    """B_2k/(2k) for k = 1..10, the Euler-Maclaurin coefficients of `_pair_tail`."""
+    return tuple(float(bernoulli(2 * k)) / (2 * k) for k in range(1, 11))
+
+
 def _pair_tail(mu: float, a: float, b: float) -> float:
     """sum_{n>=N} f(n), f(x) = e^(mu x) / (a x + b), N = _TAIL_START, for mu in
     [-ln 2, 0), by Euler-Maclaurin: int_N^inf f + f(N)/2 - sum_{k<=10} B_2k/(2k)! f^(2k-1)(N).
@@ -483,8 +515,7 @@ def _pair_tail(mu: float, a: float, b: float) -> float:
     mu_powers = list(accumulate(range(1, 20), lambda p, i: p * mu / i, initial=1.0))
     inv_powers = list(accumulate(range(19), lambda p, _: -p / y, initial=1.0))
     terms = [y_e1, 0.5]
-    for k in range(1, 11):
-        c = float(bernoulli(2 * k)) / (2 * k)
+    for k, c in enumerate(_tail_coefficients(), 1):
         terms += [-c * mu_powers[i] * inv_powers[2 * k - 1 - i] for i in range(2 * k)]
     return math.exp(mu * _TAIL_START) / (a * _TAIL_START + b) * math.fsum(terms)
 

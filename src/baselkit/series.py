@@ -115,8 +115,8 @@ class BisectionReport:
     @property
     def bisection_value(self) -> float:
         """4^-n sum_{k<2^n} 1/sin^2((k pi + x)/2^n), identically 1/sin^2(x)."""
-        scale = 2**self.level
-        terms = (1.0 / math.sin((k * math.pi + self.x) / scale) ** 2 for k in range(scale))
+        x, sin, pi, scale = self.x, math.sin, math.pi, 2**self.level
+        terms = (1.0 / sin((k * pi + x) / scale) ** 2 for k in range(scale))
         return math.fsum(terms) / (scale * scale)
 
     @property
@@ -131,18 +131,18 @@ class BisectionReport:
     def e_n_measured(self) -> float:
         half = 2**self.level // 2  # level 0 keeps the one k = 0 term
         centered = range(-half, max(half, 1))
-        return self.exact_value - math.fsum(1.0 / (self.x + k * math.pi) ** 2 for k in centered)
+        x, pi = self.x, math.pi
+        return self.exact_value - math.fsum(1.0 / (x + k * pi) ** 2 for k in centered)
 
     @property
     def partial_fraction_value(self) -> float:
         """Two-sided partial-fraction expansion of 1/sin^2(x) truncated at
         ``truncation_k``, plus its tail estimate 2/(pi^2 K)."""
-        x, k_max = self.x, self.truncation_k
+        x, k_max, pi = self.x, self.truncation_k, math.pi
         two_sided = math.fsum(
-            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
-            for k in range(1, k_max + 1)
+            1.0 / (x + k * pi) ** 2 + 1.0 / (x - k * pi) ** 2 for k in range(1, k_max + 1)
         )
-        return 1.0 / (x * x) + two_sided + 2.0 / (math.pi * math.pi * k_max)
+        return 1.0 / (x * x) + two_sided + 2.0 / (pi * pi * k_max)
 
     def to_json(self) -> dict:
         return {key: getattr(self, key) for key in self._JSON_KEYS}

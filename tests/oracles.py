@@ -10,7 +10,11 @@ reference for the integer-backed library class, the power-sum identity is
 summed afresh at each n (the library keeps running sums over n), and
 tanh-sinh has a
 level-by-level sum that evaluates every node afresh (the library's levels
-are nested, and must give the same bits).
+are nested, and must give the same bits).  The limit grids and the 1/sin^2
+bisection sums are kept in their per-term forms: one integrand call per
+grid point, the product's choice of logarithm made term by term, and every
+bisection sum run inside one call (the library splits the grid once and
+computes the sums when read, and must give the same bits).
 """
 
 from __future__ import annotations
@@ -211,3 +215,43 @@ def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, floa
                 return value, max(err, abs(value) * 2.0**-52 or 5e-324), True
         previous = value
     return value, err, False
+
+
+def grid_by_integrand(f, n: int) -> list[float]:
+    """f(k/n, (n-k)/n) for k = 1..n-1, in order, one integrand call per term."""
+    return [f(k / n, (n - k) / n) for k in range(1, n)]
+
+
+def product_terms(minus: bool, n: int) -> list[float]:
+    """ln(1 -+ k/n)/k for k = 1..n-1; for the minus sign, ln((n-k)/n) when 2k > n
+    and log1p(-(k/n)) otherwise, chosen term by term."""
+    if minus:
+        return [(math.log((n - k) / n) if 2 * k > n else math.log1p(-(k / n))) / k
+                for k in range(1, n)]
+    return [math.log1p(k / n) / k for k in range(1, n)]
+
+
+def eager_bisection_json(x: float, level: int, pf_terms: int = 10_000) -> dict:
+    """The 1/sin^2 bisection report's fields with every route summed in the call."""
+    scale = 2**level
+    bisection = math.fsum(
+        1.0 / math.sin((k * math.pi + x) / scale) ** 2 for k in range(scale)
+    ) / (scale * scale)
+    exact = 1.0 / math.sin(x) ** 2
+    half = scale // 2
+    centered_indices = range(-half, half) if level >= 1 else range(0, 1)
+    centered = math.fsum(1.0 / (x + k * math.pi) ** 2 for k in centered_indices)
+    tail = 2.0 / (math.pi * math.pi * pf_terms)
+    partial_fraction = (
+        1.0 / (x * x)
+        + math.fsum(
+            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
+            for k in range(1, pf_terms + 1)
+        )
+        + tail
+    )
+    return {
+        "x": x, "level": level, "bisection_value": bisection, "exact_value": exact,
+        "e_n_bound": 0.5**level, "e_n_measured": exact - centered,
+        "partial_fraction_value": partial_fraction, "truncation_k": pf_terms,
+    }

@@ -39,7 +39,12 @@ from baselkit.quadrature import (
 )
 from baselkit.series import bisection_report, eta2_partial_float, zeta2_partial_float
 
-from oracles import tanh_sinh_level_by_level
+from oracles import (
+    eager_bisection_json,
+    grid_by_integrand,
+    product_terms,
+    tanh_sinh_level_by_level,
+)
 
 PI2_6 = math.pi**2 / 6
 PI2_12 = math.pi**2 / 12
@@ -840,9 +845,8 @@ def test_sample_monotonicity_streams_the_grid():
     assert peak < 200_000
 
 
-def _listed_monotonicity(f, n: int) -> int:
+def _listed_monotonicity(values: list[float]) -> int:
     """The list-building form of sample_monotonicity, as a reference."""
-    values = [f(k / n, (n - k) / n) for k in range(1, n)]
     diffs = [b - a for a, b in zip(values, values[1:])]
     if all(d >= 0.0 for d in diffs):
         return 1
@@ -853,12 +857,40 @@ def _listed_monotonicity(f, n: int) -> int:
 
 @pytest.mark.parametrize("n", [3, 4, 7, 1000])
 def test_sample_monotonicity_matches_the_listed_form(n, monkeypatch):
-    for kind in IntegralKind:
-        assert sample_monotonicity(kind, n) == _listed_monotonicity(quadrature._integrand(kind), n)
-    # a flat, a bumpy and a NaN-valued integrand reach the other branches
+    # the library's integrands are checked on their own grids below; a flat, a bumpy and
+    # a NaN-valued integrand, fed in as the grid, reach the other branches
     for f in (lambda t, omt: 0.0, lambda t, omt: math.sin(9.0 * t), lambda t, omt: math.nan):
-        monkeypatch.setattr(quadrature, "_integrand", lambda kind, f=f: f)
-        assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(f, n)
+        monkeypatch.setattr(quadrature, "_grid_values",
+                            lambda kind, n, f=f: iter(grid_by_integrand(f, n)))
+        values = grid_by_integrand(f, n)
+        assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(values)
+
+
+# Grid sizes either side of the split h = n // 2 (odd and even n) and the report's three n;
+# the bisection levels 0..12 ride along, one per n.
+_PINNED_NS = [2, 3, 4, 5, 7, 10, 11, 999, 1000, 1001, 9999, 10**4, 10**5]
+
+
+@pytest.mark.parametrize("n, level", zip(_PINNED_NS, range(13)))
+def test_grid_and_bisection_sums_match_their_per_term_forms(n, level):
+    # the split grids and the bisection sums with their invariants bound once give
+    # the bits of one integrand call, one choice of logarithm, one attribute read per term;
+    # no grid value is 0 or NaN, so == compares bits
+    for kind in IntegralKind:
+        values = grid_by_integrand(quadrature._integrand(kind), n)
+        assert list(quadrature._grid_values(kind, n)) == values
+        if kind in quadrature.RIEMANN_KINDS:
+            assert repr(riemann_sum(kind, n)) == repr(math.fsum(values) / n)
+        if n >= 3:
+            assert sample_monotonicity(kind, n) == _listed_monotonicity(values)
+    for kind in ProductKind:
+        expected = math.fsum(product_terms(kind is ProductKind.MINUS, n))
+        assert repr(product_form(kind, n)) == repr(expected)
+    for x in (1e-8, 1.0, math.pi / 2, math.pi - 1e-8):
+        report = bisection_report(x, level, n).to_json()
+        expected = eager_bisection_json(x, level, n)
+        for name in ("bisection_value", "e_n_measured", "partial_fraction_value"):
+            assert repr(report[name]) == repr(expected[name]), (x, name)
 
 
 # Every call whose term count is its argument n, checked against the budget.

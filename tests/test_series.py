@@ -26,7 +26,7 @@ from baselkit.series import (
 
 from baselkit.verify import run_suite
 
-from oracles import ETA2_HP, ZETA2_HP
+from oracles import ETA2_HP, ZETA2_HP, eager_bisection_json
 
 PI2_6 = math.pi**2 / 6
 PI2_12 = math.pi**2 / 12
@@ -203,8 +203,8 @@ class TestBisectionReport:
         # the x grids of bisection_identity_grid and bisection_remainder_bound
         for x in (0.05, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.3, math.pi / 2, 2.0, 2.5):
             for level in range(13):
-                assert bisection_report(x, level).to_json() == _eager_bisection_json(x, level)
-        assert bisection_report(1.0, 3, 7).to_json() == _eager_bisection_json(1.0, 3, 7)
+                assert bisection_report(x, level).to_json() == eager_bisection_json(x, level)
+        assert bisection_report(1.0, 3, 7).to_json() == eager_bisection_json(1.0, 3, 7)
 
     def test_grid_rows_never_sum_the_partial_fraction_expansion(self, monkeypatch):
         # each row reads only the sums it checks, and bisection_report sums nothing
@@ -236,32 +236,6 @@ class TestBisectionReport:
     def test_identity_property(self, x, level):
         rep = bisection_report(x, level)
         assert abs(rep.bisection_value / rep.exact_value - 1.0) < 1e-9
-
-
-def _eager_bisection_json(x: float, level: int, pf_terms: int = 10_000) -> dict:
-    """Frozen copy of the formula that summed every route inside the call."""
-    scale = 2**level
-    bisection = math.fsum(
-        1.0 / math.sin((k * math.pi + x) / scale) ** 2 for k in range(scale)
-    ) / (scale * scale)
-    exact = 1.0 / math.sin(x) ** 2
-    half = scale // 2
-    centered_indices = range(-half, half) if level >= 1 else range(0, 1)
-    centered = math.fsum(1.0 / (x + k * math.pi) ** 2 for k in centered_indices)
-    tail = 2.0 / (math.pi * math.pi * pf_terms)
-    partial_fraction = (
-        1.0 / (x * x)
-        + math.fsum(
-            1.0 / (x + k * math.pi) ** 2 + 1.0 / (x - k * math.pi) ** 2
-            for k in range(1, pf_terms + 1)
-        )
-        + tail
-    )
-    return {
-        "x": x, "level": level, "bisection_value": bisection, "exact_value": exact,
-        "e_n_bound": 0.5**level, "e_n_measured": exact - centered,
-        "partial_fraction_value": partial_fraction, "truncation_k": pf_terms,
-    }
 
 
 class TestAsymptoticReports:
