@@ -8,9 +8,11 @@ at t = 0 or t = 1 cost nothing, and the trapezoid sum converges roughly one
 binary digit per node at each level.  Integrands receive each node both as a
 distance from 0 and as a distance from 1, so values like ln(1 - t) stay
 fully accurate where t rounds to 1.0 in binary64; the endpoints themselves
-are never evaluated.  A level ends at its first node weight below
-_WEIGHT_MIN = 2^-160 (t ~ 4.3): a dropped term, at most 2^-159 max|f| and
-added last, is below 2^-106 |I| when |f| <= 2^53 |I|, so it moves no bit.
+are never evaluated.  Each level is one math.fsum, correctly rounded, so
+the order of its terms does not matter.  A level ends at its first node
+weight below _WEIGHT_MIN = 2^-160 (t ~ 4.3): a dropped term, at most
+2^-159 max|f|, is below 2^-106 |I| when |f| <= 2^53 |I|, so it could move
+the rounded sum only if the exact one lay that close to a rounding midpoint.
 
 All results are binary64.  pi means the nearest binary64 to pi, so no claim
 is made below about 1e-15.
@@ -158,7 +160,8 @@ def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
     nodes, exactly, since k 2^-level is); q/2 = 1/(e^(2u) + 1) is the distance
     to the near endpoint.  Ends before the first weight below _WEIGHT_MIN =
     2^-160, where u < 58; weights fall as t grows, so a level's new and kept
-    nodes end together, and a dropped term is below 2^-106 |I| for |f| <= 2^53 |I|."""
+    nodes end together; a dropped term is below 2^-106 |I| for |f| <= 2^53 |I|
+    (`_tanh_sinh_unit` says when that can move a bit)."""
     h = 0.5**level
     nodes = []
     for k in count(1, 1 if level == 0 else 2):
@@ -177,31 +180,21 @@ def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResul
 
     Levels are nested: level L keeps the weighted terms of level L-1 and
     calls f only at its new odd nodes, so ``evaluations`` counts the calls
-    to f.  The terms are summed in node order from the centre at every
-    level, so each level's value is that of a trapezoid sum built afresh.
-    Nodes of weight below _WEIGHT_MIN = 2^-160 are left out: for |f| <= 2^53 |I|
-    each such term, which would come last, is below 2^-106 |I| and moves no bit.
+    to f.  Each level's terms go to one math.fsum, whose correctly rounded
+    sum does not depend on their order, so each level's value is that of a
+    trapezoid sum built afresh.  Nodes of weight below _WEIGHT_MIN = 2^-160
+    are left out: for |f| <= 2^53 |I| each such term is below 2^-106 |I|, and
+    moves the rounded sum only if the exact sum lies that close to a rounding
+    midpoint; against the uncut sum, no library integrand moves a bit.
     """
-    centre = (_PI / 4.0) * f(0.5, 0.5)
+    terms = [(_PI / 4.0) * f(0.5, 0.5)]
     evaluations = 1
-    terms: list[float] = []
     previous, value, err = None, 0.0, math.inf
     for level in range(_MAX_LEVEL + 1):
         new = [w * (f(c, s) + f(s, c)) for w, s, c in _level_nodes(level)]
         evaluations += 2 * len(new)
-        if level == 0:
-            terms = new
-        else:
-            # new node 2j-1, then kept node 2j; the slices accept exactly
-            # len(new) == len(terms) or len(terms) + 1
-            merged = [0.0] * (len(new) + len(terms))
-            merged[0::2] = new
-            merged[1::2] = terms
-            terms = merged
-        total = centre
-        for term in terms:
-            total += term
-        value = 0.5**level * total
+        terms += new
+        value = 0.5**level * math.fsum(terms)
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * max(1.0, abs(value)):
@@ -221,9 +214,9 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
     tol : float
         Requested tolerance, within [1e-15, 1e-3].  The returned
         ``err_estimate`` is the last difference between levels, floored at
-        |value| * 2^-52: an estimate, and no bound below about 1e-15 (at
-        LOG1P_OVER_T and tol 1e-12 it reads 1.83e-16 for an error of
-        3.18e-16 against pi^2/12).  ``evaluations`` is the number of
+        |value| * 2^-52: an estimate, and no bound below about 1e-15 (for
+        the four kinds at each tol 1e-3..1e-15, the error against mpmath's
+        pi^2/6 or pi^2/12 was at most 0.53 of it).  ``evaluations`` is the number of
         integrand calls: the levels are nested, so no node is evaluated twice.
 
     Raises
@@ -368,7 +361,7 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     Takes every x with x and 1/x positive and finite; anything else (NaN
     included) raises ValueError.  A miss is a residual above
     max(tol, 8 * 2^-52) * (ln x)^2 / 2.  Over 10^5 log-uniform x in [1e-307, 1.7e308]
-    (seed 7) the worst residual was 7.2 * 2^-52, 1.5 tol and 0.35 tol times (ln x)^2 / 2
+    (seed 7) the worst residual was 6.6 * 2^-52, 1.5 tol and 0.35 tol times (ln x)^2 / 2
     at tol 1e-12, 1e-6 (22 misses) and 1e-3.  The kernel stops when two levels agree,
     which two levels that both miss part of a peak can do: of 10^5 log-uniform draws of
     x in [1e-307, 1e308] and tol in [1e-12, 1e-3], 29 missed, the worst by 112.5 times

@@ -8,13 +8,14 @@ uses integer tangent numbers and Gandhi polynomials), pi is a frozen
 exact rational arithmetic, polynomials have a plain list-of-Fraction
 reference for the integer-backed library class, the power-sum identity is
 summed afresh at each n (the library keeps running sums over n), and
-tanh-sinh has a
-level-by-level sum that evaluates every node afresh (the library's levels
-are nested, and must give the same bits).  The limit grids and the 1/sin^2
-bisection sums are kept in their per-term forms: one integrand call per
-grid point, the product's choice of logarithm made term by term, and every
-bisection sum run inside one call (the library splits the grid once and
-computes the sums when read, and must give the same bits).
+tanh-sinh has a level-by-level sum that evaluates every node afresh, out to
+where q underflows, and gives each level one math.fsum (the library's levels
+are nested and its nodes end at a weight floor, and must give the same
+bits).  The limit grids and the 1/sin^2 bisection sums are kept in their
+per-term forms: one integrand call per grid point, the product's choice of
+logarithm made term by term, and every bisection sum run inside one call
+(the library splits the grid once and computes the sums when read, and
+must give the same bits).
 """
 
 from __future__ import annotations
@@ -187,14 +188,14 @@ def power_sum_sides(g, k: int, n: int) -> tuple[Fraction, Fraction]:
 
 def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, float, bool]:
     """Tanh-sinh over (0, 1) with every level a trapezoid sum built afresh:
-    f at every node t = k 2^-level, the terms added from the centre in k
-    order.  Returns (value, err_estimate, converged) under the library's
+    f at every node t = k 2^-level, the level's terms summed by math.fsum.
+    Returns (value, err_estimate, converged) under the library's
     stopping rule; when not converged, those of the last level."""
     previous = None
     value, err = 0.0, math.inf
     for level in range(max_level + 1):
         h = 0.5**level
-        total = (math.pi / 4.0) * f(0.5, 0.5)
+        terms = [(math.pi / 4.0) * f(0.5, 0.5)]
         k = 1
         while (t := k * h) <= 6.2:
             u = 0.5 * math.pi * math.sinh(t)
@@ -206,9 +207,9 @@ def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, floa
             if weight == 0.0:
                 break
             half_q = 0.5 * q
-            total += weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q))
+            terms.append(weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q)))
             k += 1
-        value = h * total
+        value = h * math.fsum(terms)
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * max(1.0, abs(value)):

@@ -207,12 +207,16 @@ def test_criterion_9_functional_equations():
 
 # sha256 of the full `verify --suite all --format json` report.  Performance
 # work must leave these bytes unchanged; only a deliberate correctness fix to a
-# row may move this value, and it says so.  It last moved when the float
-# series stopped reading tol (ROADMAP item 8, the series half): the rows
-# dilog_modes_grid and series_vs_integral_1..3 moved, their abs_err falling
-# from 8.9e-11, 6.0e-11, 5.0e-12 and 8.8e-11 to 4.4e-16 or less.  Before that
-# the x <-> 1/x equation and the series-integral pair changed variable.
-REPORT_SHA256 = "d13b0d39a35960fa395af883c70ff117856d5ff6737e5e9c3628acb7d28fdbb3"
+# row may move this value, and it says so.  It last moved when each tanh-sinh
+# level became one math.fsum: 12 rows moved, and every abs_err among them fell
+# (integral_log1p_over_t 3.3e-16 to 1.1e-16, integral_log_over_1pt 2.2e-16 to
+# 1.1e-16, integral_pair_identity and integral_parts_identity to 0,
+# functional_dilog_grid 3.3e-16 to 1.1e-16, functional_inverse_grid 4.4e-16 to
+# 5.6e-17, dilog_modes_grid 6.7e-16 to 2.2e-16, series_vs_integral_3 4.4e-16
+# to 0, asymptotic_targets_consistency 2.2e-16 to 0, asymptotic_genocchi_target
+# 2.2e-16 to 1.1e-16), while asymptotic_genocchi_truncation and erratum_E2
+# only print that target.  Before that the float series stopped reading tol.
+REPORT_SHA256 = "4d5ca8813c5975e2dc52596ab237df2fa32b1c53e8c6e988462444184fc7795f"
 
 
 def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
@@ -271,13 +275,11 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# the dilog and the pair stopped summing to tol and take 60 terms, 39 and a
-# tail, or Euler's transform by their argument alone, which moved 67 of the
-# 113 lines, 39 "dilog" and 28 "pair", each to within 1.00 * 2^-52 relative
-# of mpmath, from as far as 4.5e15 * 2^-52; their integral halves did not
-# move.  Before that the Euler-Maclaurin tail replaced the Lerch expansion for
-# r in [1/2, 1), and Euler's transform replaced Boole summation at r = -1).
-SERIES_SHA256 = "62714aab20447719e47ab2b69a4ebc14a379d9579d503058a9aebd788d7325a4"
+# each tanh-sinh level became one math.fsum, which moved the integral halves
+# of 22 "pair" lines, 13 closer to mpmath and 9 farther; no series half moved.
+# Before that the dilog and the pair stopped summing to tol and take 60 terms,
+# 39 and a tail, or Euler's transform by their argument alone).
+SERIES_SHA256 = "24f768b2f201532ab80d6910d104e6035b1bec8aa04f76ef1f983081dd1e63ce"
 
 
 def test_series_outputs_are_pinned():
@@ -338,9 +340,11 @@ def _quad_outputs(seed: int) -> list[str]:
 
 # sha256 of `_quad_outputs(2026)`, joined by newlines; like SERIES_SHA256, it
 # moves only with a deliberate change to what a quadrature call returns (last:
-# the inverse equation and the pair's integral half changed variable; nesting
-# the tanh-sinh levels before that left it unchanged).
-QUAD_SHA256 = "0e2aca9eb4666db51a15ea57700b234604cc0dfce88b4e2e835edf8e27c0ca96"
+# each tanh-sinh level became one math.fsum, which moved 363 of the 475 lines
+# and no AccuracyError cap; of the 52 "integrate" lines 32 moved closer to
+# mpmath's pi^2/6 or pi^2/12, 18 kept their value and 2 moved 2 ulp farther.
+# Before that the inverse equation and the pair's integral half changed variable).
+QUAD_SHA256 = "29f98b8bca3e85b3c7dcc25eda5219ec22f034eda2246924027f2dae2332649d"
 
 
 def test_quadrature_outputs_are_pinned():
