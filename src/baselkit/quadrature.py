@@ -5,14 +5,21 @@ share their closed forms.
 The workhorse is a double-exponential (tanh-sinh) transform: nodes cluster
 toward the endpoints fast enough that integrable logarithmic singularities
 at t = 0 or t = 1 cost nothing, and the trapezoid sum converges roughly one
-binary digit per node at each level.  Integrands receive each node both as a
-distance from 0 and as a distance from 1, so values like ln(1 - t) stay
-fully accurate where t rounds to 1.0 in binary64; the endpoints themselves
-are never evaluated.  Each level is one math.fsum, correctly rounded, so
-the order of its terms does not matter.  A level ends at its first node
-weight below _WEIGHT_MIN = 2^-160 (t ~ 4.3): a dropped term, at most
-2^-159 max|f|, is below 2^-106 |I| when |f| <= 2^53 |I|, so it could move
-the rounded sum only if the exact one lay that close to a rounding midpoint.
+binary digit per node at each level.  Each node is held as its distance
+s = q/2 from the near endpoint and as c = 1 - s, and an integrand f(t, 1 - t)
+reaches the kernel as its value f(1/2, 1/2) at the centre and a level
+function terms_of(nodes) = [w * (f(c, s) + f(s, c)) for w, s, c in nodes],
+one list comprehension per level.  As s < 1/2 < c at every node (s <= 0.4993
+up to level 10), each half takes a fixed arm: ln t is log1p(-s) at t = c and
+log(s) at t = s, so values like ln(1 - t) stay fully accurate where t rounds
+to 1.0 in binary64; the endpoints themselves are never evaluated.  The
+centre comes from the scalar rule, which at t = 1/2 may take either arm;
+`_integrand(kind)` is that scalar rule for the four integrals.  Each level
+is one math.fsum, correctly rounded, so the order of its terms does not
+matter.  A level ends at its first node weight below _WEIGHT_MIN = 2^-160
+(t ~ 4.3): a dropped term, at most 2^-159 max|f|, is below 2^-106 |I| when
+|f| <= 2^53 |I|, so it could move the rounded sum only if the exact one lay
+that close to a rounding midpoint.
 
 All results are binary64.  pi means the nearest binary64 to pi, so no claim
 is made below about 1e-15.
@@ -143,6 +150,20 @@ def _integrand(kind: IntegralKind) -> Callable[[float, float], float]:
     return lambda t, omt: _log_of(omt, t) / t  # ln(1 - t): the node read as t <-> 1 - t
 
 
+_Nodes = tuple[tuple[float, float, float], ...]
+
+
+def _level_terms(kind: IntegralKind) -> Callable[[_Nodes], list[float]]:
+    """The level function of _integrand(kind), each half on its arm of _log_of."""
+    log, log1p = math.log, math.log1p
+    if kind is IntegralKind.LOG_OVER_1PT:
+        return lambda nodes: [w * (log1p(-s) / (1.0 + c) + log(s) / (1.0 + s)) for w, s, c in nodes]
+    if kind is IntegralKind.LOG1P_OVER_T:
+        return lambda nodes: [w * (log1p(c) / c + log1p(s) / s) for w, s, c in nodes]
+    # ln(1 - t)/t is ln(t)/(1 - t) read as t <-> 1 - t: its two halves swap, and + commutes
+    return lambda nodes: [w * (log1p(-s) / s + log(s) / c) for w, s, c in nodes]
+
+
 def _check_tol(tol: float) -> None:
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
@@ -154,7 +175,7 @@ def _check_count(n: int, floor: int, name: str = "n") -> None:
 
 
 @functools.cache
-def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+def _level_nodes(level: int) -> _Nodes:
     """(weight, q/2, 1 - q/2) of the nodes t = k 2^-level that `level` adds:
     every k >= 1 at level 0, odd k after it (even k are the level before's
     nodes, exactly, since k 2^-level is); q/2 = 1/(e^(2u) + 1) is the distance
@@ -175,25 +196,29 @@ def _level_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
         nodes.append((weight, half_q, 1.0 - half_q))
 
 
-def _tanh_sinh_unit(f: Callable[[float, float], float], tol: float) -> QuadResult:
-    """Integrate f over (0, 1); f(t, 1-t) with both arguments in (0, 1).
+def _tanh_sinh_unit(terms_of: Callable[[_Nodes], list[float]], centre: float,
+                    tol: float) -> QuadResult:
+    """Integrate f over (0, 1), f(t, 1-t) with both arguments in (0, 1), given as
+    centre = f(1/2, 1/2) and terms_of(nodes) = [w * (f(c, s) + f(s, c)) for w, s, c
+    in nodes], where s < 1/2 < c (see the module docstring).
 
     Levels are nested: level L keeps the weighted terms of level L-1 and
-    calls f only at its new odd nodes, so ``evaluations`` counts the calls
-    to f.  Each level's terms go to one math.fsum, whose correctly rounded
-    sum does not depend on their order, so each level's value is that of a
-    trapezoid sum built afresh.  Nodes of weight below _WEIGHT_MIN = 2^-160
-    are left out: for |f| <= 2^53 |I| each such term is below 2^-106 |I|, and
-    moves the rounded sum only if the exact sum lies that close to a rounding
-    midpoint; against the uncut sum, no library integrand moves a bit.
+    passes terms_of only its new odd nodes, so ``evaluations`` counts the
+    evaluations of f, two per node pair plus the centre, each once.  Each
+    level's terms go to one math.fsum, whose correctly rounded sum does not
+    depend on their order, so each level's value is that of a trapezoid sum
+    built afresh.  Nodes of weight below _WEIGHT_MIN = 2^-160 are left out:
+    for |f| <= 2^53 |I| each such term is below 2^-106 |I|, and moves the
+    rounded sum only if the exact sum lies that close to a rounding midpoint;
+    against the uncut sum, no library integrand moves a bit.
     """
-    terms = [(_PI / 4.0) * f(0.5, 0.5)]
+    terms = [(_PI / 4.0) * centre]
     evaluations = 1
     previous, value, err = None, 0.0, math.inf
     for level in range(_MAX_LEVEL + 1):
-        new = [w * (f(c, s) + f(s, c)) for w, s, c in _level_nodes(level)]
-        evaluations += 2 * len(new)
-        terms += new
+        nodes = _level_nodes(level)
+        terms += terms_of(nodes)
+        evaluations += 2 * len(nodes)
         value = 0.5**level * math.fsum(terms)
         if previous is not None:
             err = abs(value - previous)
@@ -217,7 +242,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         |value| * 2^-52: an estimate, and no bound below about 1e-15 (for
         the four kinds at each tol 1e-3..1e-15, the error against mpmath's
         pi^2/6 or pi^2/12 was at most 0.53 of it).  ``evaluations`` is the number of
-        integrand calls: the levels are nested, so no node is evaluated twice.
+        evaluations of the integrand, two per node pair plus the centre: the levels
+        are nested, so no node is evaluated twice.
 
     Raises
     ------
@@ -225,7 +251,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         If the level cap is hit first; the exception carries the best result.
     """
     _check_tol(tol)
-    return _tanh_sinh_unit(_integrand(kind), tol)
+    centre = _integrand(kind)(0.5, 0.5)
+    return _tanh_sinh_unit(_level_terms(kind), centre, tol)
 
 
 def two_integral_residual(tol: float = DEFAULT_TOL) -> float:
@@ -320,22 +347,25 @@ def _unit_log_kernel(y: float, tol: float) -> float:
     """integral over [0, y] of ln(1 - t)/t dt, for y in [-1, 1].
 
     Rescaled to [0, 1] via t = y*u (the 1/t and dt factors of y cancel);
-    near u = 1 the argument 1 - y*u is rebuilt as (1 - y) + y*(1 - u) so
-    the y = 1 endpoint singularity is resolved exactly.  For y < 0 nothing
-    cancels, and every u takes the log1p arm.
+    for u > 1/2 (the nodes c) the argument 1 - y*u is rebuilt as
+    (1 - y) + y*(1 - u) so the y = 1 endpoint singularity is resolved
+    exactly; u <= 1/2, the centre included, takes log1p(-y*u).  For y < 0
+    nothing cancels, and every u takes the log1p arm.
     """
     if y == 0.0:
         return 0.0
     one_minus_y, minus_y = 1.0 - y, -y
-    last_log1p = 0.5 if y > 0.0 else 1.0
     log, log1p = math.log, math.log1p
+    centre = log1p(minus_y * 0.5) / 0.5
+    if y > 0.0:
+        def terms_of(nodes: _Nodes) -> list[float]:
+            return [w * (log(one_minus_y + y * s) / c + log1p(minus_y * s) / s)
+                    for w, s, c in nodes]
+    else:
+        def terms_of(nodes: _Nodes) -> list[float]:
+            return [w * (log1p(minus_y * c) / c + log1p(minus_y * s) / s) for w, s, c in nodes]
 
-    def f(u: float, omu: float) -> float:
-        if u <= last_log1p:
-            return log1p(minus_y * u) / u
-        return log(one_minus_y + y * omu) / u
-
-    return _tanh_sinh_unit(f, tol).value
+    return _tanh_sinh_unit(terms_of, centre, tol).value
 
 
 def functional_eq_dilog(x: float, tol: float = DEFAULT_TOL) -> float:
@@ -374,9 +404,12 @@ def functional_eq_inverse(x: float, tol: float = DEFAULT_TOL) -> float:
     _check_tol(tol)
     lx, exp = math.log(max(x, 1.0 / x)), math.exp
 
-    def h(sign: float, weight: float) -> float:
+    def h(sign: float, weight: float) -> float:  # f(s) = weight * s / (1 + e^(rate s))
         rate = sign * lx
-        f = _tanh_sinh_unit(lambda s, oms: weight * s / (1.0 + exp(rate * s)), tol)
+        centre = weight * 0.5 / (1.0 + exp(rate * 0.5))
+        f = _tanh_sinh_unit(lambda nodes: [
+            w * (weight * c / (1.0 + exp(rate * c)) + weight * s / (1.0 + exp(rate * s)))
+            for w, s, c in nodes], centre, tol)
         return lx * lx / weight * f.value
 
     return abs(h(-1.0, 2.0) + h(1.0, 2.0 * max(lx, 1.0) ** 2) - 0.5 * lx * lx)
@@ -548,7 +581,9 @@ def series_integral_pair(
     each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of the sum;
     anything else (NaN included) raises ValueError.  Only the integral half
     reads tol, so only it is bound by that contract: the series half is the
-    same at every tol, and within about 2 * 2^-52 relative of the sum.
+    same at every tol, and within about 2 * 2^-52 relative of the sum.  Below
+    2^-1022 that cannot hold for any binary64 value: values there lie 2^-1074
+    apart, which is more than 2 * 2^-52 of the sum.
 
     The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  Its
     route depends on r alone:
@@ -587,18 +622,22 @@ def series_integral_pair(
     shift = 2.0**600 if abs(r) > 2.0**900 * (a + b) else 1.0
     scale = r / (a + b) / shift
     if r > 0.0:
-        one_minus_r = 1.0 - r
+        # f(w) = scale / (1 - r w^p), with 1 - r w^p = (1 - r) + r (1 - w^p) and
+        # 1 - w^p = -expm1(p ln w); ln w is log1p(-s) at the node c and log(s) at the node s
+        one_minus_r, log, log1p, expm1 = 1.0 - r, math.log, math.log1p, math.expm1
+        centre = scale / (one_minus_r - r * expm1(p * log(0.5)))
 
-        def f(w: float, omw: float) -> float:
-            # 1 - r w^p = (1 - r) + r (1 - w^p), with 1 - w^p = -expm1(p ln w)
-            return scale / (one_minus_r - r * math.expm1(p * _log_of(w, omw)))
+        def terms_of(nodes: _Nodes) -> list[float]:
+            return [w * (scale / (one_minus_r - r * expm1(p * log1p(-s)))
+                         + scale / (one_minus_r - r * expm1(p * log(s)))) for w, s, c in nodes]
     else:
+        centre = scale / (1.0 - r * 0.5**p)
 
-        def f(w: float, omw: float) -> float:
-            return scale / (1.0 - r * w**p)
+        def terms_of(nodes: _Nodes) -> list[float]:
+            return [w * (scale / (1.0 - r * c**p) + scale / (1.0 - r * s**p)) for w, s, c in nodes]
 
     try:
-        return series, shift * _tanh_sinh_unit(f, max(tol, 8 * 2.0**-52)).value
+        return series, shift * _tanh_sinh_unit(terms_of, centre, max(tol, 8 * 2.0**-52)).value
     except AccuracyError as exc:
         best = exc.best
         exc.best = QuadResult(shift * best.value, shift * best.err_estimate, best.evaluations)

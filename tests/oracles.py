@@ -11,11 +11,14 @@ summed afresh at each n (the library keeps running sums over n), and
 tanh-sinh has a level-by-level sum that evaluates every node afresh, out to
 where q underflows, and gives each level one math.fsum (the library's levels
 are nested and its nodes end at a weight floor, and must give the same
-bits).  The limit grids and the 1/sin^2 bisection sums are kept in their
-per-term forms: one integrand call per grid point, the product's choice of
-logarithm made term by term, and every bisection sum run inside one call
-(the library splits the grid once and computes the sums when read, and
-must give the same bits).
+bits).  The integrands of the dilog kernel, the inverse equation and the pair
+are kept as scalar functions that choose their logarithm's arm at each call
+(the library writes each as a level function whose halves have fixed arms,
+and must give the same bits).  The limit grids and the 1/sin^2 bisection
+sums are kept in their per-term forms: one integrand call per grid point,
+the product's choice of logarithm made term by term, and every bisection
+sum run inside one call (the library splits the grid once and computes the
+sums when read, and must give the same bits).
 """
 
 from __future__ import annotations
@@ -186,16 +189,24 @@ def power_sum_sides(g, k: int, n: int) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(k * sum(i ** (k - 1) for i in range(1, n + 1)))
 
 
-def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, float, bool]:
+def level_form(f):
+    """(terms_of, centre) of a scalar integrand f(t, 1 - t), the kernel's protocol
+    written out: f at both halves of each node (weight, s, 1 - s), and at 1/2."""
+    return (lambda nodes: [w * (f(c, s) + f(s, c)) for w, s, c in nodes]), f(0.5, 0.5)
+
+
+def tanh_sinh_level_by_level(terms_of, centre: float, tol: float,
+                             max_level: int) -> tuple[float, float, bool]:
     """Tanh-sinh over (0, 1) with every level a trapezoid sum built afresh:
-    f at every node t = k 2^-level, the level's terms summed by math.fsum.
-    Returns (value, err_estimate, converged) under the library's
-    stopping rule; when not converged, those of the last level."""
+    terms_of at every node t = k 2^-level, the centre term added, and the
+    level's terms summed by math.fsum.  Returns (value, err_estimate,
+    converged) under the library's stopping rule; when not converged, those
+    of the last level."""
     previous = None
     value, err = 0.0, math.inf
     for level in range(max_level + 1):
         h = 0.5**level
-        terms = [(math.pi / 4.0) * f(0.5, 0.5)]
+        nodes = []
         k = 1
         while (t := k * h) <= 6.2:
             u = 0.5 * math.pi * math.sinh(t)
@@ -207,15 +218,46 @@ def tanh_sinh_level_by_level(f, tol: float, max_level: int) -> tuple[float, floa
             if weight == 0.0:
                 break
             half_q = 0.5 * q
-            terms.append(weight * (f(1.0 - half_q, half_q) + f(half_q, 1.0 - half_q)))
+            nodes.append((weight, half_q, 1.0 - half_q))
             k += 1
-        value = h * math.fsum(terms)
+        value = h * math.fsum([(math.pi / 4.0) * centre] + terms_of(tuple(nodes)))
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * max(1.0, abs(value)):
                 return value, max(err, abs(value) * 2.0**-52 or 5e-324), True
         previous = value
     return value, err, False
+
+
+def dilog_integrand(y: float):
+    """The integrand of int_0^y ln(1 - t)/t dt on u in (0, 1), t = y u, with its
+    arm chosen at each call: log1p(-y u)/u up to u = 1/2 (every u for y < 0),
+    past it ln((1 - y) + y (1 - u))/u."""
+    last_log1p = 0.5 if y > 0.0 else 1.0
+    return lambda u, omu: (math.log1p(-y * u) / u if u <= last_log1p
+                           else math.log(1.0 - y + y * omu) / u)
+
+
+def inverse_integrand(rate: float, weight: float):
+    """weight * s / (1 + e^(rate s)), the integrand of functional_eq_inverse."""
+    return lambda s, oms: weight * s / (1.0 + math.exp(rate * s))
+
+
+def pair_integrand(r: float, a: float, b: float):
+    """r / ((a + b)(1 - r w^p)) / shift with p = a/(a + b), the integral half of
+    series_integral_pair; for r > 0 as (1 - r) - r expm1(p ln w), ln w taken from
+    whichever of w and 1 - w is at most 1/2.  Returns (f, shift)."""
+    p = a / (a + b)
+    shift = 2.0**600 if abs(r) > 2.0**900 * (a + b) else 1.0
+    scale = r / (a + b) / shift
+    if r > 0.0:
+        def f(w, omw):
+            ln_w = math.log(w) if w <= 0.5 else math.log1p(-omw)
+            return scale / ((1.0 - r) - r * math.expm1(p * ln_w))
+    else:
+        def f(w, omw):
+            return scale / (1.0 - r * w**p)
+    return f, shift
 
 
 def grid_by_integrand(f, n: int) -> list[float]:

@@ -40,8 +40,12 @@ from baselkit.quadrature import (
 from baselkit.series import bisection_report, eta2_partial_float, zeta2_partial_float
 
 from oracles import (
+    dilog_integrand,
     eager_bisection_json,
     grid_by_integrand,
+    inverse_integrand,
+    level_form,
+    pair_integrand,
     product_terms,
     tanh_sinh_level_by_level,
 )
@@ -66,12 +70,17 @@ def _pair_reference(r: float, a: float, b: float) -> float:
     digits plus those of b/a, which mpmath's Phi(r, 1, v) loses for large v;
     b/a is taken in mpmath, where it cannot overflow.  For |r| <= 1/2 the
     series is summed instead, to 2^-150 of its first term: mpmath's Phi is
-    off there for tiny |r| (0.50137 + 0.0039j for 1/2 at r = -1e-300)."""
+    off there for tiny |r| (0.50137 + 0.0039j for 1/2 at r = -1e-300).  The
+    sum reaches binary64 through a 40-digit string, which float() rounds
+    once: mpmath 1.3.0's float(mpf) rounds to 53 bits and then again to the
+    subnormal grid, which below 2^-1022 can miss the nearest binary64."""
     with mpmath.workdps(40 + int(mpmath.log10(1 + mpmath.mpf(b) / a))):
         if abs(r) <= 0.5:
-            return float(mpmath.fsum(mpmath.mpf(r) ** n / (mpmath.mpf(a) * n + b)
-                                     for n in range(1, 151)))
-        return float(mpmath.mpf(r) / a * mpmath.lerchphi(r, 1, (mpmath.mpf(a) + b) / a))
+            total = mpmath.fsum(mpmath.mpf(r) ** n / (mpmath.mpf(a) * n + b)
+                                for n in range(1, 151))
+        else:
+            total = mpmath.mpf(r) / a * mpmath.lerchphi(r, 1, (mpmath.mpf(a) + b) / a)
+        return float(mpmath.nstr(total, 40))
 
 
 class TestIntegrate:
@@ -594,6 +603,7 @@ class TestPairExpansions:
            ratio=_PAIR_RATIOS)
     @example(r=0.5 - 2.0**-54, a=quadrature.PAIR_A_MIN, ratio=0.0)
     @example(r=0.0, a=1.0, ratio=0.0)
+    @example(r=2.225073858507203e-309, a=10.0**-0.25, ratio=0.0)  # a subnormal sum
     @settings(max_examples=60, deadline=None)
     def test_short_route_meets_the_reference_relatively(self, r, a, ratio):
         # r in [0, 1/2): 60 terms of ratio at most r, held to 2 * 2^-52 of the sum
@@ -614,7 +624,8 @@ class TestPairExpansions:
         # the integral half, which alone reads tol and may reach the level cap, is stubbed
         b = ratio * a
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_tanh_sinh_unit", lambda f, tol: QuadResult(0.0, 0.0, 0))
+            patch.setattr(quadrature, "_tanh_sinh_unit",
+                          lambda terms_of, centre, tol: QuadResult(0.0, 0.0, 0))
             series = [series_integral_pair(r, a, b, tol)[0] for tol in (1e-15, 1e-3)]
         assert repr(series[0]) == repr(series[1]), series
 
@@ -637,22 +648,24 @@ def test_level_cap_raises_with_best_result(monkeypatch):
     assert abs(best.value + PI2_6) < 0.1
 
 
-_SAMPLE_INTEGRANDS = [quadrature._integrand(kind) for kind in IntegralKind] + [
+# (terms_of, centre) of the four kinds as `integrate` passes them, and of three scalar f
+_SAMPLE_FORMS = [(quadrature._level_terms(kind), quadrature._integrand(kind)(0.5, 0.5))
+                 for kind in IntegralKind] + [level_form(f) for f in (
     lambda t, omt: math.cos(omt) / math.sqrt(t),
     lambda t, omt: math.exp(t) / (omt + 1e-3),
     lambda t, omt: 1.0 / (1.0 + 25.0 * (t - 0.3) ** 2),
-]
+)]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 12])
 def test_nested_levels_give_the_bits_of_fresh_levels(cap, monkeypatch):
     # cap 12 runs past the default _MAX_LEVEL: the node cache is not tied to it
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
-    for f in _SAMPLE_INTEGRANDS:
+    for terms_of, centre in _SAMPLE_FORMS:
         for tol in (1e-3, 1e-12, 1e-15, 0.0):
-            value, err, converged = tanh_sinh_level_by_level(f, tol, cap)
+            value, err, converged = tanh_sinh_level_by_level(terms_of, centre, tol, cap)
             try:
-                result = quadrature._tanh_sinh_unit(f, tol)
+                result = quadrature._tanh_sinh_unit(terms_of, centre, tol)
             except AccuracyError as exc:
                 assert not converged
                 result = exc.best
@@ -666,9 +679,9 @@ def test_the_weight_floor_drops_no_bit_of_any_library_integrand(monkeypatch):
     # the oracle's sum over every node up to the underflow of q
     kernel, calls = quadrature._tanh_sinh_unit, []
 
-    def recorder(f, tol):
-        calls.append((f, tol, kernel(f, tol)))
-        return calls[-1][2]
+    def recorder(terms_of, centre, tol):
+        calls.append((terms_of, centre, tol, kernel(terms_of, centre, tol)))
+        return calls[-1][3]
 
     monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
     for kind in IntegralKind:
@@ -681,10 +694,89 @@ def test_the_weight_floor_drops_no_bit_of_any_library_integrand(monkeypatch):
     for x in (1e308, 1e-307):
         functional_eq_inverse(x)
     assert len(calls) == 4 + 1 + 2 + 6 + 4
-    for f, tol, result in calls:
-        value, err, converged = tanh_sinh_level_by_level(f, tol, quadrature._MAX_LEVEL)
+    for terms_of, centre, tol, result in calls:
+        value, err, converged = tanh_sinh_level_by_level(terms_of, centre, tol,
+                                                         quadrature._MAX_LEVEL)
         assert converged
         assert (repr(result.value), repr(result.err_estimate)) == (repr(value), repr(err))
+
+
+def _forms_passed(call):
+    """(terms_of, centre) of each kernel call that call() makes, in order."""
+    kernel, forms = quadrature._tanh_sinh_unit, []
+
+    def recorder(terms_of, centre, tol):
+        forms.append((terms_of, centre))
+        return kernel(terms_of, centre, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_tanh_sinh_unit", recorder)
+        call()
+    return forms
+
+
+def _inverse_case(big_l):
+    x = math.exp(big_l)
+    lx = math.log(max(x, 1.0 / x))
+    return (lambda: functional_eq_inverse(x),
+            [inverse_integrand(-lx, 2.0), inverse_integrand(lx, 2.0 * max(lx, 1.0) ** 2)])
+
+
+def _pair_case(r, a, b):
+    return lambda: series_integral_pair(r, a, b), [pair_integrand(r, a, b)[0]]
+
+
+_LEVEL_FORM_CASES = {
+    **{kind.value: (lambda kind=kind: integrate(kind), [quadrature._integrand(kind)])
+       for kind in IntegralKind},
+    **{f"dilog y={y!r}": (lambda y=y: quadrature._unit_log_kernel(y, 1e-12), [dilog_integrand(y)])
+       # at y = 0.1 the two arms give different bits at u = 1/2, where the centre takes log1p
+       for y in (1.0, 0.5, 0.1, 2.0**-30, -(2.0**-30), -0.5, -1.0)},
+    **{f"inverse L={big_l!r}": _inverse_case(big_l) for big_l in (1e-12, 1.0, 700.0)},
+    **{f"pair r={r!r}": _pair_case(r, 1.0, 0.5)
+       for r in (1.0 - 2.0**-53, 0.9, 0.3, 0.0, -0.9, -1.0)},
+    # a + b = 1.5 * 2^-1000, so |r| > 2^900 (a + b) and the pair cuts its scale by 2^-600
+    "pair shifted": _pair_case(0.5, quadrature.PAIR_A_MIN, quadrature.PAIR_A_MIN / 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_LEVEL_FORM_CASES))
+def test_each_level_form_gives_the_bits_of_its_scalar_form(case):
+    # w * (f(c, s) + f(s, c)) at every node of levels 0..10, and f(1/2, 1/2), with the
+    # scalar f choosing its arm at each call where the level form fixes it per half
+    call, scalars = _LEVEL_FORM_CASES[case]
+    forms = _forms_passed(call)
+    assert len(forms) == len(scalars)
+    for (terms_of, centre), f in zip(forms, scalars):
+        assert repr(centre) == repr(f(0.5, 0.5))
+        for level in range(quadrature._MAX_LEVEL + 1):
+            nodes = quadrature._level_nodes(level)
+            assert all(s <= 0.4993 and c > 0.5 for _, s, c in nodes)
+            expected = [w * (f(c, s) + f(s, c)) for w, s, c in nodes]
+            assert list(map(repr, terms_of(nodes))) == list(map(repr, expected)), level
+
+
+def test_the_shifted_pair_case_takes_the_shift():
+    assert pair_integrand(0.5, quadrature.PAIR_A_MIN, quadrature.PAIR_A_MIN / 2)[1] == 2.0**600
+
+
+def test_one_suite_run_makes_7217_evaluations_in_77_integrals(monkeypatch):
+    from baselkit.verify import run_suite
+
+    kernel, counts = quadrature._tanh_sinh_unit, []
+
+    def recorder(terms_of, centre, tol):
+        try:
+            result = kernel(terms_of, centre, tol)
+        except AccuracyError as exc:
+            counts.append(exc.best.evaluations)
+            raise
+        counts.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
+    run_suite()
+    assert (sum(counts), len(counts)) == (7217, 77)
 
 
 class _Recording:
@@ -709,8 +801,9 @@ def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
         for cap in range(cap_max + 1):  # up to the lowest cap that converges
             monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
             f = _Recording(quadrature._integrand(kind))
+            terms_of, centre = level_form(f)
             try:
-                result, converged = quadrature._tanh_sinh_unit(f, tol), True
+                result, converged = quadrature._tanh_sinh_unit(terms_of, centre, tol), True
             except AccuracyError as exc:
                 result, converged = exc.best, False
             # every level up to the cap was used, and no pair was evaluated twice
