@@ -346,18 +346,18 @@ def product_form(kind: ProductKind, n: int) -> float:
 def _unit_log_kernel(y: float, tol: float) -> float:
     """integral over [0, y] of ln(1 - t)/t dt, for y in [-1, 1].
 
-    Rescaled to [0, 1] via t = y*u (the 1/t and dt factors of y cancel);
-    for u > 1/2 (the nodes c) the argument 1 - y*u is rebuilt as
-    (1 - y) + y*(1 - u) so the y = 1 endpoint singularity is resolved
-    exactly; u <= 1/2, the centre included, takes log1p(-y*u).  For y < 0
-    nothing cancels, and every u takes the log1p arm.
+    Rescaled to [0, 1] via t = y*u (the 1/t and dt factors of y cancel).
+    For y >= 1/2, where 1 - y is exact, u > 1/2 (the nodes c) takes
+    ln((1 - y) + y*(1 - u)), which resolves the y = 1 singularity exactly;
+    every other u takes log1p(-y*u).  The stop is absolute: at |y| below
+    about tol it accepts the level-1 error (3.4e-6 relative at y = 2e-200).
     """
     if y == 0.0:
         return 0.0
     one_minus_y, minus_y = 1.0 - y, -y
     log, log1p = math.log, math.log1p
     centre = log1p(minus_y * 0.5) / 0.5
-    if y > 0.0:
+    if y >= 0.5:
         def terms_of(nodes: _Nodes) -> list[float]:
             return [w * (log(one_minus_y + y * s) / c + log1p(minus_y * s) / s)
                     for w, s, c in nodes]
@@ -552,8 +552,8 @@ def _pair_series(r: float, a: float, b: float) -> float:
         v = 1.0 + b / a
         w = -r / (1.0 - r)  # Euler's transform, as `series_integral_pair` gives it
         terms = accumulate(range(1, _SERIES_TERMS), lambda term, k: term * w * k / (v + k),
-                           initial=1.0 / v)
-        return r / (1.0 - r) / a * math.fsum(terms)
+                           initial=1.0)
+        return r / (1.0 - r) / (a + b) * math.fsum(terms)
 
     def denominator(n: int) -> float:
         return a * n + b
@@ -576,21 +576,22 @@ def series_integral_pair(
 
     Returns ``(series_value, integral_value)``, where the integral form
     (1/a) int_0^1 r u^(b/a) / (1 - r u) du is taken with u = w^p,
-    p = a/(a+b), as int_0^1 r / ((a+b)(1 - r w^p)) dw, which has no peak.
-    For r in [-1, 1), PAIR_A_MIN = 2^-1000 <= a < inf and 0 <= b < inf,
-    each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of the sum;
-    anything else (NaN included) raises ValueError.  Only the integral half
-    reads tol, so only it is bound by that contract: the series half is the
-    same at every tol, and within about 2 * 2^-52 relative of the sum.  Below
-    2^-1022 that cannot hold for any binary64 value: values there lie 2^-1074
-    apart, which is more than 2 * 2^-52 of the sum.
+    p = a/(a+b), as r/(a+b) times int_0^1 g, g(w) = 1/(1 - r w^p), which
+    has no peak.  For r in [-1, 1), PAIR_A_MIN = 2^-1000 <= a < inf and
+    0 <= b < inf, each half is within max(tol, 16 * 2^-52) * max(1, |sum|) of
+    the sum; anything else (NaN included) raises ValueError.  Only the
+    integral half reads tol, so only it is bound by that contract: the series
+    half is the same at every tol, and within about 2 * 2^-52 relative of the
+    sum.  Below 2^-1022 that cannot hold for any binary64 value: values there
+    lie 2^-1074 apart, which is more than 2 * 2^-52 of the sum.
 
     The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  Its
     route depends on r alone:
 
     * r < 0, r = -1 included: Euler's transform (Knopp, Infinite Series,
-      1928), r/(a(1-r)) sum_{k>=0} w^k k!/(v (v+1)...(v+k)), w = -r/(1-r) <= 1/2,
-      whose positive terms fall by w or more, to _SERIES_TERMS = 60 terms.
+      1928), r/((a+b)(1-r)) sum_{k>=0} w^k k!/((v+1)...(v+k)), w = -r/(1-r) <= 1/2,
+      whose positive terms fall by w or more, to _SERIES_TERMS = 60 terms; a
+      b/a past binary64 leaves the first term, 1.
     * 0 <= r < 1/2: the first 60 terms, whose ratio r(an+b)/(a(n+1)+b) is at most r.
     * r in [1/2, 1): the first 39 terms summed, then the Euler-Maclaurin tail
       from n = 40 of f(x) = r^x/(ax+b), with B_2k for k <= 10 from `exact`
@@ -602,10 +603,13 @@ def series_integral_pair(
     r in [0, 1/2) within 1.00 * 2^-52 (2,000 draws, a = 10^U(-12, 6), b/a 0
     or 10^U(-3, 12)) and the tail route within 2 * 2^-52 (3,000 draws:
     r = 1 - 10^U(-15, log10 1/2) or within 10^-3 above 1/2, a = 10^U(-6, 6),
-    b/a 0 or 10^U(-3, 15)).  The integral half stops when two tanh-sinh
-    levels agree to max(tol, 8 * 2^-52) * max(1, |integral|), half the
-    contract; near tol 1e-15 and a large |sum| the level cap can still come
-    first, which raises AccuracyError.
+    b/a 0 or 10^U(-3, 15)).  The integral half integrates g on the kernel and
+    then multiplies by r/(a+b): 1/2 <= g <= 1/(1 - r) <= 2^53, so the stop
+    max(tol, 8 * 2^-52) * max(1, |int g|) is relative to the sum.  For sums
+    of at least 2^-1022 it met max(tol, 16 * 2^-52) * |sum| against mpmath
+    over 3,000 draws (r = -1, U(-1, 1) or 1 - 10^U(-12, -1), a = 10^U(-12, 12),
+    b/a 0 or 10^U(-3, 12), tol 1e-15 to 1e-3).  Near tol 1e-15 the level cap
+    can raise AccuracyError, whose ``best`` is scaled too.
     """
     if not -1.0 <= r < 1.0:
         raise ValueError(f"r must lie in [-1, 1), got {r}")
@@ -616,29 +620,18 @@ def series_integral_pair(
     _check_tol(tol)
 
     series = _pair_series(r, a, b)
-    p = a / (a + b)
-    # f reaches |scale| / (1 - r), past binary64 for a + b near PAIR_A_MIN; a scale past
-    # 2^900 is cut by 2^-600, which moves no bit: the integral (>= |scale|/2) stops relatively
-    shift = 2.0**600 if abs(r) > 2.0**900 * (a + b) else 1.0
-    scale = r / (a + b) / shift
-    if r > 0.0:
-        # f(w) = scale / (1 - r w^p), with 1 - r w^p = (1 - r) + r (1 - w^p) and
-        # 1 - w^p = -expm1(p ln w); ln w is log1p(-s) at the node c and log(s) at the node s
-        one_minus_r, log, log1p, expm1 = 1.0 - r, math.log, math.log1p, math.expm1
-        centre = scale / (one_minus_r - r * expm1(p * log(0.5)))
+    # g(w) = 1 / ((1 - r) - r expm1(p ln w)), ln w = log1p(-s) at the node c and log(s) at s
+    p, one_minus_r, scale = a / (a + b), 1.0 - r, r / (a + b)
+    log, log1p, expm1 = math.log, math.log1p, math.expm1
+    centre = 1.0 / (one_minus_r - r * expm1(p * log(0.5)))
 
-        def terms_of(nodes: _Nodes) -> list[float]:
-            return [w * (scale / (one_minus_r - r * expm1(p * log1p(-s)))
-                         + scale / (one_minus_r - r * expm1(p * log(s)))) for w, s, c in nodes]
-    else:
-        centre = scale / (1.0 - r * 0.5**p)
-
-        def terms_of(nodes: _Nodes) -> list[float]:
-            return [w * (scale / (1.0 - r * c**p) + scale / (1.0 - r * s**p)) for w, s, c in nodes]
+    def terms_of(nodes: _Nodes) -> list[float]:
+        return [w * (1.0 / (one_minus_r - r * expm1(p * log1p(-s)))
+                     + 1.0 / (one_minus_r - r * expm1(p * log(s)))) for w, s, c in nodes]
 
     try:
-        return series, shift * _tanh_sinh_unit(terms_of, centre, max(tol, 8 * 2.0**-52)).value
+        return series, scale * _tanh_sinh_unit(terms_of, centre, max(tol, 8 * 2.0**-52)).value
     except AccuracyError as exc:
         best = exc.best
-        exc.best = QuadResult(shift * best.value, shift * best.err_estimate, best.evaluations)
+        exc.best = QuadResult(scale * best.value, abs(scale) * best.err_estimate, best.evaluations)
         raise

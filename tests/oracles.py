@@ -231,9 +231,9 @@ def tanh_sinh_level_by_level(terms_of, centre: float, tol: float,
 
 def dilog_integrand(y: float):
     """The integrand of int_0^y ln(1 - t)/t dt on u in (0, 1), t = y u, with its
-    arm chosen at each call: log1p(-y u)/u up to u = 1/2 (every u for y < 0),
+    arm chosen at each call: log1p(-y u)/u up to u = 1/2 (every u for y < 1/2),
     past it ln((1 - y) + y (1 - u))/u."""
-    last_log1p = 0.5 if y > 0.0 else 1.0
+    last_log1p = 0.5 if y >= 0.5 else 1.0
     return lambda u, omu: (math.log1p(-y * u) / u if u <= last_log1p
                            else math.log(1.0 - y + y * omu) / u)
 
@@ -244,20 +244,15 @@ def inverse_integrand(rate: float, weight: float):
 
 
 def pair_integrand(r: float, a: float, b: float):
-    """r / ((a + b)(1 - r w^p)) / shift with p = a/(a + b), the integral half of
-    series_integral_pair; for r > 0 as (1 - r) - r expm1(p ln w), ln w taken from
-    whichever of w and 1 - w is at most 1/2.  Returns (f, shift)."""
+    """1 / (1 - r w^p) with p = a/(a + b), the integrand of the pair's integral half
+    before its scale r/(a + b), as (1 - r) - r expm1(p ln w), ln w taken from
+    whichever of w and 1 - w is at most 1/2."""
     p = a / (a + b)
-    shift = 2.0**600 if abs(r) > 2.0**900 * (a + b) else 1.0
-    scale = r / (a + b) / shift
-    if r > 0.0:
-        def f(w, omw):
-            ln_w = math.log(w) if w <= 0.5 else math.log1p(-omw)
-            return scale / ((1.0 - r) - r * math.expm1(p * ln_w))
-    else:
-        def f(w, omw):
-            return scale / (1.0 - r * w**p)
-    return f, shift
+
+    def f(w, omw):
+        ln_w = math.log(w) if w <= 0.5 else math.log1p(-omw)
+        return 1.0 / ((1.0 - r) - r * math.expm1(p * ln_w))
+    return f
 
 
 def grid_by_integrand(f, n: int) -> list[float]:

@@ -275,11 +275,14 @@ def _series_outputs(seed: int) -> list[str]:
 
 # sha256 of `_series_outputs(2013)`, joined by newlines.  Like REPORT_SHA256,
 # it moves only with a deliberate change to what a series call returns (last:
-# each tanh-sinh level became one math.fsum, which moved the integral halves
-# of 22 "pair" lines, 13 closer to mpmath and 9 farther; no series half moved.
-# Before that the dilog and the pair stopped summing to tol and take 60 terms,
-# 39 and a tail, or Euler's transform by their argument alone).
-SERIES_SHA256 = "24f768b2f201532ab80d6910d104e6035b1bec8aa04f76ef1f983081dd1e63ce"
+# the pair's integral half integrates 1/(1 - r w^p) and scales by r/(a+b)
+# afterwards, and Euler's transform starts from 1 and divides by a + b; 32 "pair"
+# lines moved.  Of their 28 moved integral halves, 23 came closer to mpmath and 5
+# went farther, the worst now 0.05 of max(tol, 16 * 2^-52) relative (it was 3.4e6
+# at b = 1e30); of the 14 moved series halves, 6 came closer, 6 went farther and 2
+# kept their distance, the worst now 1.24 * 2^-52 (0.97 before).  Before that each
+# tanh-sinh level became one math.fsum, and the float series stopped reading tol).
+SERIES_SHA256 = "a10567cb45ee6372df42af1aa13428876ff743a06cd3ff2827d8d979a7b7acb0"
 
 
 def test_series_outputs_are_pinned():
@@ -340,11 +343,15 @@ def _quad_outputs(seed: int) -> list[str]:
 
 # sha256 of `_quad_outputs(2026)`, joined by newlines; like SERIES_SHA256, it
 # moves only with a deliberate change to what a quadrature call returns (last:
-# each tanh-sinh level became one math.fsum, which moved 363 of the 475 lines
-# and no AccuracyError cap; of the 52 "integrate" lines 32 moved closer to
-# mpmath's pi^2/6 or pi^2/12, 18 kept their value and 2 moved 2 ulp farther.
-# Before that the inverse equation and the pair's integral half changed variable).
-QUAD_SHA256 = "29f98b8bca3e85b3c7dcc25eda5219ec22f034eda2246924027f2dae2332649d"
+# the pair's integral half scales by r/(a+b) after the kernel, and the dilog
+# kernel takes log1p at every node for y < 1/2, which moved 89 of the 475 lines:
+# 24 "pair" lines, 14 closer to mpmath and 10 farther, the worst now 0.045 of
+# max(tol, 16 * 2^-52) relative; 7 "dilog" lines, 5 closer to mpmath's Li2 and 2
+# farther; 55 "dilog_eq" residuals, 30 smaller and 25 larger, the largest moving
+# from 8.6355125124e-8 to 8.6355125162e-8 at tol 1e-3; and the 3 pair "cap"
+# lines, each still an AccuracyError.  Before that each tanh-sinh level became
+# one math.fsum, and the inverse equation and the pair's integral half changed variable).
+QUAD_SHA256 = "15c02248f1f4b3073ebef268100cb244ffb31f83a8c7cd2781ccdd06f1134438"
 
 
 def test_quadrature_outputs_are_pinned():
