@@ -23,7 +23,7 @@ from itertools import accumulate
 from . import quadrature
 from .exact import _check_index, _record, bernoulli, fraction_str, genocchi
 from .quadrature import DEFAULT_TOL, ETA2, ZETA2, IntegralKind, integrate
-from .quadrature import _check_count, _power_sum, _square
+from .quadrature import _check_count, _power_sum
 
 __all__ = [
     "EXACT_PARTIAL_CAP",
@@ -71,7 +71,7 @@ def zeta2_partial_float(n: int) -> float:
     SERIES_TERM_BUDGET (0.544 ulp worst), then ZETA2 less its Euler-Maclaurin tail (0.637 worst)."""
     _check_index(n, 1, math.inf)
     if n <= quadrature.SERIES_TERM_BUDGET:
-        return _power_sum(1.0, _square, n)
+        return _power_sum(1.0, lambda k: k * k, n)
     x = 1 / n  # int/int: rounded once, and to 0.0 past binary64's range
     return math.fsum([ZETA2, -x, x * x / 2] + [-float(bernoulli(k)) * x ** (k + 1) for k in (2, 4)])
 
@@ -88,7 +88,7 @@ def eta2_partial_float(n: int) -> float:
     (0.544 ulp worst), then ETA2 plus its Boole tail in Genocchi numbers (0.635 ulp worst)."""
     _check_index(n, 1, math.inf)
     if n <= quadrature.SERIES_TERM_BUDGET:
-        return -_power_sum(-1.0, _square, n)
+        return -_power_sum(-1.0, lambda k: k * k, n)
     x, sign = 1 / (n + 1), 1 if n % 2 else -1  # x as above; sign = (-1)^(n-1)
     return math.fsum([ETA2] + [sign * float(genocchi(j)) * (-x) ** (j + 1) for j in range(1, 5)])
 

@@ -11,14 +11,14 @@ summed afresh at each n (the library keeps running sums over n), and
 tanh-sinh has a level-by-level sum that evaluates every node afresh, out to
 where q underflows, and gives each level one math.fsum (the library's levels
 are nested and its nodes end at a weight floor, and must give the same
-bits).  The integrands of the dilog kernel, the inverse equation and the pair
-are kept as scalar functions that choose their logarithm's arm at each call
-(the library writes each as a level function whose halves have fixed arms,
-and must give the same bits).  The limit grids and the 1/sin^2 bisection
-sums are kept in their per-term forms: one integrand call per grid point,
-the product's choice of logarithm made term by term, and every bisection
-sum run inside one call (the library splits the grid once and computes the
-sums when read, and must give the same bits).
+bits).  The integrands of the four integrals, the dilog kernel, the inverse
+equation and the pair are kept as scalar functions that choose their
+logarithm's arm at each call (the library writes each as a level function
+whose halves have fixed arms, and must give the same bits).  The limit grids
+and the 1/sin^2 bisection sums are kept in their per-term forms: one
+integrand call per grid point, the product's choice of logarithm made term
+by term, and every bisection sum run inside one call (the library splits the
+grid once and computes the sums when read, and must give the same bits).
 """
 
 from __future__ import annotations
@@ -189,19 +189,40 @@ def power_sum_sides(g, k: int, n: int) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(k * sum(i ** (k - 1) for i in range(1, n + 1)))
 
 
+def log_of(t: float, omt: float) -> float:
+    """ln(t) from whichever representation of the node is exact."""
+    return math.log(t) if t <= 0.5 else math.log1p(-omt)
+
+
+def kind_integrand(kind):
+    """The scalar f(t, 1 - t) of one of the four IntegralKinds, ln t by `log_of`."""
+    name = kind.value
+    if name == "log_over_1mt":
+        return lambda t, omt: log_of(t, omt) / omt
+    if name == "log_over_1pt":
+        return lambda t, omt: log_of(t, omt) / (1.0 + t)
+    if name == "log1p_over_t":
+        return lambda t, omt: math.log1p(t) / t
+    return lambda t, omt: log_of(omt, t) / t  # ln(1 - t): the node read as t <-> 1 - t
+
+
 def level_form(f):
-    """(terms_of, centre) of a scalar integrand f(t, 1 - t), the kernel's protocol
-    written out: f at both halves of each node (weight, s, 1 - s), and at 1/2."""
-    return (lambda nodes: [w * (f(c, s) + f(s, c)) for w, s, c in nodes]), f(0.5, 0.5)
+    """terms_of of a scalar integrand f(t, 1 - t), the kernel's protocol written
+    out: f at both halves of each node (weight, s, 1 - s)."""
+    return lambda nodes: [w * (f(c, s) + f(s, c)) for w, s, c in nodes]
 
 
-def tanh_sinh_level_by_level(terms_of, centre: float, tol: float,
-                             max_level: int) -> tuple[float, float, bool]:
-    """Tanh-sinh over (0, 1) with every level a trapezoid sum built afresh:
-    terms_of at every node t = k 2^-level, the centre term added, and the
+#: The node whose terms_of term is the centre term (pi/4) f(1/2, 1/2).
+CENTRE_NODE = ((math.pi / 8.0, 0.5, 0.5),)
+
+
+def tanh_sinh_level_by_level(terms_of, tol: float, max_level: int,
+                             scale: float = 1.0) -> tuple[float, float, bool]:
+    """scale times tanh-sinh over (0, 1), with every level a trapezoid sum built
+    afresh: terms_of at CENTRE_NODE and at every node t = k 2^-level, and the
     level's terms summed by math.fsum.  Returns (value, err_estimate,
-    converged) under the library's stopping rule; when not converged, those
-    of the last level."""
+    converged) under the library's stopping rule, a difference between levels
+    of at most tol |value|; when not converged, those of the last level."""
     previous = None
     value, err = 0.0, math.inf
     for level in range(max_level + 1):
@@ -220,22 +241,32 @@ def tanh_sinh_level_by_level(terms_of, centre: float, tol: float,
             half_q = 0.5 * q
             nodes.append((weight, half_q, 1.0 - half_q))
             k += 1
-        value = h * math.fsum([(math.pi / 4.0) * centre] + terms_of(tuple(nodes)))
+        value = h * math.fsum(terms_of(CENTRE_NODE) + terms_of(tuple(nodes)))
         if previous is not None:
             err = abs(value - previous)
-            if err <= tol * max(1.0, abs(value)):
-                return value, max(err, abs(value) * 2.0**-52 or 5e-324), True
+            if err <= tol * abs(value):
+                return scale * value, abs(scale) * max(err, abs(value) * 2.0**-52), True
         previous = value
-    return value, err, False
+    return scale * value, abs(scale) * err, False
 
 
 def dilog_integrand(y: float):
-    """The integrand of int_0^y ln(1 - t)/t dt on u in (0, 1), t = y u, with its
-    arm chosen at each call: log1p(-y u)/u up to u = 1/2 (every u for y < 1/2),
-    past it ln((1 - y) + y (1 - u))/u."""
-    last_log1p = 0.5 if y >= 0.5 else 1.0
-    return lambda u, omu: (math.log1p(-y * u) / u if u <= last_log1p
-                           else math.log(1.0 - y + y * omu) / u)
+    """The integrand of int_0^y ln(1 - t)/t dt on u in (0, 1), t = y u, before
+    the kernel's scale.  For y < 1/2 it is log1p(-y u)/(y u), with scale y.  For
+    y >= 1/2 it is ln(1 - y u)/u, with its arm chosen at each call: log1p(-y u)/u
+    below u = 1/2, ln((1 - y) + y (1 - u))/u past it, and at u = 1/2, where the
+    level form's two halves take one arm each, the mean of the two."""
+    if y < 0.5:
+        return lambda u, omu: math.log1p(-y * u) / (y * u)
+
+    def by_log1p(u, omu):
+        return math.log1p(-y * u) / u
+
+    def by_log(u, omu):
+        return math.log(1.0 - y + y * omu) / u
+
+    return lambda u, omu: (by_log1p(u, omu) if u < 0.5 else by_log(u, omu) if u > 0.5
+                           else 0.5 * (by_log1p(u, omu) + by_log(u, omu)))
 
 
 def inverse_integrand(rate: float, weight: float):

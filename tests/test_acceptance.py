@@ -343,15 +343,17 @@ def _quad_outputs(seed: int) -> list[str]:
 
 # sha256 of `_quad_outputs(2026)`, joined by newlines; like SERIES_SHA256, it
 # moves only with a deliberate change to what a quadrature call returns (last:
-# the pair's integral half scales by r/(a+b) after the kernel, and the dilog
-# kernel takes log1p at every node for y < 1/2, which moved 89 of the 475 lines:
-# 24 "pair" lines, 14 closer to mpmath and 10 farther, the worst now 0.045 of
-# max(tol, 16 * 2^-52) relative; 7 "dilog" lines, 5 closer to mpmath's Li2 and 2
-# farther; 55 "dilog_eq" residuals, 30 smaller and 25 larger, the largest moving
-# from 8.6355125124e-8 to 8.6355125162e-8 at tol 1e-3; and the 3 pair "cap"
-# lines, each still an AccuracyError.  Before that each tanh-sinh level became
-# one math.fsum, and the inverse equation and the pair's integral half changed variable).
-QUAD_SHA256 = "15c02248f1f4b3073ebef268100cb244ffb31f83a8c7cd2781ccdd06f1134438"
+# the dilog kernel integrates log1p(-y u)/(y u) for y < 1/2 and scales by y
+# afterwards, the kernel stops at tol |value| and builds its centre from the
+# level function, which moved 82 of the 475 lines: 26 "dilog" lines, 17 closer
+# to mpmath's Li2 and 9 farther, the worst now 0.16 tol relative (1.6e-16 at tol
+# 1e-15); 54 "dilog_eq" residuals, 32 smaller and 22 larger, the largest moving
+# from 8.1503637e-11 to 8.1503526e-11 at tol 1e-3; and 2 "inverse_eq" residuals
+# at (ln x)^2 / 2 < 1, 3.8e-6 to 5.6e-15 and 5.4e-6 to 6.9e-15.  No "integrate",
+# "residual", "pair" or "cap" line moved.  Before that the pair's integral half
+# came to scale by r/(a+b) after the kernel, and each tanh-sinh level became one
+# math.fsum).
+QUAD_SHA256 = "2db56acb8299d317a52e692b3314a860271b38da3a305c92440e7052e6ca9f31"
 
 
 def test_quadrature_outputs_are_pinned():

@@ -40,10 +40,12 @@ from baselkit.quadrature import (
 from baselkit.series import bisection_report, eta2_partial_float, zeta2_partial_float
 
 from oracles import (
+    CENTRE_NODE,
     dilog_integrand,
     eager_bisection_json,
     grid_by_integrand,
     inverse_integrand,
+    kind_integrand,
     level_form,
     pair_integrand,
     product_terms,
@@ -213,13 +215,37 @@ class TestScaledDilog:
 
     @pytest.mark.parametrize("x, bound", [
         (5e-10, 1e-12),  # 1.9e-8 off while the arm (1 - y) + y s rounded y away
-        (1e-200, 1e-5),  # 30% off then; 3.4e-6 is the level-1 error the absolute stop takes
-        pytest.param(1e-200, 1e-12, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 8: the dilog kernel stops at an absolute tol")),
+        (1e-200, 1e-5),  # 30% off then; 3.4e-6 was the level-1 error of an absolute stop
+        (1e-200, 1e-12),
+        # within 4 * 2^-52: from |2x| = 2^-53 up (+-5e-10, 1e-15, +-2^-54) the kernel
+        # integrates log1p(-y u)/(y u), about -1, and scales by y = 2x afterwards; below
+        # it (1e-200, 5e-324, +-2^-55) Li2(2x) rounds to 2x, returned without the kernel,
+        # where y u could underflow to 0
+        *[(x, 4 * 2.0**-52) for x in (5e-10, -5e-10, 1e-15, 2.0**-54, -(2.0**-54),
+                                      1e-200, 5e-324, 2.0**-55, -(2.0**-55))],
     ])
     def test_a_tiny_x_keeps_the_integral_route_relative(self, x, bound):
-        ref = 2.0 * x + x * x  # Li2(2x) = 2x + x^2 + O(x^3)
-        assert abs(scaled_dilog(x, "integral", 1e-12) - ref) <= bound * ref
+        with mpmath.workdps(40):
+            ref = float(mpmath.polylog(2, 2 * mpmath.mpf(x)))
+        assert abs(scaled_dilog(x, "integral", 1e-12) - ref) <= bound * abs(ref)
+
+    def test_the_integral_route_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, scaled_dilog(0.0, "integral")) == -1.0
+        assert math.copysign(1.0, scaled_dilog(-0.0, "integral")) == -1.0
+
+    @pytest.mark.parametrize("y", [0.4, -0.4, 1e-9])
+    def test_a_scaled_dilog_integral_carries_its_scale_into_the_best_result(self, y, monkeypatch):
+        # at y < 1/2 the kernel integrates log1p(-y u)/(y u) and scales by y, so best is in
+        # the units of int_0^y ln(1 - t)/t dt = -Li2(y): the level-1 sum of the oracle, times y
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        value, err, converged = tanh_sinh_level_by_level(
+            level_form(dilog_integrand(y)), 1e-15, 1, y)
+        with pytest.raises(AccuracyError) as caught:
+            scaled_dilog(y / 2, "integral", 1e-15)
+        best = caught.value.best
+        assert not converged
+        assert (best.value, best.err_estimate) == (value, err)
+        assert abs(best.value + float(mpmath.polylog(2, y))) <= 1e-3 * abs(best.value)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -261,6 +287,8 @@ class TestFunctionalEquations:
             assert functional_eq_dilog(i / 10) < 1e-9
 
     @given(x=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+    @example(x=5e-324)  # y u once underflowed to 0 in the scaled integrand's denominator
+    @example(x=2.0**-53)
     @settings(max_examples=25, deadline=None)
     def test_dilog_identity_property(self, x):
         assert functional_eq_dilog(x) < 1e-9
@@ -673,7 +701,7 @@ class TestPairExpansions:
         b = ratio * a
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quadrature, "_tanh_sinh_unit",
-                          lambda terms_of, centre, tol: QuadResult(0.0, 0.0, 0))
+                          lambda terms_of, tol, scale=1.0: QuadResult(0.0, 0.0, 0))
             series = [series_integral_pair(r, a, b, tol)[0] for tol in (1e-15, 1e-3)]
         assert repr(series[0]) == repr(series[1]), series
 
@@ -696,9 +724,8 @@ def test_level_cap_raises_with_best_result(monkeypatch):
     assert abs(best.value + PI2_6) < 0.1
 
 
-# (terms_of, centre) of the four kinds as `integrate` passes them, and of three scalar f
-_SAMPLE_FORMS = [(quadrature._level_terms(kind), quadrature._integrand(kind)(0.5, 0.5))
-                 for kind in IntegralKind] + [level_form(f) for f in (
+# terms_of of the four kinds as `integrate` passes them, and of three scalar f
+_SAMPLE_FORMS = [quadrature._level_terms(kind) for kind in IntegralKind] + [level_form(f) for f in (
     lambda t, omt: math.cos(omt) / math.sqrt(t),
     lambda t, omt: math.exp(t) / (omt + 1e-3),
     lambda t, omt: 1.0 / (1.0 + 25.0 * (t - 0.3) ** 2),
@@ -709,11 +736,11 @@ _SAMPLE_FORMS = [(quadrature._level_terms(kind), quadrature._integrand(kind)(0.5
 def test_nested_levels_give_the_bits_of_fresh_levels(cap, monkeypatch):
     # cap 12 runs past the default _MAX_LEVEL: the node cache is not tied to it
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
-    for terms_of, centre in _SAMPLE_FORMS:
+    for terms_of in _SAMPLE_FORMS:
         for tol in (1e-3, 1e-12, 1e-15, 0.0):
-            value, err, converged = tanh_sinh_level_by_level(terms_of, centre, tol, cap)
+            value, err, converged = tanh_sinh_level_by_level(terms_of, tol, cap)
             try:
-                result = quadrature._tanh_sinh_unit(terms_of, centre, tol)
+                result = quadrature._tanh_sinh_unit(terms_of, tol)
             except AccuracyError as exc:
                 assert not converged
                 result = exc.best
@@ -727,8 +754,8 @@ def test_the_weight_floor_drops_no_bit_of_any_library_integrand(monkeypatch):
     # the oracle's sum over every node up to the underflow of q
     kernel, calls = quadrature._tanh_sinh_unit, []
 
-    def recorder(terms_of, centre, tol):
-        calls.append((terms_of, centre, tol, kernel(terms_of, centre, tol)))
+    def recorder(terms_of, tol, scale=1.0):
+        calls.append((terms_of, tol, scale, kernel(terms_of, tol, scale)))
         return calls[-1][3]
 
     monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
@@ -742,20 +769,20 @@ def test_the_weight_floor_drops_no_bit_of_any_library_integrand(monkeypatch):
     for x in (1e308, 1e-307):
         functional_eq_inverse(x)
     assert len(calls) == 4 + 1 + 2 + 6 + 4
-    for terms_of, centre, tol, result in calls:
-        value, err, converged = tanh_sinh_level_by_level(terms_of, centre, tol,
-                                                         quadrature._MAX_LEVEL)
+    for terms_of, tol, scale, result in calls:
+        value, err, converged = tanh_sinh_level_by_level(terms_of, tol, quadrature._MAX_LEVEL,
+                                                         scale)
         assert converged
         assert (repr(result.value), repr(result.err_estimate)) == (repr(value), repr(err))
 
 
 def _forms_passed(call):
-    """(terms_of, centre) of each kernel call that call() makes, in order."""
+    """terms_of of each kernel call that call() makes, in order."""
     kernel, forms = quadrature._tanh_sinh_unit, []
 
-    def recorder(terms_of, centre, tol):
-        forms.append((terms_of, centre))
-        return kernel(terms_of, centre, tol)
+    def recorder(terms_of, tol, scale=1.0):
+        forms.append(terms_of)
+        return kernel(terms_of, tol, scale)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadrature, "_tanh_sinh_unit", recorder)
@@ -775,11 +802,11 @@ def _pair_case(r, a, b):
 
 
 _LEVEL_FORM_CASES = {
-    **{kind.value: (lambda kind=kind: integrate(kind), [quadrature._integrand(kind)])
+    **{kind.value: (lambda kind=kind: integrate(kind), [kind_integrand(kind)])
        for kind in IntegralKind},
     **{f"dilog y={y!r}": (lambda y=y: quadrature._unit_log_kernel(y, 1e-12), [dilog_integrand(y)])
-       # at y = 0.6 the two arms give different bits at u = 1/2, where the centre takes log1p;
-       # below y = 1/2 every u takes log1p
+       # at y = 0.6 the two arms give different bits at u = 1/2, where the centre's two
+       # halves take one each; below y = 1/2 every u takes log1p(-y u)/(y u)
        for y in (1.0, 0.6, 0.5, 0.1, 2.0**-30, -(2.0**-30), -0.5, -1.0)},
     **{f"inverse L={big_l!r}": _inverse_case(big_l) for big_l in (1e-12, 1.0, 700.0)},
     **{f"pair r={r!r}": _pair_case(r, 1.0, 0.5)
@@ -791,28 +818,27 @@ _LEVEL_FORM_CASES = {
 
 @pytest.mark.parametrize("case", list(_LEVEL_FORM_CASES))
 def test_each_level_form_gives_the_bits_of_its_scalar_form(case):
-    # w * (f(c, s) + f(s, c)) at every node of levels 0..10, and f(1/2, 1/2), with the
+    # w * (f(c, s) + f(s, c)) at the centre and at every node of levels 0..10, with the
     # scalar f choosing its arm at each call where the level form fixes it per half
     call, scalars = _LEVEL_FORM_CASES[case]
     forms = _forms_passed(call)
     assert len(forms) == len(scalars)
-    for (terms_of, centre), f in zip(forms, scalars):
-        assert repr(centre) == repr(f(0.5, 0.5))
-        for level in range(quadrature._MAX_LEVEL + 1):
-            nodes = quadrature._level_nodes(level)
-            assert all(s <= 0.4993 and c > 0.5 for _, s, c in nodes)
+    for terms_of, f in zip(forms, scalars):
+        for level in range(-1, quadrature._MAX_LEVEL + 1):
+            nodes = CENTRE_NODE if level < 0 else quadrature._level_nodes(level)
+            assert level < 0 or all(s <= 0.4993 and c > 0.5 for _, s, c in nodes)
             expected = [w * (f(c, s) + f(s, c)) for w, s, c in nodes]
             assert list(map(repr, terms_of(nodes))) == list(map(repr, expected)), level
 
 
-def test_one_suite_run_makes_7217_evaluations_in_77_integrals(monkeypatch):
+def test_one_suite_run_makes_7353_evaluations_in_77_integrals(monkeypatch):
     from baselkit.verify import run_suite
 
     kernel, counts = quadrature._tanh_sinh_unit, []
 
-    def recorder(terms_of, centre, tol):
+    def recorder(terms_of, tol, scale=1.0):
         try:
-            result = kernel(terms_of, centre, tol)
+            result = kernel(terms_of, tol, scale)
         except AccuracyError as exc:
             counts.append(exc.best.evaluations)
             raise
@@ -821,7 +847,7 @@ def test_one_suite_run_makes_7217_evaluations_in_77_integrals(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
     run_suite()
-    assert (sum(counts), len(counts)) == (7217, 77)
+    assert (sum(counts), len(counts)) == (7353, 77)
 
 
 class _Recording:
@@ -845,14 +871,14 @@ def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
     for tol in (1e-3, 1e-8, 1e-12, 1e-15):
         for cap in range(cap_max + 1):  # up to the lowest cap that converges
             monkeypatch.setattr(quadrature, "_MAX_LEVEL", cap)
-            f = _Recording(quadrature._integrand(kind))
-            terms_of, centre = level_form(f)
+            f = _Recording(kind_integrand(kind))
             try:
-                result, converged = quadrature._tanh_sinh_unit(terms_of, centre, tol), True
+                result, converged = quadrature._tanh_sinh_unit(level_form(f), tol), True
             except AccuracyError as exc:
                 result, converged = exc.best, False
-            # every level up to the cap was used, and no pair was evaluated twice
-            assert result.evaluations == len(f.pairs) == len(set(f.pairs))
+            # every level up to the cap was used, and evaluations counts distinct points:
+            # f(1/2, 1/2) is called by both halves of the centre node, every other point once
+            assert result.evaluations == len(set(f.pairs)) == len(f.pairs) - 1
             assert result.evaluations == _calls_for_levels(cap)
             if converged:
                 break
@@ -1022,7 +1048,7 @@ def test_grid_and_bisection_sums_match_their_per_term_forms(n, level):
     # the bits of one integrand call, one choice of logarithm, one attribute read per term;
     # no grid value is 0 or NaN, so == compares bits
     for kind in IntegralKind:
-        values = grid_by_integrand(quadrature._integrand(kind), n)
+        values = grid_by_integrand(kind_integrand(kind), n)
         assert list(quadrature._grid_values(kind, n)) == values
         if kind in quadrature.RIEMANN_KINDS:
             assert repr(riemann_sum(kind, n)) == repr(math.fsum(values) / n)
@@ -1097,15 +1123,14 @@ class TestSeriesTermBudget:
         # the numeric benchmark calls exactly this
         assert scaled_dilog(0.4999) == pytest.approx(float(mpmath.polylog(2, 0.9998)), abs=1e-11)
 
-    def test_budget_is_exactly_the_number_of_terms_summed(self, monkeypatch):
-        # a count the library fixes, not one the caller sets: the dilog series
-        # at q = 2x = 1/2, which needs no reflection, sums _SERIES_TERMS = 60
+    def test_a_count_the_library_fixes_does_not_read_the_budget(self, monkeypatch):
+        # the budget gates counts a caller sets; the dilog series at q = 2x = 1/2, which
+        # needs no reflection, sums the fixed _SERIES_TERMS = 60 under any budget
         want = scaled_dilog(0.25, tol=1e-15)
-        monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 60)
-        assert scaled_dilog(0.25, tol=1e-15) == want
         monkeypatch.setattr(quadrature, "SERIES_TERM_BUDGET", 59)
+        assert scaled_dilog(0.25, tol=1e-15) == want
         with pytest.raises(CapacityError):
-            scaled_dilog(0.25, tol=1e-15)
+            riemann_sum(IntegralKind.LOG_OVER_1MT, 60)
 
 
 # Distance from a domain edge, log-uniform over [1e-12, 1e-1].
