@@ -1,6 +1,7 @@
 """Numerical evaluation of the log-singular unit-interval integrals and the
 limit representations (Riemann sums, log-products, dilogarithm series) that
-share their closed forms.
+share their closed forms.  A log-product is the Riemann sum of ln(1 -+ t)/t:
+both are one math.fsum of the terms f(k/n)/n = ln(.)/m, m an integer.
 
 The workhorse is a double-exponential (tanh-sinh) transform: nodes cluster
 toward the endpoints fast enough that integrable logarithmic singularities
@@ -32,8 +33,7 @@ import enum
 import functools
 import math
 from collections.abc import Callable, Iterator
-from itertools import accumulate, chain, count, pairwise, repeat
-from operator import truediv
+from itertools import accumulate, chain, count, pairwise
 
 from .exact import _check_index, _record, bernoulli
 
@@ -263,35 +263,28 @@ RIEMANN_KINDS = (
 )
 
 
-def _grid_values(kind: IntegralKind, n: int) -> Iterator[float]:
-    """f(k/n) for k = 1..n-1 in order, one at a time, with the bits of the
-    scalar integrand f(k/n, (n-k)/n) that takes ln t as log(t) for t <= 1/2 and
-    as log1p(-(1 - t)) past it (kept in tests/oracles.py as the reference), and
-    one generator frame per term.
+def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
+    """The Riemann terms f(k/n)/n for k = 1..n-1 in order, as ln(.)/m with an integer m,
+    one generator frame per term: ln(1 - k/n)/k, ln(k/n)/(n - k) (the same terms from
+    k = n - 1 down), ln(k/n)/(n + k) and ln(1 + k/n)/k for the kinds in that order.
 
-    That test t <= 1/2 is made by the split h = n // 2: for n < 2^53,
-    k/n rounds to at most 1/2 exactly when 2k <= n, that is k <= h, since
-    for 2k > n, k/n - 1/2 >= 1/(2n) is more than half an ulp above 1/2.
-    Likewise (n-k)/n <= 1/2 exactly when n - k <= h.
+    ln t is log(k/n) for k <= h = n // 2 and log1p(-(n-k)/n) past it, ln(1 - k/n) the
+    same at t = (n-k)/n (tests/oracles.py keeps the choice t <= 1/2 per term as the
+    reference; at 1/2 both arms agree): for n < 2^53, k/n rounds to at most 1/2 exactly
+    when 2k <= n, since for 2k > n, k/n - 1/2 >= 1/(2n) is more than half an ulp above 1/2.
     """
-    log, log1p = math.log, math.log1p
-    h = n // 2
-
-    def by_log(js: range) -> Iterator[float]:  # ln(j/n) / ((n-j)/n), for 2j <= n
-        return (log(j / n) / ((n - j) / n) for j in js)
-
-    def by_log1p(js: range) -> Iterator[float]:  # ln(1 - j/n) / (j/n), for 2j < n
-        return (log1p(-s) / s for s in map(truediv, js, repeat(n)))
-
-    if kind is IntegralKind.LOG_OVER_1MT:  # j = k up to h, then j = n - k
-        return chain(by_log(range(1, h + 1)), by_log1p(range(n - h - 1, 0, -1)))
-    if kind is IntegralKind.LOG1M_OVER_T:  # the same grid read from k = n - 1 down
-        return chain(by_log1p(range(1, n - h)), by_log(range(h, 0, -1)))
+    log, log1p, h = math.log, math.log1p, n // 2
+    if kind is IntegralKind.LOG1M_OVER_T:  # past k = h, j = n - k
+        return chain((log1p(-k / n) / k for k in range(1, h + 1)),
+                     (log(j / n) / (n - j) for j in range(n - h - 1, 0, -1)))
+    if kind is IntegralKind.LOG_OVER_1MT:
+        return chain((log(k / n) / (n - k) for k in range(1, h + 1)),
+                     (log1p(-j / n) / j for j in range(n - h - 1, 0, -1)))
     if kind is IntegralKind.LOG_OVER_1PT:
-        return chain((log(t) / (1.0 + t) for t in map(truediv, range(1, h + 1), repeat(n))),
-                     (log1p(-((n - k) / n)) / (1.0 + k / n) for k in range(h + 1, n)))
+        return chain((log(k / n) / (n + k) for k in range(1, h + 1)),
+                     (log1p(-(n - k) / n) / (n + k) for k in range(h + 1, n)))
     if kind is IntegralKind.LOG1P_OVER_T:
-        return (log1p(t) / t for t in map(truediv, range(1, n), repeat(n)))
+        return (log1p(k / n) / k for k in range(1, n))
     raise ValueError(f"kind must be an IntegralKind, got {kind!r}")
 
 
@@ -299,20 +292,21 @@ def riemann_sum(kind: IntegralKind, n: int) -> float:
     """Left-out-endpoints Riemann sum (1/n) sum_{k=1..n-1} f(k/n), n <= SERIES_TERM_BUDGET.
 
     Monotonicity of the integrand makes this converge to the improper
-    integral even though f is unbounded at an endpoint.
+    integral even though f is unbounded at an endpoint.  One math.fsum of
+    `_grid_terms`, so LOG_OVER_1MT, LOG1M_OVER_T and product_form(MINUS, n) agree.
     """
     if kind not in RIEMANN_KINDS:
         raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in RIEMANN_KINDS]}")
     _check_count(n, 2)
-    return math.fsum(_grid_values(kind, n)) / n
+    return math.fsum(_grid_terms(kind, n))
 
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
     """Direction of f on the sample grid k/n: +1 non-decreasing, -1
-    non-increasing, 0 neither; for 3 <= n <= SERIES_TERM_BUDGET."""
+    non-increasing, 0 neither, read from f(k/n)/n; for 3 <= n <= SERIES_TERM_BUDGET."""
     _check_count(n, 3)
     rising = falling = True
-    for a, b in pairwise(_grid_values(kind, n)):
+    for a, b in pairwise(_grid_terms(kind, n)):
         rising &= b - a >= 0.0
         falling &= b - a <= 0.0
     return 1 if rising else -1 if falling else 0
@@ -321,17 +315,14 @@ def sample_monotonicity(kind: IntegralKind, n: int) -> int:
 def product_form(kind: ProductKind, n: int) -> float:
     """Log of the partial product prod_{k=1..n-1} (1 -+ k/n)^(1/k), n <= SERIES_TERM_BUDGET.
 
-    Accumulated as sum (1/k) ln(1 -+ k/n) to dodge underflow.  A kind that
-    is no ProductKind (its string value included) raises ValueError.
+    Accumulated as sum (1/k) ln(1 -+ k/n), the Riemann sum of ln(1 -+ t)/t, to dodge
+    underflow.  A kind that is no ProductKind (its string value included) raises ValueError.
     """
     if not isinstance(kind, ProductKind):
         raise ValueError(f"kind must be a ProductKind, got {kind!r}")
     _check_count(n, 2)
-    if kind is ProductKind.MINUS:  # ln(1 - k/n) from ln((n-k)/n) past h, as in _grid_values
-        log, log1p, h = math.log, math.log1p, n // 2
-        return math.fsum(chain((log1p(-(k / n)) / k for k in range(1, h + 1)),
-                               (log((n - k) / n) / k for k in range(h + 1, n))))
-    return math.fsum(math.log1p(k / n) / k for k in range(1, n))
+    grid = IntegralKind.LOG1M_OVER_T if kind is ProductKind.MINUS else IntegralKind.LOG1P_OVER_T
+    return math.fsum(_grid_terms(grid, n))
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +564,9 @@ def series_integral_pair(
     integral half reads tol, so only it is bound by that contract: the series
     half is the same at every tol, and within about 2 * 2^-52 relative of the
     sum.  Below 2^-1022 that cannot hold for any binary64 value: values there
-    lie 2^-1074 apart, which is more than 2 * 2^-52 of the sum.  Nor does it
-    hold where a + b overflows to inf: p and r/(a+b) read 0, and both halves
-    return +-0.0 (-0.0 for -1.89e-309 at (-1/2, 1e308, 1e308)).  Such a sum lies
-    below 1e-292 in size, so the result is inside the contract's absolute part.
+    lie 2^-1074 apart, which is more than 2 * 2^-52 of the sum.  From
+    a + b = 2^1000 up, both halves take the sum over a 2^-64 and b 2^-64 and
+    multiply it by 2^-64, so neither a + b nor a n + b overflows.
 
     The series half, with v = 1 + b/a, is the sum (r/a) Phi(r, 1, v).  Its
     route depends on r alone:
@@ -612,7 +602,10 @@ def series_integral_pair(
         raise ValueError(f"b must be non-negative and finite, got {b}")
     _check_tol(tol)
 
-    series = _pair_series(r, a, b)
+    shrink = 1.0
+    if a + b >= 2.0**1000:  # a n + b could overflow: sum over (a, b) 2^-64, times 2^-64
+        a, b, shrink = a * 2.0**-64, b * 2.0**-64, 2.0**-64
+    series = shrink * _pair_series(r, a, b)
     # g(w) = 1 / ((1 - r) - r expm1(p ln w)), ln w = log1p(-s) at the node c and log(s) at s
     p, one_minus_r = a / (a + b), 1.0 - r
     log, log1p, expm1 = math.log, math.log1p, math.expm1
@@ -621,4 +614,4 @@ def series_integral_pair(
         return [w * (1.0 / (one_minus_r - r * expm1(p * log1p(-s)))
                      + 1.0 / (one_minus_r - r * expm1(p * log(s)))) for w, s, c in nodes]
 
-    return series, _tanh_sinh_unit(terms_of, max(tol, 8 * 2.0**-52), r / (a + b)).value
+    return series, _tanh_sinh_unit(terms_of, max(tol, 8 * 2.0**-52), r / (a + b) * shrink).value

@@ -15,10 +15,10 @@ bits).  The integrands of the four integrals, the dilog kernel, the inverse
 equation and the pair are kept as scalar functions that choose their
 logarithm's arm at each call (the library writes each as a level function
 whose halves have fixed arms, and must give the same bits).  The limit grids
-and the 1/sin^2 bisection sums are kept in their per-term forms: one
-integrand call per grid point, the product's choice of logarithm made term
-by term, and every bisection sum run inside one call (the library splits the
-grid once and computes the sums when read, and must give the same bits).
+and the 1/sin^2 bisection sums are kept in their per-term forms: one term
+ln(.)/m per grid point with its logarithm's arm chosen term by term, and
+every bisection sum run inside one call (the library splits the grid once
+and computes the sums when read, and must give the same bits).
 """
 
 from __future__ import annotations
@@ -286,18 +286,22 @@ def pair_integrand(r: float, a: float, b: float):
     return f
 
 
-def grid_by_integrand(f, n: int) -> list[float]:
-    """f(k/n, (n-k)/n) for k = 1..n-1, in order, one integrand call per term."""
-    return [f(k / n, (n - k) / n) for k in range(1, n)]
+def grid_terms(kind, n: int) -> list[float]:
+    """The Riemann terms f(k/n)/n of one IntegralKind for k = 1..n-1, in order, each
+    as ln(.)/m with an integer m: ln(k/n)/(n -+ k) for ln t/(1 -+ t) and ln(1 -+ k/n)/k
+    for ln(1 -+ t)/t, with ln t and ln(1 - t) taken by `log_of`, chosen term by term."""
+    name = kind.value
 
-
-def product_terms(minus: bool, n: int) -> list[float]:
-    """ln(1 -+ k/n)/k for k = 1..n-1; for the minus sign, ln((n-k)/n) when 2k > n
-    and log1p(-(k/n)) otherwise, chosen term by term."""
-    if minus:
-        return [(math.log((n - k) / n) if 2 * k > n else math.log1p(-(k / n))) / k
-                for k in range(1, n)]
-    return [math.log1p(k / n) / k for k in range(1, n)]
+    def term(k: int) -> float:
+        t, omt = k / n, (n - k) / n
+        if name == "log_over_1mt":
+            return log_of(t, omt) / (n - k)
+        if name == "log_over_1pt":
+            return log_of(t, omt) / (n + k)
+        if name == "log1p_over_t":
+            return math.log1p(t) / k
+        return log_of(omt, t) / k  # ln(1 - t): the node read as t <-> 1 - t
+    return [term(k) for k in range(1, n)]
 
 
 def eager_bisection_json(x: float, level: int, pf_terms: int = 10_000) -> dict:

@@ -43,12 +43,11 @@ from oracles import (
     CENTRE_NODE,
     dilog_integrand,
     eager_bisection_json,
-    grid_by_integrand,
+    grid_terms,
     inverse_integrand,
     kind_integrand,
     level_form,
     pair_integrand,
-    product_terms,
     tanh_sinh_level_by_level,
 )
 
@@ -499,6 +498,25 @@ class TestSeriesIntegralPair:
         ref = r / ((1 - r) * b)
         series = series_integral_pair(r, a, b)[0]
         assert abs(series - ref) <= 2 * 2.0**-52 * abs(ref), (series, ref)
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.999])
+    def test_a_huge_a_keeps_both_halves_relative(self, r):
+        # a n overflowed to inf from n = 18 at a = 1e307, and the series half read those
+        # terms as 0: 5.8e-7, 2.6e-2 and 0.51 relative off -ln(1 - r)/a
+        a = 1e307
+        with mpmath.workdps(40):
+            ref = float(-mpmath.log1p(-mpmath.mpf(r)) / a)
+        series, integral = series_integral_pair(r, a, 0.0)
+        assert abs(series - ref) <= 2 * 2.0**-52 * ref, (series, ref)
+        assert abs(integral - ref) <= PAIR_FLOOR_ULPS * 2.0**-52 * ref, (integral, ref)
+
+    def test_an_overflowing_a_plus_b_keeps_both_halves(self):
+        # a + b overflows to inf: p and r/(a+b) read 0, and both halves once returned
+        # -0.0 for a sum of -1.89e-309
+        r, a, b = -0.5, 1e308, 1e308
+        ref = _pair_reference(r, a, b)
+        for value in series_integral_pair(r, a, b):
+            assert abs(value - ref) <= 2.0**-1074, (value, ref)
 
     @given(
         r=st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=1.0, exclude_max=True),
@@ -1028,12 +1046,11 @@ def _listed_monotonicity(values: list[float]) -> int:
 
 @pytest.mark.parametrize("n", [3, 4, 7, 1000])
 def test_sample_monotonicity_matches_the_listed_form(n, monkeypatch):
-    # the library's integrands are checked on their own grids below; a flat, a bumpy and
-    # a NaN-valued integrand, fed in as the grid, reach the other branches
-    for f in (lambda t, omt: 0.0, lambda t, omt: math.sin(9.0 * t), lambda t, omt: math.nan):
-        monkeypatch.setattr(quadrature, "_grid_values",
-                            lambda kind, n, f=f: iter(grid_by_integrand(f, n)))
-        values = grid_by_integrand(f, n)
+    # the library's terms are checked on their own grids below; a flat, a bumpy and
+    # a NaN-valued grid, fed in as the terms, reach the other branches
+    for f in (lambda t: 0.0, lambda t: math.sin(9.0 * t), lambda t: math.nan):
+        values = [f(k / n) for k in range(1, n)]
+        monkeypatch.setattr(quadrature, "_grid_terms", lambda kind, n, values=values: iter(values))
         assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(values)
 
 
@@ -1045,23 +1062,53 @@ _PINNED_NS = [2, 3, 4, 5, 7, 10, 11, 999, 1000, 1001, 9999, 10**4, 10**5]
 @pytest.mark.parametrize("n, level", zip(_PINNED_NS, range(13)))
 def test_grid_and_bisection_sums_match_their_per_term_forms(n, level):
     # the split grids and the bisection sums with their invariants bound once give
-    # the bits of one integrand call, one choice of logarithm, one attribute read per term;
-    # no grid value is 0 or NaN, so == compares bits
+    # the bits of one term, one choice of logarithm, one attribute read per term;
+    # no grid term is 0 or NaN, so == compares bits
     for kind in IntegralKind:
-        values = grid_by_integrand(kind_integrand(kind), n)
-        assert list(quadrature._grid_values(kind, n)) == values
+        values = grid_terms(kind, n)
+        assert list(quadrature._grid_terms(kind, n)) == values
         if kind in quadrature.RIEMANN_KINDS:
-            assert repr(riemann_sum(kind, n)) == repr(math.fsum(values) / n)
-        if n >= 3:
-            assert sample_monotonicity(kind, n) == _listed_monotonicity(values)
-    for kind in ProductKind:
-        expected = math.fsum(product_terms(kind is ProductKind.MINUS, n))
-        assert repr(product_form(kind, n)) == repr(expected)
+            assert repr(riemann_sum(kind, n)) == repr(math.fsum(values))
+        if n >= 3:  # the terms f(k/n)/n rise and fall with the integrand's own values
+            f = kind_integrand(kind)
+            direction = _listed_monotonicity([f(k / n, (n - k) / n) for k in range(1, n)])
+            assert sample_monotonicity(kind, n) == _listed_monotonicity(values) == direction
+    for kind, grid in ((ProductKind.MINUS, IntegralKind.LOG1M_OVER_T),
+                       (ProductKind.PLUS, IntegralKind.LOG1P_OVER_T)):
+        assert repr(product_form(kind, n)) == repr(math.fsum(grid_terms(grid, n)))
     for x in (1e-8, 1.0, math.pi / 2, math.pi - 1e-8):
         report = bisection_report(x, level, n).to_json()
         expected = eager_bisection_json(x, level, n)
         for name in ("bisection_value", "e_n_measured", "partial_fraction_value"):
             assert repr(report[name]) == repr(expected[name]), (x, name)
+
+
+def test_the_minus_limits_are_one_sum():
+    # ln t/(1 - t) has the terms of ln(1 - t)/t in the other order, and the log of the
+    # product is the Riemann sum of ln(1 - t)/t, so one math.fsum gives all three the same bits
+    for n in _PINNED_NS:
+        minus = product_form(ProductKind.MINUS, n)
+        assert repr(riemann_sum(IntegralKind.LOG_OVER_1MT, n)) == repr(minus), n
+        assert repr(riemann_sum(IntegralKind.LOG1M_OVER_T, n)) == repr(minus), n
+
+
+_EXACT_INTEGRANDS = {
+    IntegralKind.LOG_OVER_1MT: lambda t: mpmath.log(t) / (1 - t),
+    IntegralKind.LOG_OVER_1PT: lambda t: mpmath.log(t) / (1 + t),
+}
+
+
+@pytest.mark.parametrize("kind, n", [(IntegralKind.LOG_OVER_1MT, 159),
+                                     (IntegralKind.LOG_OVER_1PT, 669),
+                                     (IntegralKind.LOG_OVER_1PT, 1448)])
+def test_a_riemann_sum_lies_within_an_ulp_of_the_exact_finite_sum(kind, n):
+    # one math.fsum of the terms ln(.)/m and no division after it; the sum of f(k/n)
+    # divided by n once lay 1.069, 1.003 and 1.044 ulp off here
+    f = _EXACT_INTEGRANDS[kind]
+    with mpmath.workdps(40):
+        ref = mpmath.fsum(f(mpmath.mpf(k) / n) for k in range(1, n)) / n
+        value = riemann_sum(kind, n)
+        assert abs(value - ref) <= math.ulp(float(ref)), (value, ref)
 
 
 # Every call whose term count is its argument n, checked against the budget.
