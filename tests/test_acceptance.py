@@ -211,15 +211,7 @@ def test_criterion_9_functional_equations():
 # became one math.fsum of the terms ln(.)/m, with no division by n after it: only
 # riemann_trend_log_over_1mt moved, whose printed n = 1000 error went from
 # 0.004873598937162882 to 0.00487359893716266, the error of product_trend_minus,
-# since both now sum the same terms; its abs_err held.  Before that, when each
-# tanh-sinh level became one math.fsum, 12 rows moved, and every abs_err among them fell
-# (integral_log1p_over_t 3.3e-16 to 1.1e-16, integral_log_over_1pt 2.2e-16 to
-# 1.1e-16, integral_pair_identity and integral_parts_identity to 0,
-# functional_dilog_grid 3.3e-16 to 1.1e-16, functional_inverse_grid 4.4e-16 to
-# 5.6e-17, dilog_modes_grid 6.7e-16 to 2.2e-16, series_vs_integral_3 4.4e-16
-# to 0, asymptotic_targets_consistency 2.2e-16 to 0, asymptotic_genocchi_target
-# 2.2e-16 to 1.1e-16), while asymptotic_genocchi_truncation and erratum_E2
-# only print that target.  Before that the float series stopped reading tol.
+# since both now sum the same terms; its abs_err held.
 REPORT_SHA256 = "bf3fd6c36c7fecd1bb11df666e88fb77fd871e99a0169792628dd01025fda9e0"
 
 
@@ -284,8 +276,7 @@ def _series_outputs(seed: int) -> list[str]:
 # lines moved.  Of their 28 moved integral halves, 23 came closer to mpmath and 5
 # went farther, the worst now 0.05 of max(tol, 16 * 2^-52) relative (it was 3.4e6
 # at b = 1e30); of the 14 moved series halves, 6 came closer, 6 went farther and 2
-# kept their distance, the worst now 1.24 * 2^-52 (0.97 before).  Before that each
-# tanh-sinh level became one math.fsum, and the float series stopped reading tol).
+# kept their distance, the worst now 1.24 * 2^-52 (0.97 before)).
 SERIES_SHA256 = "a10567cb45ee6372df42af1aa13428876ff743a06cd3ff2827d8d979a7b7acb0"
 
 
@@ -354,9 +345,7 @@ def _quad_outputs(seed: int) -> list[str]:
 # 1e-15); 54 "dilog_eq" residuals, 32 smaller and 22 larger, the largest moving
 # from 8.1503637e-11 to 8.1503526e-11 at tol 1e-3; and 2 "inverse_eq" residuals
 # at (ln x)^2 / 2 < 1, 3.8e-6 to 5.6e-15 and 5.4e-6 to 6.9e-15.  No "integrate",
-# "residual", "pair" or "cap" line moved.  Before that the pair's integral half
-# came to scale by r/(a+b) after the kernel, and each tanh-sinh level became one
-# math.fsum).
+# "residual", "pair" or "cap" line moved).
 QUAD_SHA256 = "2db56acb8299d317a52e692b3314a860271b38da3a305c92440e7052e6ca9f31"
 
 

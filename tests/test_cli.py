@@ -65,6 +65,27 @@ class TestNumericCommands:
         assert record["value"] == direct.value
         assert record["evaluations"] == direct.evaluations
 
+    @pytest.mark.parametrize("tol", [["--tol", "1e-12"], []], ids=["tol_1e-12", "default_tol"])
+    def test_the_four_integrals_print_their_pinned_results(self, capsys, monkeypatch, tol):
+        # (value, err_estimate, evaluations) bit for bit, the same on every Python: each
+        # tanh-sinh level is one math.fsum.  The default tol is 1e-12, and the evaluations
+        # add up to README's 412, two per node pair plus the centre
+        monkeypatch.delenv("BASELKIT_TOL", raising=False)
+        results = {}
+        for kind in IntegralKind:
+            code, out, err = run_cli(capsys, "integrate", "--kind", kind.value, *tol,
+                                     "--format", "json")
+            assert (code, err) == (0, ""), kind
+            record = json.loads(out)
+            results[kind] = (record["value"], record["err_estimate"], record["evaluations"])
+        assert results == {
+            IntegralKind.LOG_OVER_1MT: (-1.6449340668482266, 2.6645352591003757e-15, 69),
+            IntegralKind.LOG_OVER_1PT: (-0.8224670334241133, 1.8262436750051976e-16, 137),
+            IntegralKind.LOG1P_OVER_T: (0.8224670334241133, 1.8262436750051976e-16, 137),
+            IntegralKind.LOG1M_OVER_T: (-1.6449340668482266, 2.6645352591003757e-15, 69),
+        }
+        assert sum(evaluations for *_, evaluations in results.values()) == 412
+
     def test_riemann_and_product(self, capsys):
         code, out, _ = run_cli(capsys, "riemann", "--kind", "log_over_1mt", "--n", "2",
                                "--format", "json")

@@ -45,14 +45,15 @@ class TestZeta2Partial:
             assert 0 < gap < Fraction(1, n)
 
     def test_float_tail_bound(self):
-        for n in (10, 100, 1000, 10000):
+        # 10^8 is past the budget, from the closed tail, with no ulp of slack
+        for n in (10, 100, 1000, 10000, 10**8):
             gap = PI2_6 - zeta2_partial_float(n)
-            assert 0.0 < gap < 1.0 / n
+            assert 0.0 < gap < 1.0 / n, n
         # past the budget the float is within 0.64 ulp of the sum, and ZETA2
         # 0.14 ulp below zeta(2), so the gap is within an ulp of (0, 1/n):
         # 1/n + 0.40 ulp at n = 10^12.  From about 10^16 on the float is
         # ZETA2, a gap of 0.
-        for n in (10**7 + 1, 10**8, 10**12, 10**16, 10**30):
+        for n in (10**7 + 1, 10**12, 10**16, 10**30):
             gap = PI2_6 - zeta2_partial_float(n)
             assert 0.0 <= gap < 1 / n + math.ulp(PI2_6), n
         assert zeta2_partial_float(10**17) == PI2_6
@@ -91,10 +92,11 @@ class TestEta2Partial:
             assert abs(nxt) < abs(prev)
 
     def test_float_bound(self):
-        for n in (10, 100, 1000):
-            assert abs(PI2_12 - eta2_partial_float(n)) < 1.0 / (n + 1) ** 2
+        # 10^8 is past the budget, from the closed tail, with no ulp of slack
+        for n in (10, 100, 1000, 10**8):
+            assert abs(PI2_12 - eta2_partial_float(n)) < 1.0 / (n + 1) ** 2, n
         # past the budget, within an ulp of the bound, as for zeta(2)
-        for n in (10**7 + 1, 10**8, 10**12, 10**30):
+        for n in (10**7 + 1, 10**12, 10**30):
             assert abs(PI2_12 - eta2_partial_float(n)) < 1 / (n + 1) ** 2 + math.ulp(PI2_12), n
 
 
