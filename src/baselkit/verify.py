@@ -106,7 +106,8 @@ DIVERGENCE_THRESHOLD = 1e6
 MAX_ZETA_N = 10
 ZETA2_TAIL_NS = (10, 100, 1_000, 10_000)
 ETA2_TAIL_NS = (10, 100, 1_000)
-PAIR_CASES = ((0.5, 1.0, 0.0), (-0.9, 1.0, 0.0), (0.9, 2.0, 3.0))
+PAIR_CASES = ((0.5, 1.0, 0.0), (-0.9, 1.0, 0.0), (0.9, 2.0, 3.0),
+              (0.25, 1.0, 0.0), (-1.0, 1.0, 0.0), (0.999, 1.0, 0.0))
 
 #: The serialized fields of a CheckResult, in report order.
 REPORT_FIELDS = ("check_id", "status", "lhs", "rhs", "abs_err", "tol")

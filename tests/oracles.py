@@ -11,7 +11,9 @@ summed afresh at each n (the library keeps running sums over n), and
 tanh-sinh has a level-by-level sum that evaluates every node afresh, out to
 where q underflows, and gives each level one math.fsum (the library's levels
 are nested and its nodes end at a weight floor, and must give the same
-bits).  The integrands of the four integrals, the dilog kernel, the inverse
+bits); one generator, `nodes_up_to_the_underflow_of_q`, gives those nodes
+and the ones each nested level adds, against which the weight floor is
+checked.  The integrands of the four integrals, the dilog kernel, the inverse
 equation and the pair are kept as scalar functions that choose their
 logarithm's arm at each call (the library writes each as a level function
 whose halves have fixed arms, and must give the same bits).  The limit grids
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 
 # 60 decimal digits of pi; |PI_HP - pi| < 1e-60.
 PI_HP = Fraction(
@@ -216,6 +219,21 @@ def level_form(f):
 CENTRE_NODE = ((math.pi / 8.0, 0.5, 0.5),)
 
 
+def nodes_up_to_the_underflow_of_q(level: int, step: int):
+    """(weight, q/2, 1 - q/2) of the tanh-sinh nodes t = k 2^-level, k = 1,
+    1 + step, 1 + 2 step, ..., by the rule that ends only where q underflows
+    to 0, near t = 6.16: step 1 gives a fresh level, step 2 the nodes a
+    nested level adds to the one below it."""
+    h = 0.5**level
+    for k in count(1, step):
+        u = 0.5 * math.pi * math.sinh(k * h)
+        q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
+        if q == 0.0:
+            return
+        sech_u = 1.0 / math.cosh(u)
+        yield (math.pi / 4.0) * math.cosh(k * h) * sech_u * sech_u, 0.5 * q, 1.0 - 0.5 * q
+
+
 def tanh_sinh_level_by_level(terms_of, tol: float, max_level: int,
                              scale: float = 1.0) -> tuple[float, float, bool]:
     """scale times tanh-sinh over (0, 1), with every level a trapezoid sum built
@@ -226,22 +244,8 @@ def tanh_sinh_level_by_level(terms_of, tol: float, max_level: int,
     previous = None
     value, err = 0.0, math.inf
     for level in range(max_level + 1):
-        h = 0.5**level
-        nodes = []
-        k = 1
-        while (t := k * h) <= 6.2:
-            u = 0.5 * math.pi * math.sinh(t)
-            q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
-            if q == 0.0:
-                break
-            sech_u = 1.0 / math.cosh(u)
-            weight = (math.pi / 4.0) * math.cosh(t) * sech_u * sech_u
-            if weight == 0.0:
-                break
-            half_q = 0.5 * q
-            nodes.append((weight, half_q, 1.0 - half_q))
-            k += 1
-        value = h * math.fsum(terms_of(CENTRE_NODE) + terms_of(tuple(nodes)))
+        nodes = tuple(nodes_up_to_the_underflow_of_q(level, 1))
+        value = 0.5**level * math.fsum(terms_of(CENTRE_NODE) + terms_of(nodes))
         if previous is not None:
             err = abs(value - previous)
             if err <= tol * abs(value):

@@ -207,12 +207,11 @@ def test_criterion_9_functional_equations():
 
 # sha256 of the full `verify --suite all --format json` report.  Performance
 # work must leave these bytes unchanged; only a deliberate correctness fix to a
-# row may move this value, and it says so.  It last moved when the Riemann sums
-# became one math.fsum of the terms ln(.)/m, with no division by n after it: only
-# riemann_trend_log_over_1mt moved, whose printed n = 1000 error went from
-# 0.004873598937162882 to 0.00487359893716266, the error of product_trend_minus,
-# since both now sum the same terms; its abs_err held.
-REPORT_SHA256 = "bf3fd6c36c7fecd1bb11df666e88fb77fd871e99a0169792628dd01025fda9e0"
+# row may move this value, and it says so.  It last moved when PAIR_CASES gained
+# (0.25, 1, 0), (-1, 1, 0) and (0.999, 1, 0), so that the report shows the pair's
+# 60-term, Euler-transform and E_1-tail routes: three rows were added,
+# series_vs_integral_4 to _6, and every earlier line held byte for byte.
+REPORT_SHA256 = "3b11908fb7fbab4996887ff707c453171991bef1da3934f61c1f6122ac44e42c"
 
 
 def test_criterion_10_determinism_and_runtime(tmp_path, capsys):

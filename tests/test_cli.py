@@ -428,4 +428,4 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
             assert out == comment + "\n", argv
         outputs += comment.startswith("{")
     assert outputs == 2
-    assert (tmp_path / "report.jsonl").read_text().count("\n") == 59
+    assert (tmp_path / "report.jsonl").read_text().count("\n") == 62

@@ -10,7 +10,6 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from itertools import count
 from pathlib import Path
 
 import mpmath
@@ -47,6 +46,7 @@ from oracles import (
     inverse_integrand,
     kind_integrand,
     level_form,
+    nodes_up_to_the_underflow_of_q,
     pair_integrand,
     tanh_sinh_level_by_level,
 )
@@ -110,10 +110,10 @@ class TestIntegrate:
         assert abs(result.value - kind.closed_form) <= result.err_estimate, result
 
     def test_independent_oracle(self):
-        # QUADPACK with explicit singular endpoints as a second route
-        from scipy.integrate import quad
-
-        oracle, _ = quad(lambda t: math.log(t) / (1 + t), 0, 1, points=[0])
+        # mpmath's own tanh-sinh at 30 digits as a second route
+        with mpmath.workdps(30):
+            oracle, err = mpmath.quad(lambda t: mpmath.log(t) / (1 + t), [0, 1], error=True)
+        assert err <= 1e-20
         ours = integrate(IntegralKind.LOG_OVER_1PT, 1e-12).value
         assert abs(ours - oracle) < 1e-9
 
@@ -650,6 +650,30 @@ class TestPairExpansions:
         assert math.isfinite(series) and math.isfinite(integral)
         assert abs(series - integral) <= 32 * 2.0**-52 * max(abs(series), abs(integral))
 
+    @pytest.mark.parametrize("check_id, counts, tail_xs", [
+        ("series_vs_integral_4", [60], []),  # r = 1/4: the first 60 terms
+        ("series_vs_integral_5", [], []),  # r = -1: Euler's transform
+        # r = 0.999: 39 terms, then a tail whose x = -mu (40 + b/a) is below 1, so
+        # e^x E1(x) is the series in x, the one reader of _EULER_GAMMA
+        ("series_vs_integral_6", [39], [pytest.approx(0.04002, abs=1e-5)]),
+    ])
+    def test_the_suite_rows_take_the_routes_they_were_added_for(self, check_id, counts, tail_xs,
+                                                                monkeypatch):
+        from baselkit.verify import run_suite
+
+        counted, xs, tail = _CountedPowerSum(), [], quadrature._pair_tail
+
+        def recorded_tail(mu, a, b):
+            xs.append(-mu * (quadrature._TAIL_START + b / a))
+            return tail(mu, a, b)
+
+        monkeypatch.setattr(quadrature, "_power_sum", counted)
+        monkeypatch.setattr(quadrature, "_pair_tail", recorded_tail)
+        [row] = run_suite([check_id])
+        assert row.status == "pass", row
+        assert counted.counts == counts
+        assert xs == tail_xs
+
     def test_the_benchmark_case_sums_39_terms(self, monkeypatch):
         counted = _CountedPowerSum()
         monkeypatch.setattr(quadrature, "_power_sum", counted)
@@ -857,7 +881,7 @@ def test_each_level_form_gives_the_bits_of_its_scalar_form(case):
             assert list(map(repr, terms_of(nodes))) == list(map(repr, expected)), level
 
 
-def test_one_suite_run_makes_7353_evaluations_in_77_integrals(monkeypatch):
+def test_one_suite_run_makes_7766_evaluations_in_80_integrals(monkeypatch):
     from baselkit.verify import run_suite
 
     kernel, counts = quadrature._tanh_sinh_unit, []
@@ -873,7 +897,7 @@ def test_one_suite_run_makes_7353_evaluations_in_77_integrals(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
     run_suite()
-    assert (sum(counts), len(counts)) == (7353, 77)
+    assert (sum(counts), len(counts)) == (7766, 80)
 
 
 class _Recording:
@@ -913,25 +937,12 @@ def test_evaluations_count_the_calls_to_f(kind, monkeypatch):
         4, 4, 9, 17, 34, 69, 138, 275, 550, 1101, 2201]
 
 
-def _nodes_up_to_the_underflow_of_q(level):
-    """(weight, q/2, 1 - q/2) of every node `level` adds, by the rule that
-    ends only where q underflows to 0, near t = 6.16."""
-    h = 0.5**level
-    for k in count(1, 1 if level == 0 else 2):
-        u = 0.5 * math.pi * math.sinh(k * h)
-        q = 2.0 * math.exp(-2.0 * u) if 2.0 * u > 700.0 else 2.0 / (math.exp(2.0 * u) + 1.0)
-        if q == 0.0:
-            return
-        sech_u = 1.0 / math.cosh(u)
-        yield (math.pi / 4.0) * math.cosh(k * h) * sech_u * sech_u, 0.5 * q, 1.0 - 0.5 * q
-
-
 def test_the_weight_floor_ends_every_level():
     # uncached, as level 17 has 281,753 nodes
     kept = 0
     for level in range(18):
         nodes = quadrature._level_nodes.__wrapped__(level)
-        full = list(_nodes_up_to_the_underflow_of_q(level))
+        full = list(nodes_up_to_the_underflow_of_q(level, 1 if level == 0 else 2))
         assert nodes == tuple(full[:len(nodes)]), level
         assert min(weight for weight, _, _ in nodes) >= quadrature._WEIGHT_MIN
         assert full[len(nodes)][0] < quadrature._WEIGHT_MIN

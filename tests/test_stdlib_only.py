@@ -1,9 +1,11 @@
 """The library imports nothing but the standard library.
 
-The test extras (scipy, mpmath) are installed wherever the tests run, so an
-import of either from `src/baselkit` would otherwise pass unnoticed.  Start-up
-is a tracked figure, so `import baselkit.cli` must not load the slow stdlib
-modules that only type hints or ``dataclasses`` once needed.
+The test extras (pytest, hypothesis, mpmath) are installed wherever the tests
+run, so an import of any of them from `src/baselkit` would otherwise pass
+unnoticed.  The tests themselves import no other package, so the extras stay
+pure Python.  Start-up is a tracked figure, so `import baselkit.cli` must not
+load the slow stdlib modules that only type hints or ``dataclasses`` once
+needed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,23 @@ def test_every_library_import_is_stdlib():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_the_tests_import_only_stdlib_the_library_and_the_test_extras():
+    extras = ("pytest", "hypothesis", "mpmath")
+    tests = sorted((ROOT / "tests").rglob("*.py"))
+    assert len(tests) >= 12
+    outside = {
+        f"{path.name}: {name}"
+        for path in tests
+        for name in _absolute_imports(path)
+        if name not in sys.stdlib_module_names and name not in ("baselkit", "oracles", *extras)
+    }
+    assert not outside, sorted(outside)
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r"^test = .*$", text, re.MULTILINE) == [
+        'test = ["pytest", "hypothesis", "mpmath"]']
 
 
 def test_the_cli_import_loads_no_heavy_stdlib_module():

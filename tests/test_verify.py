@@ -52,6 +52,9 @@ class TestRunner:
             "functional_dilog_grid",
             "functional_inverse_grid",
             "series_vs_integral_1",
+            "series_vs_integral_4",
+            "series_vs_integral_5",
+            "series_vs_integral_6",
             "riemann_trend_log_over_1mt",
             "bisection_identity_grid",
             "bisection_remainder_bound",
@@ -147,7 +150,7 @@ class TestConfig:
     def test_registry_shape_is_fixed_not_config(self):
         assert list(inspect.signature(run_suite).parameters) == ["selection"]
         ids = set(available_checks())
-        assert len(ids) == 59
+        assert len(ids) == 62
         assert {f"zeta_even_exact_{n}" for n in range(1, verify.MAX_ZETA_N + 1)} <= ids
         assert {f"tail_zeta2_N{n}" for n in verify.ZETA2_TAIL_NS} <= ids
         assert {f"tail_eta2_N{n}" for n in verify.ETA2_TAIL_NS} <= ids
@@ -208,11 +211,11 @@ class TestIsolation:
         code = main(["verify", "--suite", "all", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "verify: 59 checks, 1 failed\n"
+        assert captured.err == "verify: 62 checks, 1 failed\n"
         rows = [json.loads(line) for line in captured.out.splitlines()]
         expected = [json.loads(line) for line in report_lines(full_results)]
         broken = [i for i, (got, want) in enumerate(zip(rows, expected)) if got != want]
-        assert len(rows) == len(expected) == 59
+        assert len(rows) == len(expected) == 62
         assert [rows[i]["check_id"] for i in broken] == ["poly_reflection"]
         assert rows[broken[0]] == {
             "check_id": "poly_reflection", "status": "fail", "lhs": "RuntimeError",
@@ -467,7 +470,7 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     for name in library:
         monkeypatch.setattr(verify, name, swapped)
     results = run_suite("all")
-    assert len(results) == 59
+    assert len(results) == 62
     assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
 
 
