@@ -88,14 +88,18 @@ def _render_record(record: dict, fmt: str) -> str:
 
 
 def _write_atomic(path: str, payload: str) -> None:
-    """Write through a temp file in the target directory, then rename it."""
+    """Write through a temp file in the target directory, then rename it; the file
+    gets the mode open() would give a new one, 0o666 less the umask."""
     import tempfile  # only --out needs it, as csv above
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".baselkit-")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".baselkit-")  # mode 0o600
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
+        umask = os.umask(0)  # the one way to read it, so set it straight back
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -23,7 +23,8 @@ import decimal
 import math
 import re
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
+from contextvars import ContextVar
 from fractions import Fraction
 
 __all__ = [
@@ -165,6 +166,25 @@ def _genocchi_prefix(n: int) -> list[Fraction]:
         diagonal.append(new)
         out += [Fraction(new if m % 2 else -new, 2), _ZERO]
     return out[: n + 1]
+
+
+# The work that rows of one verification run share (B_n(x) and G_n(x) builds,
+# limit grid sums, halving compositions), keyed by what determines it: set by
+# `baselkit.verify.run_suite` for the length of the call, per thread and
+# context.  Nothing is kept after it: B_1000(x) alone holds 0.26 MB, and the
+# size grows faster than n^2.
+_RUN_MEMO: ContextVar[dict] = ContextVar("_RUN_MEMO")
+
+
+def _once(key: Hashable, compute: Callable[[], object]) -> object:
+    """compute(), once per key inside a verification run and afresh on every call
+    outside one; a compute that raises is not stored."""
+    memo = _RUN_MEMO.get(None)
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 _BERNOULLI = _SequenceCache(_bernoulli_prefix)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from contextvars import ContextVar
 from fractions import Fraction
 
-from .exact import CAPACITY, _check_index, _record, bernoulli, fraction_str, genocchi
+from .exact import CAPACITY, _check_index, _once, _record, bernoulli, fraction_str, genocchi
 
 __all__ = [
     "HALVING_VARIANTS",
@@ -200,25 +199,20 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(parts) + ")"
 
 
-# The polynomials built in one verification run, keyed by (number, n): set by
-# `baselkit.verify.run_suite` for the length of the call, and per thread and
-# context.  Nothing is kept after it: B_1000(x) alone holds 0.26 MB, and the
-# size grows faster than n^2.
-_BUILT: ContextVar[dict] = ContextVar("_BUILT")
-
-
 def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
-    """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products."""
+    """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products;
+    built once per (number, n) in a verification run."""
     _check_index(n, 0, CAPACITY, cap_name="CAPACITY")
-    built = _BUILT.get({})  # outside a run, a dict that is dropped on return
-    if (number, n) not in built:  # a build that raises is not stored
+
+    def build() -> RationalPolynomial:
         values = [number(n - k) for k in range(n + 1)]
         den = math.lcm(*(v.denominator for v in values))
-        built[number, n] = RationalPolynomial._from_ints(
+        return RationalPolynomial._from_ints(
             [math.comb(n, k) * v.numerator * (den // v.denominator) for k, v in enumerate(values)],
             den,
         )
-    return built[number, n]
+
+    return _once((number, n), build)
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
@@ -296,14 +290,19 @@ def check_halving(n: int, variant: str) -> Certificate:
         raise ValueError(f"variant must be one of {HALVING_VARIANTS}, got {variant!r}")
     b = bernoulli_polynomial(n)
     half = Fraction(1, 2)
+
+    def b_halved(shift: int) -> RationalPolynomial:
+        # B_n((x + shift)/2), composed once per (n, shift) in a verification run
+        return _once(("B_n((x+s)/2)", n, shift), lambda: b.compose_affine(half, shift * half))
+
     name = f"halving_{variant}_n{n}"
     if variant == "ii":  # each variant composes only the B_n it reads
-        rhs = b - b.compose_affine(half, 0) * Fraction(2**n)
+        rhs = b - b_halved(0) * Fraction(2**n)
         return _poly_certificate(name, genocchi_polynomial(n), rhs)
     if variant == "iii":
-        rhs = b.compose_affine(half, half) * Fraction(2**n) - b
+        rhs = b_halved(1) * Fraction(2**n) - b
         return _poly_certificate(name, genocchi_polynomial(n), rhs)
-    rhs = (b.compose_affine(half, half) + b.compose_affine(half, 0)) * Fraction(2) ** (n - 1)
+    rhs = (b_halved(1) + b_halved(0)) * Fraction(2) ** (n - 1)
     return _poly_certificate(name, b, rhs)
 
 
@@ -349,12 +348,13 @@ def check_special_values(n: int) -> dict[str, Certificate]:
     b_n = bernoulli_polynomial(n)
     b_2n = bernoulli_polynomial(2 * n)
     g_2n = genocchi_polynomial(2 * n)
+    b_2n_quarter = b_2n.evaluate(quarter)
     checks = {
-        "b_half_vs_quarter": (b_2n.evaluate(half), Fraction(4) ** n * b_2n.evaluate(quarter)),
+        "b_half_vs_quarter": (b_2n.evaluate(half), Fraction(4) ** n * b_2n_quarter),
         "g_half_zero": (g_2n.evaluate(half), Fraction(0)),
         "b_half_formula": (b_n.evaluate(half), (Fraction(2) ** (1 - n) - 1) * bernoulli(n)),
         "b_quarter_formula": (
-            b_2n.evaluate(quarter),
+            b_2n_quarter,
             Fraction(2) ** (-2 * n) * (Fraction(2) ** (1 - 2 * n) - 1) * bernoulli(2 * n),
         ),
         "g_b_relation": (genocchi(n), (1 - Fraction(2) ** n) * bernoulli(n)),

@@ -35,7 +35,7 @@ import math
 from collections.abc import Callable, Iterator
 from itertools import accumulate, chain, count, pairwise
 
-from .exact import _check_index, _record, bernoulli
+from .exact import _check_index, _once, _record, bernoulli
 
 __all__ = [
     "DEFAULT_TOL",
@@ -288,17 +288,24 @@ def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
     raise ValueError(f"kind must be an IntegralKind, got {kind!r}")
 
 
+def _grid_sum(grid: IntegralKind, n: int) -> float:
+    """math.fsum of `_grid_terms(grid, n)`, streamed once per (grid, n) in a verification run."""
+    return _once((grid, n), lambda: math.fsum(_grid_terms(grid, n)))
+
+
 def riemann_sum(kind: IntegralKind, n: int) -> float:
     """Left-out-endpoints Riemann sum (1/n) sum_{k=1..n-1} f(k/n), n <= SERIES_TERM_BUDGET.
 
     Monotonicity of the integrand makes this converge to the improper
     integral even though f is unbounded at an endpoint.  One math.fsum of
-    `_grid_terms`, so LOG_OVER_1MT, LOG1M_OVER_T and product_form(MINUS, n) agree.
+    `_grid_terms`, correctly rounded, so a sum depends only on the multiset of its
+    terms: LOG_OVER_1MT has those of LOG1M_OVER_T and sums that grid, as does
+    product_form(MINUS, n), and the three agree bit for bit.
     """
     if kind not in RIEMANN_KINDS:
         raise ValueError(f"Riemann-sum form is only defined for {[k.value for k in RIEMANN_KINDS]}")
     _check_count(n, 2)
-    return math.fsum(_grid_terms(kind, n))
+    return _grid_sum(IntegralKind.LOG1M_OVER_T if kind is IntegralKind.LOG_OVER_1MT else kind, n)
 
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
@@ -322,7 +329,7 @@ def product_form(kind: ProductKind, n: int) -> float:
         raise ValueError(f"kind must be a ProductKind, got {kind!r}")
     _check_count(n, 2)
     grid = IntegralKind.LOG1M_OVER_T if kind is ProductKind.MINUS else IntegralKind.LOG1P_OVER_T
-    return math.fsum(_grid_terms(grid, n))
+    return _grid_sum(grid, n)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .exact import (
+    _RUN_MEMO,
     _record,
     bernoulli,
     bernoulli_from_genocchi,
@@ -37,7 +38,6 @@ from .exact import (
     zeta_even_exact,
 )
 from .polynomials import (
-    _BUILT,
     HALVING_VARIANTS,
     Certificate,
     bernoulli_polynomial,
@@ -497,8 +497,11 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
     check that raises becomes a ``fail`` row with the exception type as
     ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
-    Within one call each B_n(x) and G_n(x) is built at most once, and the
-    rows share it; nothing is kept after the call returns.
+    Within one call the work that rows share is done at most once: each
+    B_n(x) and G_n(x) build, each limit grid sum (the Riemann sum of ln t/(1-t)
+    is that of the log-product's ln(1-t)/t) and each halving composition of
+    B_n.  It is charged to the first row that reads it, in id order; nothing
+    is kept after the call returns.
     """
     if isinstance(selection, str) and selection != "all":
         selection = [selection]
@@ -511,11 +514,11 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
             raise UnknownCheckError(
                 f"unknown check ids {unknown}; valid ids: {', '.join(available_checks())}"
             )
-    built = _BUILT.set({})
+    memo = _RUN_MEMO.set({})
     try:
         return [_run(check_id) for check_id in ids]
     finally:
-        _BUILT.reset(built)
+        _RUN_MEMO.reset(memo)
 
 
 def _run(check_id: str) -> CheckResult:

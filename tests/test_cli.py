@@ -182,6 +182,18 @@ class TestVerifyCommand:
         assert all(json.loads(line)["status"] == "erratum_documented" for line in lines)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".baselkit-")]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_out_gets_the_mode_of_a_plain_write(self, capsys, tmp_path, umask):
+        target, plain = tmp_path / "x.json", tmp_path / "plain.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "bernoulli", "--n", "4", "--out", str(target))
+            plain.write_text("")
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert target.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_pretty_table_and_tally(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "zeta_even_exact_1,erratum_E1")
         assert code == 0

@@ -5,17 +5,18 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import baselkit.polynomials as polynomials
+import baselkit.quadrature as quadrature
 import baselkit.verify as verify
+from baselkit import exact
 from baselkit.cli import main
 from baselkit.polynomials import Certificate, RationalPolynomial, genocchi_polynomial
-from baselkit.quadrature import ProductKind
+from baselkit.quadrature import IntegralKind, ProductKind, product_form, riemann_sum
 from baselkit.verify import (
     CheckResult,
     UnknownCheckError,
@@ -474,31 +475,52 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
 
 
-def test_one_run_builds_each_polynomial_once(monkeypatch):
+def test_one_run_computes_each_shared_result_once(monkeypatch):
     # 707 evaluations for the power-sum grid (G_k at 1..101, k = 2..8), 239 for the rest;
-    # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each
-    horner, builds = [], []
-    real_horner, real_from_ints = RationalPolynomial._horner, RationalPolynomial._from_ints
+    # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each; the two
+    # monotone rows and the three limit rows' grids at n = 10^3 and 10^5 stream six
+    # distinct (grid, n), since ln t/(1-t) sums the grid of the log-product's ln(1-t)/t;
+    # reflection, the addition recurrence and halving ii and iii compose 41 + 39 + 41 + 41
+    # times, and halving iv reads the compositions of ii and iii
+    horner, computed, streams, compositions = [], [], [], []
+    real_horner, real_compose = RationalPolynomial._horner, RationalPolynomial.compose_affine
+    real_terms = quadrature._grid_terms
 
     def counted_horner(self, p, q):
         horner.append(p)
         return real_horner(self, p, q)
 
-    def counted_from_ints(cls, num, den):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_binomial_sum":
-            builds.append((caller.f_locals["number"].__name__, caller.f_locals["n"]))
-        return real_from_ints(num, den)
+    def counted_once(key, compute):
+        return exact._once(key, lambda: computed.append(key) or compute())
 
     monkeypatch.setattr(RationalPolynomial, "_horner", counted_horner)
-    monkeypatch.setattr(RationalPolynomial, "_from_ints", classmethod(counted_from_ints))
+    monkeypatch.setattr(RationalPolynomial, "compose_affine",
+                        lambda p, a, b: compositions.append(1) or real_compose(p, a, b))
+    monkeypatch.setattr(quadrature, "_grid_terms",
+                        lambda kind, n: streams.append((kind, n)) or real_terms(kind, n))
+    monkeypatch.setattr(polynomials, "_once", counted_once)
+    monkeypatch.setattr(quadrature, "_once", counted_once)
     assert [r.check_id for r in run_suite("all") if r.status == "fail"] == []
     assert len(horner) <= 1_000
+    builds = [key for key in computed if key[0] in (exact.bernoulli, exact.genocchi)]
     assert len(builds) == len(set(builds)) == 122
-    # nothing is kept once the run ends, and outside a run every call builds afresh
-    assert polynomials._BUILT.get(None) is None
+    assert len(streams) == len(set(streams)) == 6
+    assert len(compositions) == 162
+    assert len(computed) == len(set(computed)) == 122 + 4 + 82  # the four limit sums
+    # nothing is kept once the run ends, and outside a run every call computes afresh
+    assert exact._RUN_MEMO.get(None) is None
     first, second = genocchi_polynomial(5), genocchi_polynomial(5)
     assert first == second and first is not second
+    streams.clear()
+    riemann_sum(IntegralKind.LOG_OVER_1MT, 10)
+    product_form(ProductKind.MINUS, 10)
+    assert streams == [(IntegralKind.LOG1M_OVER_T, 10)] * 2
+
+
+def test_a_rows_line_does_not_depend_on_what_else_ran(full_results):
+    # a result shared through the run's memo must be the one the row computes alone
+    full = dict(zip(available_checks(), report_lines(full_results)))
+    assert {i: report_lines(run_suite([i]))[0] for i in full} == full
 
 
 def test_a_build_that_raises_costs_only_its_row(monkeypatch):
