@@ -168,11 +168,10 @@ def _genocchi_prefix(n: int) -> list[Fraction]:
     return out[: n + 1]
 
 
-# The work that rows of one verification run share (B_n(x) and G_n(x) builds,
-# limit grid sums, halving compositions), keyed by what determines it: set by
-# `baselkit.verify.run_suite` for the length of the call, per thread and
-# context.  Nothing is kept after it: B_1000(x) alone holds 0.26 MB, and the
-# size grows faster than n^2.
+# The results of `_binomial_sum`, `_grid_sum`, `integrate` and `compose_affine`
+# inside one `baselkit.verify.run_suite` call, per thread and context, keyed by
+# the primitive's name and its inputs.  Nothing is kept after the call: B_1000(x)
+# alone holds 0.26 MB, and the size grows faster than n^2.
 _RUN_MEMO: ContextVar[dict] = ContextVar("_RUN_MEMO")
 
 

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .exact import CAPACITY, _check_index, _once, _record, bernoulli, fraction_str, genocchi
+from .exact import genocchi_from_bernoulli
 
 __all__ = [
     "HALVING_VARIANTS",
@@ -171,19 +172,23 @@ class RationalPolynomial:
 
         With a*x + b = (A*x + B)/C in integers, an integer Horner pass (the
         classical Taylor shift) builds sum_k n_k (A*x + B)^k C^(deg-k), which
-        is divided once by den * C^deg.
+        is divided once by den * C^deg, once per (self, a, b) in a verification run.
         """
         if not self._num:
             return self
         a, b = Fraction(a), Fraction(b)
-        c = math.lcm(a.denominator, b.denominator)
-        big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
-        acc, cpow = [self._num[-1]], c
-        for n in reversed(self._num[:-1]):
-            acc = [big_b * u + big_a * v for u, v in zip(acc + [0], [0] + acc)]
-            acc[0] += n * cpow
-            cpow *= c
-        return RationalPolynomial._from_ints(acc, self._den * c**self.degree)
+
+        def compose() -> RationalPolynomial:
+            c = math.lcm(a.denominator, b.denominator)
+            big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+            acc, cpow = [self._num[-1]], c
+            for n in reversed(self._num[:-1]):
+                acc = [big_b * u + big_a * v for u, v in zip(acc + [0], [0] + acc)]
+                acc[0] += n * cpow
+                cpow *= c
+            return RationalPolynomial._from_ints(acc, self._den * c**self.degree)
+
+        return _once(("compose_affine", self, a, b), compose)
 
     def to_string_list(self) -> list[str]:
         """Serialize as "p/q" strings, constant term first; zero is ["0"]."""
@@ -212,7 +217,7 @@ def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomi
             den,
         )
 
-    return _once((number, n), build)
+    return _once(("_binomial_sum", number, n), build)
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
@@ -290,19 +295,14 @@ def check_halving(n: int, variant: str) -> Certificate:
         raise ValueError(f"variant must be one of {HALVING_VARIANTS}, got {variant!r}")
     b = bernoulli_polynomial(n)
     half = Fraction(1, 2)
-
-    def b_halved(shift: int) -> RationalPolynomial:
-        # B_n((x + shift)/2), composed once per (n, shift) in a verification run
-        return _once(("B_n((x+s)/2)", n, shift), lambda: b.compose_affine(half, shift * half))
-
     name = f"halving_{variant}_n{n}"
     if variant == "ii":  # each variant composes only the B_n it reads
-        rhs = b - b_halved(0) * Fraction(2**n)
+        rhs = b - b.compose_affine(half, 0) * Fraction(2**n)
         return _poly_certificate(name, genocchi_polynomial(n), rhs)
     if variant == "iii":
-        rhs = b_halved(1) * Fraction(2**n) - b
+        rhs = b.compose_affine(half, half) * Fraction(2**n) - b
         return _poly_certificate(name, genocchi_polynomial(n), rhs)
-    rhs = (b_halved(1) + b_halved(0)) * Fraction(2) ** (n - 1)
+    rhs = (b.compose_affine(half, half) + b.compose_affine(half, 0)) * Fraction(2) ** (n - 1)
     return _poly_certificate(name, b, rhs)
 
 
@@ -357,7 +357,7 @@ def check_special_values(n: int) -> dict[str, Certificate]:
             b_2n_quarter,
             Fraction(2) ** (-2 * n) * (Fraction(2) ** (1 - 2 * n) - 1) * bernoulli(2 * n),
         ),
-        "g_b_relation": (genocchi(n), (1 - Fraction(2) ** n) * bernoulli(n)),
+        "g_b_relation": (genocchi(n), genocchi_from_bernoulli(n)),
     }
     return {
         key: _value_certificate(f"{key}_n{n}", lhs, rhs) for key, (lhs, rhs) in checks.items()

@@ -238,7 +238,7 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         error against mpmath's pi^2/6 or pi^2/12 was at most 0.53 of it).
         ``evaluations`` is the number of distinct points at which the integrand is
         evaluated, two per node pair plus the centre: the levels are nested, so no
-        node is evaluated twice.
+        node is evaluated twice; a verification run integrates each (kind, tol) once.
 
     Raises
     ------
@@ -246,7 +246,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         If the level cap is hit first; the exception carries the best result.
     """
     _check_tol(tol)
-    return _tanh_sinh_unit(_level_terms(kind), tol)
+    terms_of = _level_terms(kind)
+    return _once(("integrate", kind, tol), lambda: _tanh_sinh_unit(terms_of, tol))
 
 
 def two_integral_residual(tol: float = DEFAULT_TOL) -> float:
@@ -290,7 +291,7 @@ def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
 
 def _grid_sum(grid: IntegralKind, n: int) -> float:
     """math.fsum of `_grid_terms(grid, n)`, streamed once per (grid, n) in a verification run."""
-    return _once((grid, n), lambda: math.fsum(_grid_terms(grid, n)))
+    return _once(("_grid_sum", grid, n), lambda: math.fsum(_grid_terms(grid, n)))
 
 
 def riemann_sum(kind: IntegralKind, n: int) -> float:

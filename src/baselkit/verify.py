@@ -497,11 +497,10 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
     check that raises becomes a ``fail`` row with the exception type as
     ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
-    Within one call the work that rows share is done at most once: each
-    B_n(x) and G_n(x) build, each limit grid sum (the Riemann sum of ln t/(1-t)
-    is that of the log-product's ln(1-t)/t) and each halving composition of
-    B_n.  It is charged to the first row that reads it, in id order; nothing
-    is kept after the call returns.
+    Within one call each B_n(x) and G_n(x) build, limit grid sum (the Riemann
+    sum of ln t/(1-t) is that of the log-product's ln(1-t)/t), integral and
+    affine composition is computed once per distinct input and charged to the
+    first row that reads it, in id order; nothing is kept after the call returns.
     """
     if isinstance(selection, str) and selection != "all":
         selection = [selection]

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from baselkit.exact import (
+    _RUN_MEMO,
     CAPACITY,
     CapacityError,
     PiPower,
@@ -84,6 +85,12 @@ INPUT_ERRORS = [
     (integrate, ("log1p_over_t",), ValueError, "kind must be an IntegralKind, got 'log1p_over_t'"),
     (integrate, (ProductKind.PLUS,), ValueError,
      "kind must be an IntegralKind, got <ProductKind.PLUS: 'plus'>"),
+    # an unhashable kind too: inside a verification run it is refused before a memo key is hashed
+    (integrate, ([],), ValueError, "kind must be an IntegralKind, got []"),
+    (integrate, (IntegralKind.LOG_OVER_1MT, 1e-16), ValueError,
+     "tol must lie in [1e-15, 0.001], got 1e-16"),
+    (integrate, (IntegralKind.LOG_OVER_1MT, math.nan), ValueError,
+     "tol must lie in [1e-15, 0.001], got nan"),
     (product_form, ("minus", 10**5), ValueError, "kind must be a ProductKind, got 'minus'"),
     (sample_monotonicity, ("log_over_1mt", 100), ValueError,
      "kind must be an IntegralKind, got 'log_over_1mt'"),
@@ -177,6 +184,18 @@ def test_documented_input_error(call, args, error, message):
         call(*args)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_every_documented_input_error_holds_inside_a_verification_run():
+    # inputs are checked before a key of the run's memo is built, so nothing changes there
+    memo = _RUN_MEMO.set({})
+    try:
+        for call, args, error, message in INPUT_ERRORS:
+            with pytest.raises(Exception) as caught:
+                call(*args)
+            assert (type(caught.value), str(caught.value)) == (error, message)
+    finally:
+        _RUN_MEMO.reset(memo)
 
 
 @pytest.mark.parametrize("call, n", [(check_calculus, CAPACITY), (check_special_values, 3000)])

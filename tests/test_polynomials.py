@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import baselkit.exact as exact
 import baselkit.polynomials as polynomials
-from baselkit.exact import bernoulli, fraction_str, genocchi
+from baselkit.exact import _RUN_MEMO, bernoulli, fraction_str, genocchi
 from baselkit.polynomials import (
     HALVING_VARIANTS,
     Certificate,
@@ -123,6 +124,13 @@ class TestAgainstFractionReference:
         got = RationalPolynomial(p).compose_affine(a, b)
         _assert_canonical(got)
         assert got.coefficients == FractionPolynomial(p).compose_affine(a, b).coefficients
+        # inside a verification run the second call reads the first's composition
+        poly, memo = RationalPolynomial(p), _RUN_MEMO.set({})
+        try:
+            shared = [poly.compose_affine(a, b), poly.compose_affine(F(a), F(b))]
+        finally:
+            _RUN_MEMO.reset(memo)
+        assert shared[0] is shared[1] and shared[0].coefficients == got.coefficients
 
 
 class TestCanonicalForm:
@@ -335,8 +343,9 @@ def test_failure_reports_first_mismatch():
 
 
 def test_failing_value_certificate_names_both_sides(monkeypatch):
-    # the quoted B_1 = +1/2 (erratum E1) breaks G_1 = (1 - 2^1) B_1
-    real = polynomials.bernoulli
-    monkeypatch.setattr(polynomials, "bernoulli", lambda n: F(1, 2) if n == 1 else real(n))
+    # the quoted B_1 = +1/2 (erratum E1) breaks G_1 = (1 - 2^1) B_1, read through
+    # exact.genocchi_from_bernoulli
+    real = exact.bernoulli
+    monkeypatch.setattr(exact, "bernoulli", lambda n: F(1, 2) if n == 1 else real(n))
     cert = check_special_values(1)["g_b_relation"]
     assert cert == Certificate("g_b_relation_n1", False, "lhs=1/2 rhs=-1/2")

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from baselkit import quadrature
-from baselkit.exact import CapacityError
+from baselkit.exact import _RUN_MEMO, CapacityError
 from baselkit.quadrature import (
     AccuracyError,
     IntegralKind,
@@ -101,6 +101,15 @@ class TestIntegrate:
         assert abs(result.value - target) <= max(1e-12, 10 * result.err_estimate)
         assert result.err_estimate > 0
         assert result.evaluations > 0
+        # inside a verification run (QUAD_TOL is 1e-12) a repeated (kind, tol) reads the
+        # first call's result, and another tol has its own
+        memo = _RUN_MEMO.set({})
+        try:
+            shared = [integrate(kind, 1e-12), integrate(kind, 1e-6), integrate(kind, 1e-12)]
+        finally:
+            _RUN_MEMO.reset(memo)
+        assert shared[0] is shared[2] and repr(shared[0]) == repr(result)
+        assert repr(shared[1]) == repr(integrate(kind, 1e-6)) != repr(result)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-14, 1e-15])
     @pytest.mark.parametrize("kind", list(IntegralKind), ids=lambda k: k.value)
@@ -881,7 +890,8 @@ def test_each_level_form_gives_the_bits_of_its_scalar_form(case):
             assert list(map(repr, terms_of(nodes))) == list(map(repr, expected)), level
 
 
-def test_one_suite_run_makes_7766_evaluations_in_80_integrals(monkeypatch):
+def test_one_suite_run_makes_6119_evaluations_in_65_integrals(monkeypatch):
+    # 19 integrate calls read 4 distinct (kind, tol), each integrated once in the run
     from baselkit.verify import run_suite
 
     kernel, counts = quadrature._tanh_sinh_unit, []
@@ -897,7 +907,7 @@ def test_one_suite_run_makes_7766_evaluations_in_80_integrals(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_tanh_sinh_unit", recorder)
     run_suite()
-    assert (sum(counts), len(counts)) == (7766, 80)
+    assert (sum(counts), len(counts)) == (6119, 65)
 
 
 class _Recording:

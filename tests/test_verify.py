@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import baselkit.verify as verify
 from baselkit import exact
 from baselkit.cli import main
 from baselkit.polynomials import Certificate, RationalPolynomial, genocchi_polynomial
-from baselkit.quadrature import IntegralKind, ProductKind, product_form, riemann_sum
+from baselkit.quadrature import IntegralKind, ProductKind, integrate, product_form, riemann_sum
 from baselkit.verify import (
     CheckResult,
     UnknownCheckError,
@@ -479,12 +480,12 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
     # 707 evaluations for the power-sum grid (G_k at 1..101, k = 2..8), 239 for the rest;
     # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each; the two
     # monotone rows and the three limit rows' grids at n = 10^3 and 10^5 stream six
-    # distinct (grid, n), since ln t/(1-t) sums the grid of the log-product's ln(1-t)/t;
-    # reflection, the addition recurrence and halving ii and iii compose 41 + 39 + 41 + 41
-    # times, and halving iv reads the compositions of ii and iii
-    horner, computed, streams, compositions = [], [], [], []
-    real_horner, real_compose = RationalPolynomial._horner, RationalPolynomial.compose_affine
-    real_terms = quadrature._grid_terms
+    # distinct (grid, n), four of them summed, since ln t/(1-t) sums the grid of the
+    # log-product's ln(1-t)/t; the four integrals at QUAD_TOL; reflection (G_0(x) is zero
+    # and composes to itself), the addition recurrence and halving ii and iii compose
+    # 40 + 39 + 41 + 41 times, and halving iv reads the compositions of ii and iii
+    horner, computed, streams = [], [], []
+    real_horner, real_terms = RationalPolynomial._horner, quadrature._grid_terms
 
     def counted_horner(self, p, q):
         horner.append(p)
@@ -494,23 +495,23 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
         return exact._once(key, lambda: computed.append(key) or compute())
 
     monkeypatch.setattr(RationalPolynomial, "_horner", counted_horner)
-    monkeypatch.setattr(RationalPolynomial, "compose_affine",
-                        lambda p, a, b: compositions.append(1) or real_compose(p, a, b))
     monkeypatch.setattr(quadrature, "_grid_terms",
                         lambda kind, n: streams.append((kind, n)) or real_terms(kind, n))
     monkeypatch.setattr(polynomials, "_once", counted_once)
     monkeypatch.setattr(quadrature, "_once", counted_once)
     assert [r.check_id for r in run_suite("all") if r.status == "fail"] == []
     assert len(horner) <= 1_000
-    builds = [key for key in computed if key[0] in (exact.bernoulli, exact.genocchi)]
-    assert len(builds) == len(set(builds)) == 122
     assert len(streams) == len(set(streams)) == 6
-    assert len(compositions) == 162
-    assert len(computed) == len(set(computed)) == 122 + 4 + 82  # the four limit sums
+    assert len(computed) == len(set(computed))
+    assert Counter(key[0] for key in computed) == {
+        "_binomial_sum": 122, "_grid_sum": 4, "integrate": 4, "compose_affine": 161}
     # nothing is kept once the run ends, and outside a run every call computes afresh
     assert exact._RUN_MEMO.get(None) is None
     first, second = genocchi_polynomial(5), genocchi_polynomial(5)
     assert first == second and first is not second
+    assert first.compose_affine(1, 1) is not first.compose_affine(1, 1)
+    kind = IntegralKind.LOG_OVER_1PT
+    assert integrate(kind, 1e-6) is not integrate(kind, 1e-6)
     streams.clear()
     riemann_sum(IntegralKind.LOG_OVER_1MT, 10)
     product_form(ProductKind.MINUS, 10)
@@ -536,6 +537,21 @@ def test_a_build_that_raises_costs_only_its_row(monkeypatch):
     calculus, reflection = run_suite(["poly_calculus", "poly_reflection"])
     assert (calculus.status, calculus.lhs) == ("fail", "RuntimeError")
     assert reflection.status == "pass"  # it builds G_1(x) again: the failed build was not kept
+
+    kernel = quadrature._tanh_sinh_unit
+
+    def first_integral_runs_out_of_levels(terms_of, tol, scale=1.0):
+        if len(raised) == 1:
+            raised.append(tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quadrature, "_MAX_LEVEL", 1)
+                return kernel(terms_of, tol, scale)  # raises AccuracyError
+        return kernel(terms_of, tol, scale)
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh_unit", first_integral_runs_out_of_levels)
+    single, pair = run_suite(["integral_log_over_1mt", "integral_pair_identity"])
+    assert (single.status, single.lhs) == ("fail", "AccuracyError")
+    assert pair.status == "pass"  # it integrates ln t/(1-t) again: the failed integral was not kept
 
 
 def test_the_divergence_rows_name_the_series_length(monkeypatch):
