@@ -238,7 +238,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         error against mpmath's pi^2/6 or pi^2/12 was at most 0.53 of it).
         ``evaluations`` is the number of distinct points at which the integrand is
         evaluated, two per node pair plus the centre: the levels are nested, so no
-        node is evaluated twice; a verification run integrates each (kind, tol) once.
+        node is evaluated twice; a verification run integrates each (kind, tol) once,
+        LOG_OVER_1MT and LOG1M_OVER_T as one kind, since they share one level function.
 
     Raises
     ------
@@ -247,7 +248,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
     """
     _check_tol(tol)
     terms_of = _level_terms(kind)
-    return _once(("integrate", kind, tol), lambda: _tanh_sinh_unit(terms_of, tol))
+    key = IntegralKind.LOG_OVER_1MT if kind is IntegralKind.LOG1M_OVER_T else kind
+    return _once(("integrate", key, tol), lambda: _tanh_sinh_unit(terms_of, tol))
 
 
 def two_integral_residual(tol: float = DEFAULT_TOL) -> float:

@@ -95,9 +95,7 @@ MAX_POLY_N = 40  # highest index of the poly_* certificates
 POWER_SUM_MAX_K = 8
 POWER_SUM_MAX_N = 100
 BISECTION_LEVELS = 12  # both bisection grids run levels 0..BISECTION_LEVELS
-RIEMANN_SMALL_N = 1_000  # the trend rows compare the error at these two n
-RIEMANN_LARGE_N = 100_000
-COARSE_TOL = 1e-2  # ... and require the finer one below this
+RATE_NS = (1_000, 2_000)  # the three limit rows check their error's rate at these n
 MONOTONE_N = 10_000
 ASYMPTOTIC_M_DIV = 40  # terms of the literal divergent series
 DIVERGENCE_THRESHOLD = 1e6
@@ -289,17 +287,63 @@ def _constant_terms() -> Iterator[Certificate]:
         yield Certificate(f"G_{n}(0)", ok, f"G_{n}")
 
 
-def _trend(measure: Callable[[object, int], float], kind) -> _Payload:
-    """Limit row: the error must shrink from RIEMANN_SMALL_N to RIEMANN_LARGE_N
-    and end within COARSE_TOL."""
-    coarse = abs(measure(kind, RIEMANN_SMALL_N) - kind.closed_form)
-    fine = abs(measure(kind, RIEMANN_LARGE_N) - kind.closed_form)
-    if fine >= coarse:
-        return _payload(
-            "fail", f"err(n={RIEMANN_SMALL_N})={coarse!r}",
-            f"err(n={RIEMANN_LARGE_N})={fine!r} did not decrease", math.inf, COARSE_TOL,
-        )
-    return _bounded(fine, COARSE_TOL, f"err {coarse!r} -> {fine!r}", repr(kind.closed_form))
+_LN2 = math.log(2.0)
+
+# grid -> (its first-order term as text, n -> (first(n), lo(n), hi(n))), derived in `_rate`
+_RATES = {
+    ProductKind.MINUS: ("(ln(2*pi*n) + 1)/(2n)", lambda n: (
+        (math.log(2.0 * math.pi * n) + 1.0) / (2 * n),
+        1.0 / (n * (12 * n + 1)) + 1.0 / (36 * n * n),
+        (5.0 + math.log(n)) / (12 * n * n),
+    )),
+    ProductKind.PLUS: ("-(1 + ln 2)/(2n)", lambda n: (
+        -(1.0 + _LN2) / (2 * n), (2.0 * _LN2 - 1.25) / (12 * n * n), 1.0 / (18 * n * n),
+    )),
+}
+
+
+def _rate(measure: Callable[[object, int], float], kind, grid: ProductKind) -> _Payload:
+    """Limit row: at each n in RATE_NS, r(n) = err(n) - first(n) lies in its window
+    [lo(n), hi(n)] up to a slack of 1e-14, where err(n) = measure(kind, n) -
+    kind.closed_form is the signed error of the grid's sum S(n) = (1/n) sum_{k<n} f(k/n).
+    ``abs_err`` is the largest distance of an r(n) outside its window, 0.0 inside.
+
+    Derivation.  For the trapezoid sum T_n(f) of f on [0, 1], the Peano kernel gives
+    T_n(f) - I(f) = sum over the cells [a, b] of (1/2) int_a^b (x - a)(b - x) f''(x) dx,
+    so m/(12n^2) <= T_n - I <= M/(12n^2) when m <= f'' <= M (on the last cell too, for
+    f continuous on [0, 1] with (1 - t) f'(t) -> 0 at 1), and S(n) = T_n - (f(0) + f(1))/(2n).
+    - PLUS, f = ln(1 + t)/t = int_0^1 ds/(1 + ts): first(n) = -(1 + ln 2)/(2n), and
+      f'' = int_0^1 2s^2/(1 + ts)^3 ds falls from 2/3 at t = 0 to 2 ln 2 - 5/4 at t = 1,
+      so r(n) lies in [2 ln 2 - 5/4, 2/3]/(12n^2).
+    - MINUS, f = ln(1 - t)/t, which the Riemann row's ln t/(1 - t) sums too: split f into
+      g = ln(1 - t) and h = (1 - t) ln(1 - t)/t, with h(0) = -1 and h(1) = 0.
+      g's terms sum to (ln n! - n ln n)/n exactly, and I(g) = -1; Robbins' Stirling
+      bounds, ln n! = n ln n - n + ln(2 pi n)/2 + e with 1/(12n + 1) < e < 1/(12n), put
+      g's error at ln(2 pi n)/(2n) + e/n.  h's Riemann sum is T_n(h) + 1/(2n), and
+      h = -1 + sum_{j>=1} t^j/(j(j + 1)), so h'' = sum_{j>=2} (j - 1)/(j + 1) t^(j-2) =
+      1/(1 - t) + 2 (ln(1 - t) + t + t^2/2)/t^3 lies in [1/3, 1/(1 - t)): h is convex and
+      T_n(h) - I(h) >= 1/(36n^2).  On the cell y = 1 - t in [j/n, (j + 1)/n], the bound
+      h'' < 1/y gives at most 1/(4n^2) for j = 0 and 1/(12 j n^2) past it, which sum to
+      (3 + H_(n-1))/(12n^2) <= (4 + ln n)/(12n^2).  So first(n) = (ln(2 pi n) + 1)/(2n),
+      and r(n) lies in (1/(n(12n + 1)) + 1/(36n^2), (5 + ln n)/(12n^2)).
+    The slack covers binary64: each term of a grid is within a few ulp and all share one
+    sign, so S(n) is within about 4 * 2^-53 |S(n)| < 1e-15, as are the binary64 closed
+    form and first(n).  mpmath at 30 digits gives r(n) n^2 = 0.7828 (n = 10^3) and 0.8405
+    (2 * 10^3) for MINUS, and 0.025571 = (1 - ln 2)/12 for PLUS; an off-by-one grid
+    (measure(kind, n - 1) for n) moves r(10^3) by 4.4e-6 (MINUS) and -8.5e-7 (PLUS).
+    """
+    slack, text, window = 1e-14, *_RATES[grid]
+    rs, windows = [], []
+    for n in RATE_NS:
+        first, lo, hi = window(n)
+        rs.append(measure(kind, n) - kind.closed_form - first)
+        windows.append([lo, hi])
+    outside = _worst(d for r, (lo, hi) in zip(rs, windows) for d in (lo - r, r - hi))
+    return _bounded(
+        max(outside, 0.0), slack,
+        f"r = err - first = {rs!r} at n = {list(RATE_NS)!r}",
+        f"first = {text}; each r within [lo, hi] = {windows!r}",
+    )
 
 
 _ASYMPTOTIC_CLOSED = {"bernoulli": ZETA2 - 1.5, "genocchi": ETA2}
@@ -471,8 +515,10 @@ _REGISTRY: dict[str, Callable[[], _Payload]] = {
         "telescoped power-sum identity",
         f"exact for k <= {POWER_SUM_MAX_K}, n <= {POWER_SUM_MAX_N}",
     ),
-    "riemann_trend_log_over_1mt": lambda: _trend(riemann_sum, IntegralKind.LOG_OVER_1MT),
-    **{f"product_trend_{k.value}": lambda k=k: _trend(product_form, k) for k in ProductKind},
+    "riemann_trend_log_over_1mt": lambda: _rate(
+        riemann_sum, IntegralKind.LOG_OVER_1MT, ProductKind.MINUS
+    ),
+    **{f"product_trend_{k.value}": lambda k=k: _rate(product_form, k, k) for k in ProductKind},
     **{f"asymptotic_{w}_target": lambda w=w: _asym_target(w) for w in WHICH},
     **{f"asymptotic_{w}_truncation": lambda w=w: _asym_truncation(w) for w in WHICH},
     **{f"asymptotic_{w}_divergence": lambda w=w: _asym_divergence(w) for w in WHICH},
@@ -498,9 +544,10 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     check that raises becomes a ``fail`` row with the exception type as
     ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
     Within one call each B_n(x) and G_n(x) build, limit grid sum (the Riemann
-    sum of ln t/(1-t) is that of the log-product's ln(1-t)/t), integral and
-    affine composition is computed once per distinct input and charged to the
-    first row that reads it, in id order; nothing is kept after the call returns.
+    sum of ln t/(1-t) is that of the log-product's ln(1-t)/t), integral (those
+    two integrands share one) and affine composition is computed once per
+    distinct input and charged to the first row that reads it, in id order;
+    nothing is kept after the call returns.
     """
     if isinstance(selection, str) and selection != "all":
         selection = [selection]

@@ -207,11 +207,12 @@ def test_criterion_9_functional_equations():
 
 # sha256 of the full `verify --suite all --format json` report.  Performance
 # work must leave these bytes unchanged; only a deliberate correctness fix to a
-# row may move this value, and it says so.  It last moved when PAIR_CASES gained
-# (0.25, 1, 0), (-1, 1, 0) and (0.999, 1, 0), so that the report shows the pair's
-# 60-term, Euler-transform and E_1-tail routes: three rows were added,
-# series_vs_integral_4 to _6, and every earlier line held byte for byte.
-REPORT_SHA256 = "3b11908fb7fbab4996887ff707c453171991bef1da3934f61c1f6122ac44e42c"
+# row may move this value, and it says so.  It last moved when the three limit rows
+# (riemann_trend_log_over_1mt, product_trend_minus, product_trend_plus) came to check
+# their error's 1/n rate at n = 10^3 and 2*10^3 against derived windows, in place of
+# err(10^5) < err(10^3) and err(10^5) < 1e-2: those three lines moved, and every other
+# line held byte for byte.
+REPORT_SHA256 = "692a1fa554384fc6ff20d00077f1c2ef649db6fbf42f0cefe6d08519448734d0"
 
 
 def test_criterion_10_determinism_and_runtime(tmp_path, capsys):
