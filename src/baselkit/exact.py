@@ -168,16 +168,15 @@ def _genocchi_prefix(n: int) -> list[Fraction]:
     return out[: n + 1]
 
 
-# The results of `_binomial_sum`, `_grid_sum`, `integrate` and `compose_affine`
-# inside one `baselkit.verify.run_suite` call, per thread and context, keyed by
-# the primitive's name and its inputs.  Nothing is kept after the call: B_1000(x)
-# alone holds 0.26 MB, and the size grows faster than n^2.
-_RUN_MEMO: ContextVar[dict] = ContextVar("_RUN_MEMO")
+_RUN_MEMO: ContextVar[dict] = ContextVar("_RUN_MEMO")  # set by run_suite; see _once
 
 
 def _once(key: Hashable, compute: Callable[[], object]) -> object:
-    """compute(), once per key inside a verification run and afresh on every call
-    outside one; a compute that raises is not stored."""
+    """compute(), once per key inside one `baselkit.verify.run_suite` call (per thread
+    and context) and afresh outside one; a compute that raises is not stored.  The
+    keys are the name and inputs of `_binomial_sum` (number, n), `_grid_sum` (grid, n),
+    `integrate` (kind, tol) and `compose_affine` (polynomial, a, b).  Nothing is kept
+    after the call: B_1000(x) alone holds 0.26 MB, and the size grows faster than n^2."""
     memo = _RUN_MEMO.get(None)
     if memo is None:
         return compute()

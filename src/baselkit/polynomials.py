@@ -172,7 +172,7 @@ class RationalPolynomial:
 
         With a*x + b = (A*x + B)/C in integers, an integer Horner pass (the
         classical Taylor shift) builds sum_k n_k (A*x + B)^k C^(deg-k), which
-        is divided once by den * C^deg, once per (self, a, b) in a verification run.
+        is divided once by den * C^deg, once per (self, a, b) in a run (`exact._once`).
         """
         if not self._num:
             return self
@@ -206,7 +206,7 @@ class RationalPolynomial:
 
 def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
     """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products;
-    built once per (number, n) in a verification run."""
+    built once per (number, n) in a verification run (`exact._once`)."""
     _check_index(n, 0, CAPACITY, cap_name="CAPACITY")
 
     def build() -> RationalPolynomial:

@@ -21,7 +21,8 @@ is one math.fsum, correctly rounded, so the order of its terms does not
 matter.  A level ends at its first node weight below _WEIGHT_MIN = 2^-160
 (t ~ 4.3): a dropped term, at most 2^-159 max|f|, is below 2^-106 |I| when
 |f| <= 2^53 |I|, so it could move the rounded sum only if the exact one lay
-that close to a rounding midpoint.
+that close to a rounding midpoint; against the uncut sum, no library
+integrand moves a bit.
 
 All results are binary64.  pi means the nearest binary64 to pi, so no claim
 is made below about 1e-15.
@@ -166,10 +167,9 @@ def _level_nodes(level: int) -> _Nodes:
     """(weight, q/2, 1 - q/2) of the nodes t = k 2^-level that `level` adds:
     every k >= 1 at level 0, odd k after it (even k are the level before's
     nodes, exactly, since k 2^-level is); q/2 = 1/(e^(2u) + 1) is the distance
-    to the near endpoint.  Ends before the first weight below _WEIGHT_MIN =
-    2^-160, where u < 58; weights fall as t grows, so a level's new and kept
-    nodes end together; a dropped term is below 2^-106 |I| for |f| <= 2^53 |I|
-    (`_tanh_sinh_unit` says when that can move a bit)."""
+    to the near endpoint.  Ends before the first weight below _WEIGHT_MIN (see
+    the module docstring), where u < 58; weights fall as t grows, so a level's
+    new and kept nodes end together."""
     h = 0.5**level
     nodes = []
     for k in count(1, 1 if level == 0 else 2):
@@ -197,10 +197,8 @@ def _tanh_sinh_unit(terms_of: Callable[[_Nodes], list[float]], tol: float,
     node pair plus the centre, each once; f(1/2, 1/2) is the one point called
     twice.  Each level's terms go to one math.fsum, whose correctly rounded sum
     does not depend on their order, so each level's value is that of a
-    trapezoid sum built afresh.  Nodes of weight below _WEIGHT_MIN = 2^-160 are
-    left out: for |f| <= 2^53 |I| each such term is below 2^-106 |I|, and moves
-    the rounded sum only if the exact sum lies that close to a rounding
-    midpoint; against the uncut sum, no library integrand moves a bit.
+    trapezoid sum built afresh.  Nodes of weight below _WEIGHT_MIN are left out,
+    as the module docstring says.
 
     ``value``, ``err_estimate`` and an AccuracyError's ``best`` are multiplied by
     scale (the error by |scale|) only after the stop, so it stays relative.
@@ -238,8 +236,8 @@ def integrate(kind: IntegralKind, tol: float = DEFAULT_TOL) -> QuadResult:
         error against mpmath's pi^2/6 or pi^2/12 was at most 0.53 of it).
         ``evaluations`` is the number of distinct points at which the integrand is
         evaluated, two per node pair plus the centre: the levels are nested, so no
-        node is evaluated twice; a verification run integrates each (kind, tol) once,
-        LOG_OVER_1MT and LOG1M_OVER_T as one kind, since they share one level function.
+        node is evaluated twice.  A verification run integrates once per (kind, tol),
+        LOG1M_OVER_T keyed as LOG_OVER_1MT, whose level function it shares (`exact._once`).
 
     Raises
     ------
@@ -292,7 +290,7 @@ def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
 
 
 def _grid_sum(grid: IntegralKind, n: int) -> float:
-    """math.fsum of `_grid_terms(grid, n)`, streamed once per (grid, n) in a verification run."""
+    """math.fsum of `_grid_terms(grid, n)`, once per (grid, n) in a run (`exact._once`)."""
     return _once(("_grid_sum", grid, n), lambda: math.fsum(_grid_terms(grid, n)))
 
 

@@ -181,7 +181,6 @@ class SeriesReport:
     optimal_estimate: float
     bracket_average: float
     regularized_target: float
-    classically_convergent: bool
 
     def to_json(self) -> dict:
         return {
@@ -194,7 +193,7 @@ class SeriesReport:
             "optimal_estimate": self.optimal_estimate,
             "bracket_average": self.bracket_average,
             "regularized_target": self.regularized_target,
-            "classically_convergent": self.classically_convergent,
+            "classically_convergent": False,  # both literal series diverge
         }
 
 
@@ -243,5 +242,4 @@ def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> Serie
         optimal_estimate=before,
         bracket_average=0.5 * (before + at),
         regularized_target=regularized_target(which, tol),
-        classically_convergent=False,
     )

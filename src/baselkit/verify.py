@@ -4,12 +4,10 @@ Every check is a zero-argument row in the one ``_REGISTRY`` table, under a
 stable id.  Tolerances and grid sizes that two or more rows share are the
 module constants below (``QUAD_TOL``, ``MAX_POLY_N``, ``BISECTION_LEVELS``,
 ...), read when a row runs; a value only one row uses is written in that
-row, except ``POWER_SUM_MAX_K`` and ``POWER_SUM_MAX_N``: they serve one row
-and are constants so that tests can shrink it.  The constants that decide
-which ids exist (``MAX_ZETA_N``, ``ZETA2_TAIL_NS``, ``ETA2_TAIL_NS``,
-``PAIR_CASES``) are fixed at import.  Results are returned sorted by id, and
-the serialized report deliberately excludes wall-clock fields so repeated
-runs are byte-identical.
+row.  The constants that decide which ids exist (``MAX_ZETA_N``,
+``ZETA2_TAIL_NS``, ``ETA2_TAIL_NS``, ``PAIR_CASES``) are fixed at import.
+Results are returned sorted by id, and the serialized report deliberately
+excludes wall-clock fields so repeated runs are byte-identical.
 
 Three rows carry status ``erratum_documented`` rather than pass/fail: they
 record internal inconsistencies in commonly quoted constants for this
@@ -92,12 +90,10 @@ QUAD_TOL = 1e-12  # requested tolerance of every quadrature-backed call
 FUNCTIONAL_TOL = 1e-9  # both functional-equation grids
 TARGET_TOL = 1e-9  # regularized targets against their closed forms
 MAX_POLY_N = 40  # highest index of the poly_* certificates
-POWER_SUM_MAX_K = 8
-POWER_SUM_MAX_N = 100
 BISECTION_LEVELS = 12  # both bisection grids run levels 0..BISECTION_LEVELS
 RATE_NS = (1_000, 2_000)  # the three limit rows check their error's rate at these n
 MONOTONE_N = 10_000
-ASYMPTOTIC_M_DIV = 40  # terms of the literal divergent series
+ASYMPTOTIC_M_DIV = 40  # length of every report an asymptotic_* row or E3 reads
 DIVERGENCE_THRESHOLD = 1e6
 
 # These shape the registry (one check id each).
@@ -355,7 +351,7 @@ def _asym_target(which: str) -> _Payload:
 
 
 def _asym_truncation(which: str) -> _Payload:
-    rep = asymptotic_report(which, 12, QUAD_TOL)
+    rep = asymptotic_report(which, ASYMPTOTIC_M_DIV, QUAD_TOL)
     smallest = float(abs(rep.terms[rep.smallest_term_index]))
     err = abs(rep.optimal_estimate - rep.regularized_target)
     best = min(abs(float(s) - rep.regularized_target) for s in rep.partial_sums)
@@ -382,7 +378,7 @@ def _asym_divergence(which: str) -> _Payload:
     rep = asymptotic_report(which, ASYMPTOTIC_M_DIV, QUAD_TOL)
     magnitude = abs(float(rep.partial_sums[-1]))
     return _exact(
-        magnitude > DIVERGENCE_THRESHOLD and not rep.classically_convergent,
+        magnitude > DIVERGENCE_THRESHOLD,
         f"|S_{ASYMPTOTIC_M_DIV}| = {magnitude!r}",
         f"exceeds {DIVERGENCE_THRESHOLD!r}; literal series diverges",
     )
@@ -508,12 +504,8 @@ _REGISTRY: dict[str, Callable[[], _Payload]] = {
         "both defining-sum orderings", f"agree for n <= {MAX_POLY_N}",
     ),
     "poly_power_sum_grid": lambda: _certified(
-        (
-            c for k in range(2, POWER_SUM_MAX_K + 1)
-            for c in power_sum_checks(k, POWER_SUM_MAX_N)
-        ),
-        "telescoped power-sum identity",
-        f"exact for k <= {POWER_SUM_MAX_K}, n <= {POWER_SUM_MAX_N}",
+        (c for k in range(2, 9) for c in power_sum_checks(k, 100)),
+        "telescoped power-sum identity", "exact for k <= 8, n <= 100",
     ),
     "riemann_trend_log_over_1mt": lambda: _rate(
         riemann_sum, IntegralKind.LOG_OVER_1MT, ProductKind.MINUS
@@ -543,11 +535,8 @@ def run_suite(selection: str | Iterable[str] = "all") -> list[CheckResult]:
     Unknown ids raise :class:`UnknownCheckError` before any check runs.  A
     check that raises becomes a ``fail`` row with the exception type as
     ``lhs``, its message as ``rhs``, ``abs_err`` inf and ``tol`` "exact".
-    Within one call each B_n(x) and G_n(x) build, limit grid sum (the Riemann
-    sum of ln t/(1-t) is that of the log-product's ln(1-t)/t), integral (those
-    two integrands share one) and affine composition is computed once per
-    distinct input and charged to the first row that reads it, in id order;
-    nothing is kept after the call returns.
+    Work that rows share (see `baselkit.exact._once`) is charged to the first
+    row that reads it, in id order.
     """
     if isinstance(selection, str) and selection != "all":
         selection = [selection]

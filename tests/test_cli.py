@@ -18,6 +18,7 @@ from baselkit.cli import main
 from baselkit.exact import bernoulli, fraction_str, genocchi, parse_fraction, zeta_even_exact
 from baselkit.quadrature import ETA2, ZETA2, AccuracyError, IntegralKind, QuadResult, integrate
 from baselkit.series import bisection_report
+from baselkit.verify import available_checks
 
 
 def run_cli(capsys, *argv):
@@ -440,4 +441,4 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
             assert out == comment + "\n", argv
         outputs += comment.startswith("{")
     assert outputs == 2
-    assert (tmp_path / "report.jsonl").read_text().count("\n") == 62
+    assert (tmp_path / "report.jsonl").read_text().count("\n") == len(available_checks())

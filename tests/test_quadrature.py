@@ -890,7 +890,7 @@ def test_each_level_form_gives_the_bits_of_its_scalar_form(case):
             assert list(map(repr, terms_of(nodes))) == list(map(repr, expected)), level
 
 
-def test_one_suite_run_makes_6050_evaluations_in_64_integrals(monkeypatch):
+def test_one_suite_run_makes_its_pinned_evaluations_and_integrals(monkeypatch):
     # 19 integrate calls read 3 distinct (kind, tol), each integrated once in the run:
     # ln t/(1-t) and ln(1-t)/t share one level function and one integral
     from baselkit.verify import run_suite

@@ -246,7 +246,6 @@ class TestAsymptoticReports:
         assert [str(t) for t in rep.terms] == [
             "1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730",
         ]
-        assert not rep.classically_convergent
 
     def test_bernoulli_partial_sum_consistency(self):
         rep = asymptotic_report("bernoulli", 12)
@@ -285,7 +284,6 @@ class TestAsymptoticReports:
         for which in ("bernoulli", "genocchi"):
             rep = asymptotic_report(which, 40)
             assert abs(float(rep.partial_sums[-1])) > 1e6
-            assert not rep.classically_convergent
 
     def test_caps(self):
         with pytest.raises(CapacityError):

@@ -130,13 +130,12 @@ class TestReport:
 
 class TestConfig:
     def test_custom_grid_sizes(self, monkeypatch):
-        for name, value in (("MAX_POLY_N", 10), ("POWER_SUM_MAX_K", 3), ("POWER_SUM_MAX_N", 10)):
-            monkeypatch.setattr(verify, name, value)
+        monkeypatch.setattr(verify, "MAX_POLY_N", 10)
         results = run_suite(["poly_power_sum_grid", "poly_reflection"])
         assert all(r.status == "pass" for r in results)
         # the constants are read when a row runs, not when it is registered
         rhs = [r.rhs for r in results]
-        assert rhs == ["exact for k <= 3, n <= 10", "(-1)^(n+1) G_n(x), n <= 10"]
+        assert rhs == ["exact for k <= 8, n <= 100", "(-1)^(n+1) G_n(x), n <= 10"]
 
     def test_result_dataclass_shape(self):
         r = run_suite(["integral_log_over_1mt"])[0]
@@ -208,11 +207,11 @@ class TestIsolation:
         code = main(["verify", "--suite", "all", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "verify: 62 checks, 1 failed\n"
+        assert captured.err == f"verify: {len(available_checks())} checks, 1 failed\n"
         rows = [json.loads(line) for line in captured.out.splitlines()]
         expected = [json.loads(line) for line in report_lines(full_results)]
         broken = [i for i, (got, want) in enumerate(zip(rows, expected)) if got != want]
-        assert len(rows) == len(expected) == 62
+        assert len(rows) == len(expected) == len(available_checks())
         assert [rows[i]["check_id"] for i in broken] == ["poly_reflection"]
         assert rows[broken[0]] == {
             "check_id": "poly_reflection", "status": "fail", "lhs": "RuntimeError",
@@ -228,7 +227,7 @@ class TestIsolation:
 
 
 # Small grids: every row still runs, in a fraction of a second.
-SMALL = {"MAX_POLY_N": 6, "POWER_SUM_MAX_K": 3, "POWER_SUM_MAX_N": 6, "BISECTION_LEVELS": 1}
+SMALL = {"MAX_POLY_N": 6, "BISECTION_LEVELS": 1}
 
 
 def _shrink(patch):
@@ -343,10 +342,11 @@ class _Overriding:
 
 
 def _at_truncation(w, **changed):
-    """Fake asymptotic_report that changes only the report the truncation row reads (m = 12)."""
+    """Fake asymptotic_report that changes only fields the truncation row of ``w`` reads: the
+    divergence row and E3 read the same report, but only its partial sums."""
     return lambda real: lambda which, m_max, tol: (
-        _Overriding(real(which, m_max, tol), **changed) if (which, m_max) == (w, 12)
-        else real(which, m_max, tol)
+        _Overriding(real(which, m_max, tol), **changed)
+        if (which, m_max) == (w, verify.ASYMPTOTIC_M_DIV) else real(which, m_max, tol)
     )
 
 
@@ -469,7 +469,7 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
     for name in library:
         monkeypatch.setattr(verify, name, swapped)
     results = run_suite("all")
-    assert len(results) == 62
+    assert len(results) == len(available_checks())
     assert [r.check_id for r in results if (r.lhs, r.rhs) != ("RuntimeError", "library call")] == []
 
 
@@ -596,3 +596,13 @@ def test_the_divergence_rows_name_the_series_length(monkeypatch):
     assert (divergence.status, e3.status) == ("pass", "erratum_documented")
     assert divergence.lhs.startswith("|S_30| = ")
     assert e3.lhs.startswith(f"literal partial sums blow up: {divergence.lhs} (Bernoulli), ")
+
+
+def test_every_asymptotic_row_reads_one_report_length(monkeypatch):
+    # the truncation and divergence rows of both series and E3: six reports, one length
+    real, lengths = verify.asymptotic_report, []
+    monkeypatch.setattr(verify, "asymptotic_report",
+                        lambda which, m_max, tol: lengths.append(m_max) or real(which, m_max, tol))
+    _shrink(monkeypatch)
+    run_suite("all")
+    assert lengths == [verify.ASYMPTOTIC_M_DIV] * 6
