@@ -175,8 +175,12 @@ def _once(key: Hashable, compute: Callable[[], object]) -> object:
     """compute(), once per key inside one `baselkit.verify.run_suite` call (per thread
     and context) and afresh outside one; a compute that raises is not stored.  The
     keys are the name and inputs of `_binomial_sum` (number, n), `_grid_sum` (grid, n),
-    `integrate` (kind, tol) and `compose_affine` (polynomial, a, b).  Nothing is kept
-    after the call: B_1000(x) alone holds 0.26 MB, and the size grows faster than n^2."""
+    `sample_monotonicity` (grid, n), `integrate` (kind, tol), `compose_affine`
+    (polynomial, a, b), `asymptotic_report` (which, m_max, tol) and
+    `series._centered_terms` (x).  The last holds an array that only grows and is read
+    as a prefix, so each bisection level adds only the terms that the levels read
+    before it lack.  Every caller checks its inputs before it builds a key.  Nothing is
+    kept after the call: B_1000(x) alone holds 0.26 MB, and the size grows faster than n^2."""
     memo = _RUN_MEMO.get(None)
     if memo is None:
         return compute()

@@ -182,9 +182,11 @@ class RationalPolynomial:
             c = math.lcm(a.denominator, b.denominator)
             big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
             acc, cpow = [self._num[-1]], c
-            for n in reversed(self._num[:-1]):
-                acc = [big_b * u + big_a * v for u, v in zip(acc + [0], [0] + acc)]
-                acc[0] += n * cpow
+            for n in reversed(self._num[:-1]):  # acc <- (B + A x) acc + n cpow, in place
+                acc.append(0)
+                for i in range(len(acc) - 1, 0, -1):
+                    acc[i] = big_b * acc[i] + big_a * acc[i - 1]
+                acc[0] = big_b * acc[0] + n * cpow
                 cpow *= c
             return RationalPolynomial._from_ints(acc, self._den * c**self.degree)
 

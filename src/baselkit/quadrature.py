@@ -267,7 +267,8 @@ RIEMANN_KINDS = (
 def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
     """The Riemann terms f(k/n)/n for k = 1..n-1 in order, as ln(.)/m with an integer m,
     one generator frame per term: ln(1 - k/n)/k, ln(k/n)/(n - k) (the same terms from
-    k = n - 1 down), ln(k/n)/(n + k) and ln(1 + k/n)/k for the kinds in that order.
+    k = n - 1 down), ln(k/n)/(n + k) and ln(1 + k/n)/k for the kinds in that order;
+    every caller has checked that kind is an IntegralKind.
 
     ln t is log(k/n) for k <= h = n // 2 and log1p(-(n-k)/n) past it, ln(1 - k/n) the
     same at t = (n-k)/n (tests/oracles.py keeps the choice t <= 1/2 per term as the
@@ -284,9 +285,7 @@ def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
     if kind is IntegralKind.LOG_OVER_1PT:
         return chain((log(k / n) / (n + k) for k in range(1, h + 1)),
                      (log1p(-(n - k) / n) / (n + k) for k in range(h + 1, n)))
-    if kind is IntegralKind.LOG1P_OVER_T:
-        return (log1p(k / n) / k for k in range(1, n))
-    raise ValueError(f"kind must be an IntegralKind, got {kind!r}")
+    return (log1p(k / n) / k for k in range(1, n))  # LOG1P_OVER_T
 
 
 def _grid_sum(grid: IntegralKind, n: int) -> float:
@@ -311,12 +310,26 @@ def riemann_sum(kind: IntegralKind, n: int) -> float:
 
 def sample_monotonicity(kind: IntegralKind, n: int) -> int:
     """Direction of f on the sample grid k/n: +1 non-decreasing, -1
-    non-increasing, 0 neither, read from f(k/n)/n; for 3 <= n <= SERIES_TERM_BUDGET."""
+    non-increasing, 0 neither, read from f(k/n)/n; for 3 <= n <= SERIES_TERM_BUDGET.
+
+    LOG_OVER_1MT has the terms of LOG1M_OVER_T backwards, bit for bit, and b - a is
+    exactly -(a - b), so it scans that grid and swaps the two flags; a verification run
+    scans once per (grid, n) (`exact._once`), one grid for both kinds at each n."""
     _check_count(n, 3)
-    rising = falling = True
-    for a, b in pairwise(_grid_terms(kind, n)):
-        rising &= b - a >= 0.0
-        falling &= b - a <= 0.0
+    if not isinstance(kind, IntegralKind):
+        raise ValueError(f"kind must be an IntegralKind, got {kind!r}")
+    grid = IntegralKind.LOG1M_OVER_T if kind is IntegralKind.LOG_OVER_1MT else kind
+
+    def scan() -> tuple[bool, bool]:  # (no step down, no step up)
+        rising = falling = True
+        for a, b in pairwise(_grid_terms(grid, n)):
+            rising &= b - a >= 0.0
+            falling &= b - a <= 0.0
+        return rising, falling
+
+    rising, falling = _once(("sample_monotonicity", grid, n), scan)
+    if grid is not kind:
+        rising, falling = falling, rising
     return 1 if rising else -1 if falling else 0
 
 

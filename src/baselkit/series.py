@@ -17,13 +17,14 @@ Three families live here:
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import quadrature
-from .exact import _check_index, _record, bernoulli, fraction_str, genocchi
+from .exact import _check_index, _once, _record, bernoulli, fraction_str, genocchi
 from .quadrature import DEFAULT_TOL, ETA2, ZETA2, IntegralKind, integrate
-from .quadrature import _check_count, _power_sum
+from .quadrature import _check_count, _check_tol, _power_sum
 
 __all__ = [
     "EXACT_PARTIAL_CAP",
@@ -93,11 +94,27 @@ def eta2_partial_float(n: int) -> float:
     return math.fsum([ETA2] + [sign * float(genocchi(j)) * (-x) ** (j + 1) for j in range(1, 5)])
 
 
+def _centered_terms(x: float, size: int) -> array:
+    """The terms 1/(x + k pi)^2 of an array whose first m, for m = 1, 2, 4, ..., are those
+    of the centered k in range(-(m // 2), (m + 1) // 2), grown to at least `size` terms and
+    kept for x through a verification run (`exact._once`): each size adds only the k it
+    lacks.  math.fsum is correctly rounded, so a prefix sums to the bits of its k alone.
+    An array('d') holds a term in 8 bytes, where a list of floats takes 32."""
+    terms, pi = _once(("_centered_terms", x), lambda: array("d")), math.pi
+    while len(terms) < size:
+        held, m = len(terms), max(2 * len(terms), 1)
+        new = chain(range(-(m // 2), -(held // 2)), range((held + 1) // 2, (m + 1) // 2))
+        terms.fromlist([1.0 / (x + k * pi) ** 2 for k in new])
+    return terms
+
+
 @_record
 class BisectionReport:
     """The 1/sin^2 bisection refinement at one (x, level).  Only the inputs are
     stored, and checked on construction: every number is computed when read,
-    as each caller reads a few."""
+    as each caller reads a few.  Inside a verification run, ``e_n_measured``
+    reads the terms 1/(x + k pi)^2 from one array per x (`_centered_terms`), so
+    the levels at one x compute each term once."""
 
     x: float
     level: int
@@ -129,10 +146,8 @@ class BisectionReport:
 
     @property
     def e_n_measured(self) -> float:
-        half = 2**self.level // 2  # level 0 keeps the one k = 0 term
-        centered = range(-half, max(half, 1))
-        x, pi = self.x, math.pi
-        return self.exact_value - math.fsum(1.0 / (x + k * pi) ** 2 for k in centered)
+        size = 2**self.level  # k in [-size/2, size/2), level 0 keeps the one k = 0 term
+        return self.exact_value - math.fsum(_centered_terms(self.x, size)[:size])
 
     @property
     def partial_fraction_value(self) -> float:
@@ -158,7 +173,8 @@ def bisection_report(x: float, level: int, pf_terms: int = PF_TERMS) -> Bisectio
     ``partial_fraction_value`` truncates the full two-sided expansion at
     ``pf_terms`` (1..SERIES_TERM_BUDGET) and compensates the tail with its
     integral estimate 2/(pi^2 K).  No sum runs in this call: every number is
-    computed when read.
+    computed when read, and a verification run shares the centered terms of
+    reports at one x (see `BisectionReport`).
     """
     return BisectionReport(x, level, pf_terms)
 
@@ -216,30 +232,35 @@ def asymptotic_report(which: str, m_max: int, tol: float = DEFAULT_TOL) -> Serie
     ``bernoulli``: terms B_{2m}, m = 1..m_max (the alternating signs of the
     rectified sequence cancel against the sign straightening).
     ``genocchi``: terms (-1)^(n-1) G_n, n = 1..m_max, zeros included.
-    ``m_max`` runs 1..40; a larger one raises CapacityError.
+    ``m_max`` runs 1..40; a larger one raises CapacityError.  A verification run
+    builds one report per (which, m_max, tol) (`exact._once`).
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     _check_index(m_max, 1, 40, "m_max")
+    _check_tol(tol)
 
-    if which == "bernoulli":
-        terms = [bernoulli(2 * m) for m in range(1, m_max + 1)]
-    else:
-        terms = [genocchi(n) if n % 2 else -genocchi(n) for n in range(1, m_max + 1)]
+    def build() -> SeriesReport:
+        if which == "bernoulli":
+            terms = [bernoulli(2 * m) for m in range(1, m_max + 1)]
+        else:
+            terms = [genocchi(n) if n % 2 else -genocchi(n) for n in range(1, m_max + 1)]
 
-    partial_sums = list(accumulate(terms))
+        partial_sums = list(accumulate(terms))
 
-    nonzero = [(abs(t), i) for i, t in enumerate(terms) if t]
-    smallest = min(nonzero, key=lambda pair: (pair[0], -pair[1]))[1]
-    before = float(partial_sums[smallest - 1]) if smallest >= 1 else 0.0
-    at = float(partial_sums[smallest])
+        nonzero = [(abs(t), i) for i, t in enumerate(terms) if t]
+        smallest = min(nonzero, key=lambda pair: (pair[0], -pair[1]))[1]
+        before = float(partial_sums[smallest - 1]) if smallest >= 1 else 0.0
+        at = float(partial_sums[smallest])
 
-    return SeriesReport(
-        which=which,
-        terms=tuple(terms),
-        partial_sums=tuple(partial_sums),
-        smallest_term_index=smallest,
-        optimal_estimate=before,
-        bracket_average=0.5 * (before + at),
-        regularized_target=regularized_target(which, tol),
-    )
+        return SeriesReport(
+            which=which,
+            terms=tuple(terms),
+            partial_sums=tuple(partial_sums),
+            smallest_term_index=smallest,
+            optimal_estimate=before,
+            bracket_average=0.5 * (before + at),
+            regularized_target=regularized_target(which, tol),
+        )
+
+    return _once(("asymptotic_report", which, m_max, tol), build)

@@ -94,6 +94,7 @@ INPUT_ERRORS = [
     (product_form, ("minus", 10**5), ValueError, "kind must be a ProductKind, got 'minus'"),
     (sample_monotonicity, ("log_over_1mt", 100), ValueError,
      "kind must be an IntegralKind, got 'log_over_1mt'"),
+    (sample_monotonicity, ([], 100), ValueError, "kind must be an IntegralKind, got []"),
     (functional_eq_dilog, (1.5,), ValueError, "x must lie in [-1, 1], got 1.5"),
     (scaled_dilog_ode_residual, (0.1, 1), ValueError, "need n_terms >= 2, got 1"),
     (bisection_report, (1.0, 0, 0), ValueError, "need pf_terms >= 1, got 0"),
@@ -116,6 +117,8 @@ INPUT_ERRORS = [
     (zeta_even_exact, (CAPACITY // 2 + 1,), CapacityError,
      f"need n <= CAPACITY // 2 = {CAPACITY // 2}, got {CAPACITY // 2 + 1}"),
     (asymptotic_report, ("bernoulli", 41), CapacityError, "need m_max <= 40, got 41"),
+    (asymptotic_report, ("genocchi", 5, math.nan), ValueError,
+     "tol must lie in [1e-15, 0.001], got nan"),
     (zeta2_partial, (10_001,), CapacityError, "need n <= EXACT_PARTIAL_CAP = 10000, got 10001"),
     # a count that is no integer is refused before any work, NaN included
     (riemann_sum, (IntegralKind.LOG1M_OVER_T, 2.5), ValueError, "need an integer n, got 2.5"),

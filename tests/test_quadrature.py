@@ -1077,11 +1077,14 @@ def _listed_monotonicity(values: list[float]) -> int:
 @pytest.mark.parametrize("n", [3, 4, 7, 1000])
 def test_sample_monotonicity_matches_the_listed_form(n, monkeypatch):
     # the library's terms are checked on their own grids below; a flat, a bumpy and
-    # a NaN-valued grid, fed in as the terms, reach the other branches
+    # a NaN-valued grid, fed in as the terms, reach the other branches, both as read
+    # and as ln t/(1-t) reads them: the terms of ln(1-t)/t backwards, its flags swapped
     for f in (lambda t: 0.0, lambda t: math.sin(9.0 * t), lambda t: math.nan):
         values = [f(k / n) for k in range(1, n)]
         monkeypatch.setattr(quadrature, "_grid_terms", lambda kind, n, values=values: iter(values))
-        assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == _listed_monotonicity(values)
+        assert sample_monotonicity(IntegralKind.LOG_OVER_1PT, n) == _listed_monotonicity(values)
+        reversed_direction = _listed_monotonicity(values[::-1])
+        assert sample_monotonicity(IntegralKind.LOG_OVER_1MT, n) == reversed_direction
 
 
 # Grid sizes either side of the split h = n // 2 (odd and even n) and the report's three n;
@@ -1111,6 +1114,14 @@ def test_grid_and_bisection_sums_match_their_per_term_forms(n, level):
         expected = eager_bisection_json(x, level, n)
         for name in ("bisection_value", "e_n_measured", "partial_fraction_value"):
             assert repr(report[name]) == repr(expected[name]), (x, name)
+
+
+def test_the_minus_grids_are_one_stream_read_both_ways():
+    # sample_monotonicity scans ln(1-t)/t for ln t/(1-t) and swaps its flags; at k = n/2
+    # log1p(-1/2) and log(1/2) are the same binary64
+    for n in _PINNED_NS:
+        forward = list(quadrature._grid_terms(IntegralKind.LOG1M_OVER_T, n))
+        assert list(quadrature._grid_terms(IntegralKind.LOG_OVER_1MT, n)) == forward[::-1], n
 
 
 def test_the_minus_limits_are_one_sum():

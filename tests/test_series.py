@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baselkit import quadrature
-from baselkit.exact import CapacityError
+from baselkit.exact import _RUN_MEMO, CapacityError
 from baselkit.series import (
     BisectionReport,
     asymptotic_report,
@@ -207,6 +207,25 @@ class TestBisectionReport:
             for level in range(13):
                 assert bisection_report(x, level).to_json() == eager_bisection_json(x, level)
         assert bisection_report(1.0, 3, 7).to_json() == eager_bisection_json(1.0, 3, 7)
+
+    def test_a_run_reads_each_centered_term_once_in_any_level_order(self):
+        # the remainder row's grid; inside a run the levels share one array per x, whose
+        # first 2^n terms are level n's, so a level's bits do not depend on what was read
+        grid, levels = (0.05, 0.2, 0.5, 0.9, 1.3, math.pi / 2), list(range(13))
+        fresh = {(x, n): repr(bisection_report(x, n).e_n_measured) for x in grid for n in levels}
+        shuffled = levels[:]
+        random.Random(39).shuffle(shuffled)
+        for order in (levels, levels[::-1], shuffled):
+            memo = _RUN_MEMO.set({})
+            try:
+                read = {(x, n): repr(bisection_report(x, n).e_n_measured)
+                        for x in grid for n in order}
+                held = _RUN_MEMO.get()
+            finally:
+                _RUN_MEMO.reset(memo)
+            assert read == fresh, order
+            assert {key: len(terms) for key, terms in held.items()} == {
+                ("_centered_terms", x): 4_096 for x in grid}
 
     def test_grid_rows_never_sum_the_partial_fraction_expansion(self, monkeypatch):
         # each row reads only the sums it checks, and bisection_report sums nothing

@@ -14,11 +14,13 @@ import pytest
 
 import baselkit.polynomials as polynomials
 import baselkit.quadrature as quadrature
+import baselkit.series as series
 import baselkit.verify as verify
 from baselkit import exact
 from baselkit.cli import main
 from baselkit.polynomials import Certificate, RationalPolynomial, genocchi_polynomial
 from baselkit.quadrature import IntegralKind, ProductKind, integrate, product_form, riemann_sum
+from baselkit.series import asymptotic_report
 from baselkit.verify import (
     CheckResult,
     UnknownCheckError,
@@ -475,13 +477,14 @@ def test_every_row_calls_the_library_through_module_globals(monkeypatch):
 
 def test_one_run_computes_each_shared_result_once(monkeypatch):
     # 707 evaluations for the power-sum grid (G_k at 1..101, k = 2..8), 239 for the rest;
-    # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each; the two
-    # monotone rows and the three limit rows' grids at n = 10^3 and 2*10^3 stream six
-    # distinct (grid, n), 25,994 terms, four of them summed, since ln t/(1-t) sums the grid
-    # of the log-product's ln(1-t)/t; the four integrals at QUAD_TOL, three distinct, since
-    # ln t/(1-t) and ln(1-t)/t share one level function; reflection (G_0(x) is zero
-    # and composes to itself), the addition recurrence and halving ii and iii compose
-    # 40 + 39 + 41 + 41 times, and halving iv reads the compositions of ii and iii
+    # B_n(x) and G_n(x) for n = 0..40 and the even n = 42..80, 61 of each; the three limit
+    # rows' grids at n = 10^3 and 2*10^3 and the one grid both monotone rows scan stream
+    # five distinct (grid, n), 15,995 terms, four of them summed, since ln t/(1-t) sums and
+    # scans the grid of the log-product's ln(1-t)/t; the four integrals at QUAD_TOL, three
+    # distinct, since ln t/(1-t) and ln(1-t)/t share one level function; reflection (G_0(x)
+    # is zero and composes to itself), the addition recurrence and halving ii and iii
+    # compose 40 + 39 + 41 + 41 times, and halving iv reads the compositions of ii and iii;
+    # one centered term array per x of the remainder grid; one asymptotic report per series
     horner, computed, streams = [], [], []
     real_horner, real_terms = RationalPolynomial._horner, quadrature._grid_terms
 
@@ -497,13 +500,15 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
                         lambda kind, n: streams.append((kind, n)) or real_terms(kind, n))
     monkeypatch.setattr(polynomials, "_once", counted_once)
     monkeypatch.setattr(quadrature, "_once", counted_once)
+    monkeypatch.setattr(series, "_once", counted_once)
     assert [r.check_id for r in run_suite("all") if r.status == "fail"] == []
     assert len(horner) <= 1_000
-    assert len(streams) == len(set(streams)) == 6
-    assert sum(n - 1 for _, n in streams) == 2 * (999 + 1_999) + 2 * 9_999 == 25_994
+    assert len(streams) == len(set(streams)) == 5
+    assert sum(n - 1 for _, n in streams) == 2 * (999 + 1_999) + 9_999 == 15_995
     assert len(computed) == len(set(computed))
     assert Counter(key[0] for key in computed) == {
-        "_binomial_sum": 122, "_grid_sum": 4, "integrate": 3, "compose_affine": 161}
+        "_binomial_sum": 122, "_grid_sum": 4, "integrate": 3, "compose_affine": 161,
+        "_centered_terms": 6, "sample_monotonicity": 1, "asymptotic_report": 2}
     # nothing is kept once the run ends, and outside a run every call computes afresh
     assert exact._RUN_MEMO.get(None) is None
     first, second = genocchi_polynomial(5), genocchi_polynomial(5)
@@ -511,6 +516,7 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
     assert first.compose_affine(1, 1) is not first.compose_affine(1, 1)
     kind = IntegralKind.LOG_OVER_1PT
     assert integrate(kind, 1e-6) is not integrate(kind, 1e-6)
+    assert asymptotic_report("genocchi", 3) is not asymptotic_report("genocchi", 3)
     streams.clear()
     riemann_sum(IntegralKind.LOG_OVER_1MT, 10)
     product_form(ProductKind.MINUS, 10)
