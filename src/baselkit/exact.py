@@ -132,6 +132,11 @@ class _SequenceCache:
                 self._values = self._prefix(min(CAPACITY, max(n, 2 * len(self._values))))
             return self._values[n]
 
+    def prefix(self, n: int) -> list[Fraction]:
+        """The values at indices 0..n: one gated `get`, then a slice of the published list."""
+        self.get(n)
+        return self._values[: n + 1]
+
 
 _ZERO = Fraction(0)
 
@@ -174,7 +179,7 @@ _RUN_MEMO: ContextVar[dict] = ContextVar("_RUN_MEMO")  # set by run_suite; see _
 def _once(key: Hashable, compute: Callable[[], object]) -> object:
     """compute(), once per key inside one `baselkit.verify.run_suite` call (per thread
     and context) and afresh outside one; a compute that raises is not stored.  The
-    keys are the name and inputs of `_binomial_sum` (number, n), `_grid_sum` (grid, n),
+    keys are the name and inputs of `_binomial_sum` (table, n), `_grid_sum` (grid, n),
     `sample_monotonicity` (grid, n), `integrate` (kind, tol), `compose_affine`
     (polynomial, a, b), `asymptotic_report` (which, m_max, tol) and
     `series._centered_terms` (x).  The last holds an array that only grows and is read

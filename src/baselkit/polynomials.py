@@ -13,9 +13,11 @@ that degree, not a sampled approximation.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate
 
+from . import exact
 from .exact import CAPACITY, _check_index, _once, _record, bernoulli, fraction_str, genocchi
 from .exact import genocchi_from_bernoulli
 
@@ -170,25 +172,26 @@ class RationalPolynomial:
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "RationalPolynomial":
         """Exact composition p(a*x + b), expanded at the coefficient level.
 
-        With a*x + b = (A*x + B)/C in integers, an integer Horner pass (the
-        classical Taylor shift) builds sum_k n_k (A*x + B)^k C^(deg-k), which
-        is divided once by den * C^deg, once per (self, a, b) in a run (`exact._once`).
+        Scale, shift, scale: p(a*x + b) = q(a*x/b + 1) with q(y) = p(b*y), and q(y + 1)
+        is one Taylor shift by 1 in integer additions alone; b = 0 is the scaling
+        alone.  Computed once per (self, a, b) in a run (`exact._once`).
         """
         if not self._num:
             return self
         a, b = Fraction(a), Fraction(b)
 
         def compose() -> RationalPolynomial:
-            c = math.lcm(a.denominator, b.denominator)
-            big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
-            acc, cpow = [self._num[-1]], c
-            for n in reversed(self._num[:-1]):  # acc <- (B + A x) acc + n cpow, in place
-                acc.append(0)
-                for i in range(len(acc) - 1, 0, -1):
-                    acc[i] = big_b * acc[i] + big_a * acc[i - 1]
-                acc[0] = big_b * acc[0] + n * cpow
-                cpow *= c
-            return RationalPolynomial._from_ints(acc, self._den * c**self.degree)
+            if not b:
+                num, scale = _scaled(self._num, a)
+                return RationalPolynomial._from_ints(num, self._den * scale)
+            rest, scale_b = _scaled(self._num, b)  # q(y) = p(b*y), over den * scale_b
+            rest.reverse()  # highest coefficient first
+            shifted = []
+            while rest:  # each running sum fixes the lowest coefficient of q(y + 1) left
+                rest = list(accumulate(rest))
+                shifted.append(rest.pop())
+            num, scale_r = _scaled(shifted, a / b)
+            return RationalPolynomial._from_ints(num, self._den * scale_b * scale_r)
 
         return _once(("compose_affine", self, a, b), compose)
 
@@ -206,38 +209,43 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(parts) + ")"
 
 
-def _binomial_sum(n: int, number: Callable[[int], Fraction]) -> RationalPolynomial:
-    """sum_k C(n,k) number(n-k) x^k, scaled to integers with no Fraction products;
-    built once per (number, n) in a verification run (`exact._once`)."""
+def _scaled(num: tuple[int, ...] | list[int], r: Fraction) -> tuple[list[int], int]:
+    """Integer numerators n_k u^k v^(deg-k) of p(r*x) * v^deg, and v^deg, for the
+    numerators n_k of p and r = u/v; the caller divides by den * v^deg."""
+    u, v, deg = r.numerator, r.denominator, len(num) - 1
+    return [n * u**k * v ** (deg - k) for k, n in enumerate(num)], v**deg
+
+
+def _binomial_sum(n: int, table: exact._SequenceCache) -> RationalPolynomial:
+    """sum_k C(n,k) number(n-k) x^k, where `table` is the number's memo table in `exact`;
+    scaled to integers with no Fraction products; built once per (table, n) in a
+    verification run (`exact._once`)."""
     _check_index(n, 0, CAPACITY, cap_name="CAPACITY")
 
     def build() -> RationalPolynomial:
-        values = [number(n - k) for k in range(n + 1)]
+        values = table.prefix(n)[::-1]  # number(n - k) at k
         den = math.lcm(*(v.denominator for v in values))
         return RationalPolynomial._from_ints(
             [math.comb(n, k) * v.numerator * (den // v.denominator) for k, v in enumerate(values)],
             den,
         )
 
-    return _once(("_binomial_sum", number, n), build)
+    return _once(("_binomial_sum", table, n), build)
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """B_n(x); degree exactly n, leading coefficient 1, constant term B_n."""
-    return _binomial_sum(n, bernoulli)
+    return _binomial_sum(n, exact._BERNOULLI)
 
 
 def genocchi_polynomial(n: int) -> RationalPolynomial:
     """G_n(x); G_n(0) = G_n, and degree <= n-1 for n >= 1 since G_0 = 0."""
-    return _binomial_sum(n, genocchi)
+    return _binomial_sum(n, exact._GENOCCHI)
 
 
 def _genocchi_polynomial_reversed(n: int) -> RationalPolynomial:
-    # same defining sum with the binomial roles swapped: sum_k C(n,k) G_k x^(n-k)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] += math.comb(n, k) * genocchi(k)
-    return RationalPolynomial(coeffs)
+    # same defining sum with the binomial roles swapped: C(n,k) G_k at x^(n-k)
+    return RationalPolynomial([math.comb(n, k) * genocchi(k) for k in range(n, -1, -1)])
 
 
 @_record

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -167,9 +169,21 @@ class TestVerifyCommand:
         assert err == "verify: 1 checks, 0 failed\n"
 
     def test_list(self, capsys):
+        frozen = gc.get_freeze_count()  # an in-process call leaves the collector alone
         code, out, _ = run_cli(capsys, "verify", "--list")
         assert code == 0
         assert "erratum_E1" in out.split()
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_process_entry_freezes_the_import_time_heap(self):
+        code = ("import gc, sys; from baselkit.cli import main; "
+                "sys.argv = ['baselkit', 'verify', '--list']; exit_code = main(); "
+                "print(exit_code, gc.get_freeze_count() > 0, file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stderr == "0 True\n"
+        assert done.stdout == "\n".join(available_checks()) + "\n"
 
     def test_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"

@@ -133,6 +133,19 @@ class TestAgainstFractionReference:
         assert shared[0] is shared[1] and shared[0].coefficients == got.coefficients
 
 
+    @given(p=st.integers(0, 200).flatmap(lambda d: st.lists(rationals, min_size=d + 1,
+                                                           max_size=d + 1)),
+           a=rationals, b=rationals)
+    @example(p=[F(1, k) for k in range(1, 202)], a=F(0), b=F(-7, 3))
+    @example(p=[F(1, k) for k in range(1, 202)], a=F(-7, 3), b=F(0))
+    @example(p=[F(-1, k) for k in range(1, 202)], a=F(-19, 11), b=F(-5, 12))
+    @settings(max_examples=5, deadline=None)  # the oracle takes 0.5 s at degree 200
+    def test_compose_affine_to_degree_200(self, p, a, b):
+        got = RationalPolynomial(p).compose_affine(a, b)
+        _assert_canonical(got)
+        assert got.coefficients == FractionPolynomial(p).compose_affine(a, b).coefficients
+
+
 class TestCanonicalForm:
     def test_differently_scaled_inputs_are_equal(self):
         direct = RationalPolynomial([F(1, 2), F(1, 3)])

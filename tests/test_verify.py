@@ -567,15 +567,16 @@ def test_a_rows_line_does_not_depend_on_what_else_ran(full_results):
 
 
 def test_a_build_that_raises_costs_only_its_row(monkeypatch):
-    real, raised = polynomials.genocchi, []
+    raised = []
 
-    def first_call_raises(n):
+    def first_prefix_raises(n):
         if not raised:
             raised.append(n)
             raise RuntimeError("injected fault")
-        return real(n)
+        return exact._genocchi_prefix(n)
 
-    monkeypatch.setattr(polynomials, "genocchi", first_call_raises)
+    # a cold G table, so its first read, inside the G_1(x) build of `_binomial_sum`, raises
+    monkeypatch.setattr(exact, "_GENOCCHI", exact._SequenceCache(first_prefix_raises))
     calculus, reflection = run_suite(["poly_calculus", "poly_reflection"])
     assert (calculus.status, calculus.lhs) == ("fail", "RuntimeError")
     assert reflection.status == "pass"  # it builds G_1(x) again: the failed build was not kept
