@@ -38,7 +38,6 @@ __all__ = [
     "genocchi_from_bernoulli",
     "parse_fraction",
     "rectified_even_bernoulli",
-    "rectified_even_genocchi",
     "signed_factorial_integral",
     "term_log_integral",
     "zeta_even_exact",
@@ -46,7 +45,7 @@ __all__ = [
 
 #: Largest sequence index the memo tables will grow to.  A function that reads
 #: them refuses, before any work, an index whose reads would pass it: past
-#: CAPACITY // 2 where it reads index 2n (`rectified_even_*`, `zeta_even_exact`,
+#: CAPACITY // 2 where it reads index 2n (`rectified_even_bernoulli`, `zeta_even_exact`,
 #: `check_special_values`), past CAPACITY - 1 in `check_calculus`, which reads
 #: G_{n+1}, and past CAPACITY elsewhere.  Both engines take O(n^2) big-integer
 #: steps; on CPython 3.11 and a 2-vCPU Xeon, cold B_5000 takes 15 s (peak RSS
@@ -224,13 +223,6 @@ def rectified_even_bernoulli(n: int) -> Fraction:
     _check_index(n, 1, CAPACITY // 2, cap_name="CAPACITY // 2")
     b = bernoulli(2 * n)
     return b if n % 2 == 1 else -b
-
-
-def rectified_even_genocchi(n: int) -> Fraction:
-    """Sign-straightened even Genocchi number (-1)^(n-1) G_{2n} = -(2^(2n)-1) * rectified B."""
-    _check_index(n, 1, CAPACITY // 2, cap_name="CAPACITY // 2")
-    g = genocchi(2 * n)
-    return g if n % 2 == 1 else -g
 
 
 def _record(cls: type) -> type:

@@ -87,9 +87,6 @@ class RationalPolynomial:
     def coefficient(self, k: int) -> Fraction:
         return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
@@ -155,19 +152,11 @@ class RationalPolynomial:
             [k * n for k, n in enumerate(self._num)][1:], self._den
         )
 
-    def _over_k_plus_1(self) -> tuple[list[int], int]:
-        # numerators of c_k / (k+1) over the denominator den * lcm(1..deg+1)
-        scale = math.lcm(*range(1, len(self._num) + 1))
-        return [n * (scale // (k + 1)) for k, n in enumerate(self._num)], self._den * scale
-
-    def antiderivative(self) -> "RationalPolynomial":
-        num, den = self._over_k_plus_1()
-        return RationalPolynomial._from_ints([0] + num, den)
-
     def integral_unit(self) -> Fraction:
-        """Exact definite integral over [0, 1]."""
-        num, den = self._over_k_plus_1()
-        return Fraction(sum(num), den)
+        """Exact definite integral over [0, 1]: sum c_k / (k+1) over den * lcm(1..deg+1)."""
+        scale = math.lcm(*range(1, len(self._num) + 1))
+        return Fraction(sum(n * (scale // (k + 1)) for k, n in enumerate(self._num)),
+                        self._den * scale)
 
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "RationalPolynomial":
         """Exact composition p(a*x + b), expanded at the coefficient level.

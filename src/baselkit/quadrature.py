@@ -55,7 +55,6 @@ __all__ = [
     "riemann_sum",
     "sample_monotonicity",
     "scaled_dilog",
-    "scaled_dilog_derivative",
     "scaled_dilog_ode_residual",
     "series_integral_pair",
     "two_integral_residual",
@@ -266,9 +265,10 @@ RIEMANN_KINDS = (
 
 def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
     """The Riemann terms f(k/n)/n for k = 1..n-1 in order, as ln(.)/m with an integer m,
-    one generator frame per term: ln(1 - k/n)/k, ln(k/n)/(n - k) (the same terms from
-    k = n - 1 down), ln(k/n)/(n + k) and ln(1 + k/n)/k for the kinds in that order;
-    every caller has checked that kind is an IntegralKind.
+    one generator frame per term, on one of three grids: ln(1 - k/n)/k (LOG1M_OVER_T),
+    ln(k/n)/(n + k) (LOG_OVER_1PT) and ln(1 + k/n)/k (LOG1P_OVER_T).  Every caller reads
+    LOG_OVER_1MT, whose terms ln(k/n)/(n - k) are the first grid's from k = n - 1 down,
+    off the LOG1M_OVER_T grid.
 
     ln t is log(k/n) for k <= h = n // 2 and log1p(-(n-k)/n) past it, ln(1 - k/n) the
     same at t = (n-k)/n (tests/oracles.py keeps the choice t <= 1/2 per term as the
@@ -279,9 +279,6 @@ def _grid_terms(kind: IntegralKind, n: int) -> Iterator[float]:
     if kind is IntegralKind.LOG1M_OVER_T:  # past k = h, j = n - k
         return chain((log1p(-k / n) / k for k in range(1, h + 1)),
                      (log(j / n) / (n - j) for j in range(n - h - 1, 0, -1)))
-    if kind is IntegralKind.LOG_OVER_1MT:
-        return chain((log(k / n) / (n - k) for k in range(1, h + 1)),
-                     (log1p(-j / n) / j for j in range(n - h - 1, 0, -1)))
     if kind is IntegralKind.LOG_OVER_1PT:
         return chain((log(k / n) / (n + k) for k in range(1, h + 1)),
                      (log1p(-(n - k) / n) / (n + k) for k in range(h + 1, n)))
@@ -474,15 +471,6 @@ def scaled_dilog(x: float, mode: str = "series", tol: float = DEFAULT_TOL) -> fl
     if q > 0.5:
         return ZETA2 - math.log(q) * math.log(z) - li2_z
     return li2_z
-
-
-def scaled_dilog_derivative(x: float) -> float:
-    """Closed-form derivative -ln(1 - 2x)/x on |x| < 1/2, with value 2 at 0."""
-    if not -0.5 < x < 0.5:
-        raise ValueError(f"x must lie in (-1/2, 1/2), got {x}")
-    if x == 0.0:
-        return 2.0
-    return -math.log1p(-2.0 * x) / x
 
 
 def scaled_dilog_ode_residual(x: float, n_terms: int = 60) -> float:

@@ -166,11 +166,6 @@ class FractionPolynomial:
     def derivative(self):
         return FractionPolynomial([k * c for k, c in enumerate(self.coefficients)][1:])
 
-    def antiderivative(self):
-        return FractionPolynomial(
-            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
-        )
-
     def integral_unit(self) -> Fraction:
         return sum((c / (k + 1) for k, c in enumerate(self.coefficients)), Fraction(0))
 

@@ -28,7 +28,6 @@ from baselkit.exact import (
     genocchi_from_bernoulli,
     parse_fraction,
     rectified_even_bernoulli,
-    rectified_even_genocchi,
     signed_factorial_integral,
     term_log_integral,
     zeta_even_exact,
@@ -251,22 +250,14 @@ class TestRectifiedSequences:
     def test_values(self):
         assert rectified_even_bernoulli(1) == Fraction(1, 6)
         assert rectified_even_bernoulli(2) == Fraction(1, 30)
-        assert rectified_even_genocchi(1) == Fraction(-1, 2)
 
     def test_positivity(self):
         for n in range(1, 61):
             assert rectified_even_bernoulli(n) > 0
 
-    def test_genocchi_relation(self):
-        for n in range(1, 41):
-            expected = -(2 ** (2 * n) - 1) * rectified_even_bernoulli(n)
-            assert rectified_even_genocchi(n) == expected
-
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             rectified_even_bernoulli(0)
-        with pytest.raises(ValueError):
-            rectified_even_genocchi(0)
 
 
 class TestZetaEvenExact:
