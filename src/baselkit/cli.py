@@ -12,7 +12,8 @@ result, with the message on stderr and nothing on stdout: a usage error
 selection, the other ``series`` mode's flag, ``--tol`` on a partial sum),
 an exact index past the capacity, a grid or ``--pf-terms`` past
 ``SERIES_TERM_BUDGET`` terms (refused before any is summed), an
-``AccuracyError`` at the quadrature level cap, or an unwritable ``--out``.
+``AccuracyError`` at the quadrature level cap, or an output that cannot be
+written: stdout or an ``--out`` file.
 
 The default tolerance is ``DEFAULT_TOL``; where a tolerance is read, the
 ``BASELKIT_TOL`` environment variable overrides it and ``--tol`` beats both.
@@ -89,22 +90,16 @@ def _render_record(record: dict, fmt: str) -> str:
 
 
 def _write_atomic(path: str, payload: str) -> None:
-    """Write through a temp file in the target directory, then rename it; the file
-    gets the mode open() would give a new one, 0o666 less the umask."""
-    import tempfile  # only --out needs it, as csv above
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".baselkit-")  # mode 0o600
+    """Write a new file beside the target, then rename it over the target; created
+    with mode 0o666, it gets the umask applied by the kernel, as open() would."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".baselkit-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        umask = os.umask(0)  # the one way to read it, so set it straight back
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
-        os.replace(tmp_path, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        os.unlink(tmp)  # the rename is the last step, so a failure leaves tmp behind
         raise
 
 
@@ -277,13 +272,15 @@ def main(argv: list[str] | None = None) -> int:
         text, code = command.run(args)
     except (ValueError, CapacityError, AccuracyError) as exc:  # UnknownCheckError is a ValueError
         return _fail(args, exc)
-    if args.out is None:
-        sys.stdout.write(text + "\n")
-        return code
     try:
-        _write_atomic(args.out, text + "\n")
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        else:
+            _write_atomic(args.out, text + "\n")
     except OSError as exc:
-        return _fail(args, f"cannot write {args.out}: {exc.strerror or exc}")
+        target = "stdout" if args.out is None else args.out
+        return _fail(args, f"cannot write {target}: {exc.strerror or exc}")
     return code
 
 

@@ -113,26 +113,13 @@ class RationalPolynomial:
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial._from_ints([-n for n in self._num], self._den)
-
-    def __mul__(self, other: "RationalPolynomial | _Scalar") -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return RationalPolynomial._from_ints(
-                [n * s.numerator for n in self._num], self._den * s.denominator
-            )
-        if not isinstance(other, RationalPolynomial):
+    def __mul__(self, other: _Scalar) -> "RationalPolynomial":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self._num, other._num
-        out = [0] * (len(a) + len(b))
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RationalPolynomial._from_ints(out, self._den * other._den)
-
-    __rmul__ = __mul__
+        s = Fraction(other)
+        return RationalPolynomial._from_ints(
+            [n * s.numerator for n in self._num], self._den * s.denominator
+        )
 
     def _horner(self, p: int, q: int) -> int:
         """q^deg * den * self(p/q), an integer; q > 0."""
@@ -241,15 +228,13 @@ def _genocchi_polynomial_reversed(n: int) -> RationalPolynomial:
 class Certificate:
     """Outcome of one exact identity check.
 
-    ``first_mismatch`` is the lowest differing coefficient index when a
-    polynomial comparison fails (None for value comparisons and passes);
-    ``detail`` carries the offending values for debugging.
+    ``detail`` is empty on a pass; on a failure it gives both sides, led by
+    ``coefficient k:`` for the lowest differing coefficient of a polynomial.
     """
 
     name: str
     passed: bool
     detail: str = ""
-    first_mismatch: int | None = None
 
 
 def _poly_certificate(name: str, lhs: RationalPolynomial, rhs: RationalPolynomial) -> Certificate:
@@ -262,7 +247,7 @@ def _poly_certificate(name: str, lhs: RationalPolynomial, rhs: RationalPolynomia
         f"coefficient {k}: lhs={fraction_str(lhs.coefficient(k))} "
         f"rhs={fraction_str(rhs.coefficient(k))}"
     )
-    return Certificate(name, False, detail, k)
+    return Certificate(name, False, detail)
 
 
 def _value_certificate(name: str, lhs: Fraction, rhs: Fraction) -> Certificate:

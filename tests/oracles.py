@@ -148,14 +148,8 @@ class FractionPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FractionPolynomial([c * other for c in self.coefficients])
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return FractionPolynomial(out)
+    def __mul__(self, scalar):
+        return FractionPolynomial([c * scalar for c in self.coefficients])
 
     def evaluate(self, x) -> Fraction:
         acc = Fraction(0)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import gc
+import io
 import json
 import math
 import os
@@ -209,6 +211,19 @@ class TestVerifyCommand:
         assert code == 0
         assert target.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_out_leaves_the_umask_alone(self, capsys, monkeypatch, tmp_path):
+        # main runs in process, so a umask flipped even for a moment is every thread's
+        target, plain = tmp_path / "x.json", tmp_path / "plain.json"
+        plain.write_text("")
+
+        def umask(mask):
+            raise AssertionError(f"--out set the umask to {mask:o}")
+
+        monkeypatch.setattr(os, "umask", umask)
+        code, out, _ = run_cli(capsys, "bernoulli", "--n", "4", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+
     def test_pretty_table_and_tally(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "zeta_even_exact_1,erratum_E1")
         assert code == 0
@@ -328,11 +343,36 @@ class TestExitCodes:
         assert err == f"baselkit bernoulli: cannot write {target}: No such file or directory\n"
 
     def test_out_onto_a_directory_exits_2_and_leaves_no_temp_file(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "bernoulli", "--n", "3", "--out", str(tmp_path))
+        target = tmp_path / "dir"  # the rename fails; the temp file sits beside the target
+        target.mkdir()
+        code, out, err = run_cli(capsys, "bernoulli", "--n", "3", "--out", str(target))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"baselkit bernoulli: cannot write {tmp_path}: ")
-        assert os.listdir(tmp_path) == []
+        assert err.startswith(f"baselkit bernoulli: cannot write {target}: ")
+        assert os.listdir(tmp_path) == ["dir"] and os.listdir(target) == []
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_a_stdout_that_cannot_be_written_exits_2(self, capsys, monkeypatch, failing):
+        class FullStream(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stream = FullStream()
+        setattr(stream, failing, stream.fail)
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["bernoulli", "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == "baselkit bernoulli: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+    def test_stdout_on_dev_full_exits_2(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "baselkit.cli", "bernoulli", "--n", "10"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == "baselkit bernoulli: cannot write stdout: No space left on device\n"
 
     @pytest.mark.parametrize("suite", ["", ",", ",,"])
     def test_empty_suite_selection_exits_2(self, capsys, suite):

@@ -3,8 +3,10 @@ package exports exactly the exact core, and every public name has a reader.
 
 The reachability rule: one ``run_suite()`` and one in-process run of each CLI
 subcommand (every ``series --which`` branch and each ``--format``) must call
-every function in each module's ``__all__``, and every public method and
-property of each class there (dunders aside).  A name that neither reaches
+every function in each module's ``__all__``, and every public method, property
+and operator (``__add__``, ``__mul__``, ``__str__``, ...) of each class there.
+The methods every record or exception has by protocol are not probed, nor
+those a class inherits from the enum machinery.  A name that neither reaches
 goes, or goes on ``_UNREACHED_ON_PURPOSE`` with its reason; a listed name that
 is reached, or no longer exists, fails too, so the list cannot go stale.
 """
@@ -25,6 +27,10 @@ from baselkit.series import WHICH
 from baselkit.verify import run_suite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "baselkit"
+
+#: Dunders that make a record or exception what it is, not operations a caller asks for.
+_PROTOCOL = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
+             "__post_init__"}
 
 #: Public names that neither the suite nor the CLI calls, each kept for its reason.
 _UNREACHED_ON_PURPOSE = {
@@ -83,8 +89,8 @@ def test_the_package_exports_the_exact_core():
 
 def _public_code() -> dict[str, object]:
     """'module.name' or 'module.Class.member' -> code object, for each function in a
-    module's ``__all__`` and each public method or property of a class there; the
-    package's ``__all__`` is exact's, and cli has none."""
+    module's ``__all__`` and each public method, property or operator of a class there,
+    written in that module; the package's ``__all__`` is exact's, and cli has none."""
     found = {}
     for module in sorted(path.stem for path in SRC.glob("[!_]*.py")):
         namespace = importlib.import_module(f"baselkit.{module}")
@@ -95,7 +101,10 @@ def _public_code() -> dict[str, object]:
             elif isinstance(obj, type):
                 for member, attr in vars(obj).items():
                     func = getattr(attr, "fget", None) or getattr(attr, "__func__", attr)
-                    if not member.startswith("_") and isinstance(func, FunctionType):
+                    operator = member.startswith("__") and member.endswith("__")
+                    probed = not member.startswith("_") or operator and member not in _PROTOCOL
+                    if (probed and isinstance(func, FunctionType)
+                            and func.__module__ == namespace.__name__):
                         found[f"{module}.{name}.{member}"] = func.__code__
     return found
 

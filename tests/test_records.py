@@ -21,8 +21,7 @@ from baselkit.verify import CheckResult
 # (record, positional arguments, arguments of an unequal record)
 RECORDS = [
     (PiPower, (Fraction(1, 6), 2), (Fraction(1, 90), 4)),
-    (Certificate, ("reflection_n3", False, "coefficient 1: lhs=1 rhs=2", 1),
-     ("reflection_n3", True)),
+    (Certificate, ("reflection_n3", False, "coefficient 1: lhs=1 rhs=2"), ("reflection_n3", True)),
     (QuadResult, (-1.6449340668482266, 2.886579864025407e-15, 69),
      (-1.6449340668482266, 2.886579864025407e-15, 70)),
     (BisectionReport, (1.0, 3, 100), (1.0, 4, 100)),
@@ -107,9 +106,9 @@ def test_records_take_no_more_memory_than_the_dataclass(record, args):
 
 def test_defaults_are_those_of_the_dataclass():
     certificate = Certificate("x", True)
-    assert certificate.detail == "" and certificate.first_mismatch is None
+    assert certificate.detail == ""
     assert repr(certificate) == repr(_twin(Certificate)("x", True))
-    assert Certificate.detail == "" and Certificate.first_mismatch is None
+    assert Certificate.detail == ""
 
 
 @pytest.mark.parametrize(("build", "error", "message"), [
