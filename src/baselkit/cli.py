@@ -22,6 +22,7 @@ The default tolerance is ``DEFAULT_TOL``; where a tolerance is read, the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -39,9 +40,7 @@ from .series import (
     EXACT_PARTIAL_CAP, PF_TERMS, WHICH, asymptotic_report, bisection_report, eta2_partial,
     eta2_partial_float, zeta2_partial, zeta2_partial_float,
 )
-from .verify import (
-    REPORT_FIELDS, available_checks, report_lines, run_suite, summary_table,
-)
+from .verify import REPORT_FIELDS, available_checks, report_lines, run_suite, summary_table
 
 _ENV_TOL = "BASELKIT_TOL"
 
@@ -98,8 +97,9 @@ def _write_atomic(path: str, payload: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)  # the rename is the last step, so a failure leaves tmp behind
+    except BaseException:  # the rename is the last step, so a failure leaves tmp behind
+        with contextlib.suppress(OSError):  # report the write's failure, not the cleanup's
+            os.unlink(tmp)
         raise
 
 
@@ -146,10 +146,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     else:
         text = summary_table(results)
     tally = sum(1 for r in results if r.status == "fail")
-    print(
-        f"verify: {len(results)} checks, {tally} failed",
-        file=sys.stderr,
-    )
+    print(f"verify: {len(results)} checks, {tally} failed", file=sys.stderr)
     return text, (1 if tally else 0)
 
 
@@ -255,9 +252,10 @@ def _fail(args, message) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  With no argv, main reads sys.argv as
-    the process entry and first calls `gc.freeze()`, which takes every object the
-    collector tracks so far out of its view for the rest of the process; a caller that
-    passes argv keeps its collector as it was."""
+    the process entry: it first calls `gc.freeze()`, which takes every object the
+    collector tracks so far out of its view for the rest of the process, and if stdout
+    cannot be written it points descriptor 1 at devnull, since the interpreter's flush at
+    exit would fail again and exit 120.  A caller that passes argv keeps both as they were."""
     if argv is None:
         # Every import is done, and nearly all of the ~13k objects the collector tracks live
         # until exit, yet CPython's full collections at shutdown would scan them all; frozen,
@@ -279,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_atomic(args.out, text + "\n")
     except OSError as exc:
+        if args.out is None and argv is None:  # drop the text still held in stdout's buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         target = "stdout" if args.out is None else args.out
         return _fail(args, f"cannot write {target}: {exc.strerror or exc}")
     return code

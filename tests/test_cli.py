@@ -351,6 +351,18 @@ class TestExitCodes:
         assert err.startswith(f"baselkit bernoulli: cannot write {target}: ")
         assert os.listdir(tmp_path) == ["dir"] and os.listdir(target) == []
 
+    def test_a_failed_cleanup_still_reports_the_write_failure(self, capsys, monkeypatch, tmp_path):
+        def replace(src, dst):
+            os.remove(src)  # the temp file is gone, so the cleanup's unlink fails as well
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "bernoulli", "--n", "3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"baselkit bernoulli: cannot write {target}: {os.strerror(errno.EXDEV)}\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("failing", ["write", "flush"])
     def test_a_stdout_that_cannot_be_written_exits_2(self, capsys, monkeypatch, failing):
         class FullStream(io.StringIO):
@@ -364,15 +376,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "baselkit bernoulli: cannot write stdout: No space left on device\n"
 
+    @staticmethod
+    def _entry_onto(stdout, unbuffered):
+        """`python -m baselkit.cli bernoulli --n 10` with stdout on the given descriptor."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "baselkit.cli", "bernoulli", "--n", "10"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+    # A buffered stdout keeps the text that failed; without the entry's devnull the
+    # interpreter's flush at exit fails again, prints "Exception ignored" and exits 120.
     @pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
-    def test_stdout_on_dev_full_exits_2(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_on_dev_full_exits_2(self, unbuffered):
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-m", "baselkit.cli", "bernoulli", "--n", "10"],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+            done = self._entry_onto(full, unbuffered)
         assert done.returncode == 2
         assert done.stderr == "baselkit bernoulli: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="a pipe with no reader gives EPIPE on POSIX")
+    def test_stdout_onto_a_closed_pipe_exits_2(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `baselkit ... | head` once head has exited
+        try:
+            done = self._entry_onto(write_end, unbuffered=False)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == "baselkit bernoulli: cannot write stdout: Broken pipe\n"
 
     @pytest.mark.parametrize("suite", ["", ",", ",,"])
     def test_empty_suite_selection_exits_2(self, capsys, suite):
