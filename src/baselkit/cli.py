@@ -1,9 +1,12 @@
 """Command-line frontend.
 
-Every subcommand is one row of the ``_COMMANDS`` table: its help text, its
-arguments, whether it takes ``--tol``, and a thin adapter over one library
-call.  The parser is built from the table and ``main`` dispatches through
-it; choices and defaults that the library decides are imported, not copied.
+Every subcommand is one row of the ``_COMMANDS`` table: its help text, the one
+library layer it reads, its arguments, whether it takes ``--tol``, and a thin
+adapter over one call into that layer.  The parser is built from the table and
+``main`` dispatches through it.  A process builds only the subparser it runs
+and imports only that command's layer: choices and defaults that the library
+decides are read from the layer when the subparser is built, not copied, and
+the handlers look library functions up in the layer module at call time.
 Output goes to stdout (or atomically to ``--out``); diagnostics to stderr.
 
 Exit codes: 0 success; 1 at least one verification check failed; 2 no
@@ -30,17 +33,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .exact import CapacityError, bernoulli, fraction_str, genocchi, zeta_even_exact
-from .polynomials import bernoulli_polynomial, genocchi_polynomial
-from .quadrature import (
-    DEFAULT_TOL, DILOG_MODES, RIEMANN_KINDS, AccuracyError, IntegralKind, ProductKind,
-    integrate, product_form, riemann_sum, scaled_dilog,
-)
-from .series import (
-    EXACT_PARTIAL_CAP, PF_TERMS, WHICH, asymptotic_report, bisection_report, eta2_partial,
-    eta2_partial_float, zeta2_partial, zeta2_partial_float,
-)
-from .verify import REPORT_FIELDS, available_checks, report_lines, run_suite, summary_table
+from .exact import CapacityError, fraction_str
 
 _ENV_TOL = "BASELKIT_TOL"
 
@@ -50,6 +43,8 @@ def _tol(args) -> float:
     calls that take a tolerance."""
     if args.tol is not None:
         return args.tol
+    from .quadrature import DEFAULT_TOL  # loaded: every --tol command reads quadrature or series
+
     raw = os.environ.get(_ENV_TOL, DEFAULT_TOL)
     try:
         return float(raw)
@@ -103,18 +98,19 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def _zeta_record(args) -> dict:
-    power = zeta_even_exact(args.even)
+def _zeta_record(exact, args) -> dict:
+    power = exact.zeta_even_exact(args.even)
     return {"n": args.even, **power.to_json(), "value": power.to_float()}
 
 
-def _poly_record(args) -> dict:
-    build = bernoulli_polynomial if args.kind == "bernoulli" else genocchi_polynomial
+def _poly_record(polynomials, args) -> dict:
+    build = (polynomials.bernoulli_polynomial if args.kind == "bernoulli"
+             else polynomials.genocchi_polynomial)
     return {"kind": args.kind, "n": args.n, "coefficients": build(args.n).to_string_list()}
 
 
-def _series_record(args) -> dict:
-    report = args.which in WHICH  # takes --m-max and --tol; the partial sums take --n
+def _series_record(series, args) -> dict:
+    report = args.which in series.WHICH  # takes --m-max and --tol; the partial sums take --n
     needed, refused = ("--m-max", ["--n"]) if report else ("--n", ["--m-max", "--tol"])
     given = {"--n": args.n, "--m-max": args.m_max, "--tol": args.tol}
     if given[needed] is None:
@@ -123,28 +119,30 @@ def _series_record(args) -> dict:
         if given[flag] is not None:
             raise ValueError(f"--which {args.which} does not take {flag}")
     if report:
-        return asymptotic_report(args.which, args.m_max, _tol(args)).to_json()
+        return series.asymptotic_report(args.which, args.m_max, _tol(args)).to_json()
     zeta2 = args.which == "zeta2"
     record: dict = {"which": args.which, "n": args.n}
-    if args.n <= EXACT_PARTIAL_CAP:
-        record["value"] = fraction_str((zeta2_partial if zeta2 else eta2_partial)(args.n))
-    record["value_float"] = (zeta2_partial_float if zeta2 else eta2_partial_float)(args.n)
+    if args.n <= series.EXACT_PARTIAL_CAP:
+        partial = series.zeta2_partial if zeta2 else series.eta2_partial
+        record["value"] = fraction_str(partial(args.n))
+    record["value_float"] = (series.zeta2_partial_float if zeta2
+                             else series.eta2_partial_float)(args.n)
     return record
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(verify, args) -> tuple[str, int]:
     if args.list:
-        return "\n".join(available_checks()), 0
+        return "\n".join(verify.available_checks()), 0
     selection = "all" if args.suite == "all" else [s for s in args.suite.split(",") if s]
     if not selection:
         raise ValueError(f"--suite {args.suite!r} selects no checks")
-    results = run_suite(selection)
+    results = verify.run_suite(selection)
     if args.format == "json":
-        text = "\n".join(report_lines(results))
+        text = "\n".join(verify.report_lines(results))
     elif args.format == "csv":
-        text = _csv_rows([REPORT_FIELDS, *(r.to_json_dict().values() for r in results)])
+        text = _csv_rows([verify.REPORT_FIELDS, *(r.to_json_dict().values() for r in results)])
     else:
-        text = summary_table(results)
+        text = verify.summary_table(results)
     tally = sum(1 for r in results if r.status == "fail")
     print(f"verify: {len(results)} checks, {tally} failed", file=sys.stderr)
     return text, (1 if tally else 0)
@@ -152,7 +150,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _record(build):
     """A subcommand whose output is one record, rendered in --format; exit 0."""
-    return lambda args: (_render_record(build(args), args.format), 0)
+    return lambda layer, args: (_render_record(build(layer, args), args.format), 0)
 
 
 def _arg(flag: str, **options) -> tuple[str, dict]:
@@ -167,82 +165,114 @@ _N = _arg("--n", type=int, required=True)
 _X = _arg("--x", type=float, required=True)
 
 
-# help: str; arguments: (flag, add_argument options) pairs, before --format/--out;
-# run: args -> (text, exit code); tol: takes --tol, read through _tol (default False)
-_Command = namedtuple("_Command", "help arguments run tol", defaults=(False,))
+# help: str; layer: the one baselkit module the command reads; arguments: layer -> (flag,
+# add_argument options) pairs, before --format/--out; run: (layer, args) -> (text, exit code);
+# tol: takes --tol, read through _tol (default False)
+_Command = namedtuple("_Command", "help layer arguments run tol", defaults=(False,))
 
 
-# One row per subcommand, in --help order.  The library calls sit inside the
-# handlers, so they resolve this module's globals at call time.
+# One row per subcommand, in --help order.  Each function names its layer parameter after
+# the module, and reads the library through it when the subparser is built or the command runs.
 _COMMANDS = {
     "bernoulli": _Command(
-        "exact Bernoulli number B_n", [_N],
-        _record(lambda a: {"n": a.n, "value": fraction_str(bernoulli(a.n))})),
+        "exact Bernoulli number B_n", "exact", lambda exact: [_N],
+        _record(lambda exact, a: {"n": a.n, "value": fraction_str(exact.bernoulli(a.n))})),
     "genocchi": _Command(
-        "exact Genocchi number G_n", [_N],
-        _record(lambda a: {"n": a.n, "value": fraction_str(genocchi(a.n))})),
+        "exact Genocchi number G_n", "exact", lambda exact: [_N],
+        _record(lambda exact, a: {"n": a.n, "value": fraction_str(exact.genocchi(a.n))})),
     "zeta": _Command(
-        "exact zeta(2n) as a rational times pi^(2n)",
-        [_arg("--even", type=int, required=True, metavar="N", help="index n of zeta(2n)")],
+        "exact zeta(2n) as a rational times pi^(2n)", "exact",
+        lambda exact: [_arg("--even", type=int, required=True, metavar="N",
+                            help="index n of zeta(2n)")],
         _record(_zeta_record)),
     "poly": _Command(
-        "Bernoulli or Genocchi polynomial coefficients",
-        [_arg("--kind", choices=("bernoulli", "genocchi"), required=True), _N],
+        "Bernoulli or Genocchi polynomial coefficients", "polynomials",
+        lambda polynomials: [_arg("--kind", choices=("bernoulli", "genocchi"), required=True), _N],
         _record(_poly_record)),
     "integrate": _Command(
-        "log-singular integral on [0, 1]", [_kind(IntegralKind)],
-        _record(lambda a: {"kind": a.kind, **integrate(IntegralKind(a.kind), _tol(a)).to_json()}),
+        "log-singular integral on [0, 1]", "quadrature",
+        lambda quadrature: [_kind(quadrature.IntegralKind)],
+        _record(lambda quadrature, a: {"kind": a.kind, **quadrature.integrate(
+            quadrature.IntegralKind(a.kind), _tol(a)).to_json()}),
         tol=True),
     "riemann": _Command(
-        "left-out-endpoints Riemann sum at resolution n", [_kind(RIEMANN_KINDS), _N],
-        _record(lambda a: {
-            "kind": a.kind, "n": a.n, "value": riemann_sum(IntegralKind(a.kind), a.n)})),
+        "left-out-endpoints Riemann sum at resolution n", "quadrature",
+        lambda quadrature: [_kind(quadrature.RIEMANN_KINDS), _N],
+        _record(lambda quadrature, a: {"kind": a.kind, "n": a.n, "value": quadrature.riemann_sum(
+            quadrature.IntegralKind(a.kind), a.n)})),
     "product": _Command(
-        "log of the partial product (1 -+ k/n)^(1/k)", [_kind(ProductKind), _N],
-        _record(lambda a: {
-            "kind": a.kind, "n": a.n, "value": product_form(ProductKind(a.kind), a.n)})),
+        "log of the partial product (1 -+ k/n)^(1/k)", "quadrature",
+        lambda quadrature: [_kind(quadrature.ProductKind), _N],
+        _record(lambda quadrature, a: {"kind": a.kind, "n": a.n, "value": quadrature.product_form(
+            quadrature.ProductKind(a.kind), a.n)})),
     "dilog": _Command(
-        "sum (2x)^n/n^2 by series or quadrature",
-        [_X, _arg("--mode", choices=DILOG_MODES, default=DILOG_MODES[0])],
-        _record(lambda a: {"x": a.x, "mode": a.mode, "value": scaled_dilog(a.x, a.mode, _tol(a))}),
+        "sum (2x)^n/n^2 by series or quadrature", "quadrature",
+        lambda quadrature: [
+            _X, _arg("--mode", choices=quadrature.DILOG_MODES, default=quadrature.DILOG_MODES[0])],
+        _record(lambda quadrature, a: {
+            "x": a.x, "mode": a.mode, "value": quadrature.scaled_dilog(a.x, a.mode, _tol(a))}),
         tol=True),
     "series": _Command(
-        "partial sums and asymptotic-series reports",
-        [_arg("--which", choices=("zeta2", "eta2", *WHICH), required=True),
-         _arg("--n", type=int, help="partial-sum length (zeta2/eta2)"),
-         _arg("--m-max", type=int, help="term count (bernoulli/genocchi reports)")],
+        "partial sums and asymptotic-series reports", "series",
+        lambda series: [_arg("--which", choices=("zeta2", "eta2", *series.WHICH), required=True),
+                        _arg("--n", type=int, help="partial-sum length (zeta2/eta2)"),
+                        _arg("--m-max", type=int, help="term count (bernoulli/genocchi reports)")],
         _record(_series_record), tol=True),
     "mei": _Command(
-        "bisection refinement report for 1/sin^2(x)",
-        [_X, _arg("--level", type=int, required=True),
-         _arg("--pf-terms", type=int, default=PF_TERMS)],
-        _record(lambda a: bisection_report(a.x, a.level, a.pf_terms).to_json())),
+        "bisection refinement report for 1/sin^2(x)", "series",
+        lambda series: [_X, _arg("--level", type=int, required=True),
+                        _arg("--pf-terms", type=int, default=series.PF_TERMS)],
+        _record(lambda series, a: series.bisection_report(a.x, a.level, a.pf_terms).to_json())),
     "verify": _Command(
-        "run the identity verification suite",
-        [_arg("--suite", default="all", help="'all' or comma-separated check ids"),
-         _arg("--list", action="store_true", help="list available check ids and exit")],
+        "run the identity verification suite", "verify",
+        lambda verify: [
+            _arg("--suite", default="all", help="'all' or comma-separated check ids"),
+            _arg("--list", action="store_true", help="list available check ids and exit")],
         _cmd_verify),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _layer(command: _Command):
+    """The command's library module, imported on first use by `__import__`, whose imports
+    `-X importtime` reports (it leaves out those of `importlib.import_module`)."""
+    name = f"{__package__}.{command.layer}"
+    __import__(name)
+    return sys.modules[name]
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named, which prints the same top-level
+    usage; each subparser imports its command's layer."""
     parser = argparse.ArgumentParser(
         prog="baselkit",
         description="Exact Bernoulli/Genocchi arithmetic, even zeta values, "
         "log-singular integrals, and the identity verification suite.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    # argparse builds this metavar from the choices; the full parser leaves it unset, as its
+    # errors for a missing or unknown command name the action by its dest
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else [only]:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
-        for flag, options in command.arguments:
+        for flag, options in command.arguments(_layer(command)):
             p.add_argument(flag, **options)
         p.add_argument(
             "--format", choices=("pretty", "json", "csv"), default="pretty", help="output format"
         )
         p.add_argument("--out", help="write output to this file (atomic)")
         if command.tol:
+            from .quadrature import DEFAULT_TOL
+
             p.add_argument("--tol", type=float, help=f"tolerance (default {DEFAULT_TOL})")
     return parser
+
+
+def _exit_2_errors() -> tuple:
+    """The errors that exit 2; UnknownCheckError is a ValueError, and an AccuracyError can
+    come only from quadrature, so it is caught only once that layer is loaded."""
+    quadrature = sys.modules.get(f"{__package__}.quadrature")
+    return (ValueError, CapacityError, *([quadrature.AccuracyError] if quadrature else []))
 
 
 def _fail(args, message) -> int:
@@ -251,24 +281,29 @@ def _fail(args, message) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  With no argv, main reads sys.argv as
-    the process entry: it first calls `gc.freeze()`, which takes every object the
-    collector tracks so far out of its view for the rest of the process, and if stdout
-    cannot be written it points descriptor 1 at devnull, since the interpreter's flush at
-    exit would fail again and exit 120.  A caller that passes argv keeps both as they were."""
+    """Run one command and return its exit code.  Only the subparser that argv's first word
+    names is built, and only that command's library layer is imported; with no command word,
+    `-h`/`--help` or an unknown word, the full parser is built.  With no argv, main reads
+    sys.argv as the process entry: after that import it calls `gc.freeze()`, which takes every
+    object the collector tracks so far out of its view for the rest of the process, and if
+    stdout cannot be written it points descriptor 1 at devnull, since the interpreter's flush
+    at exit would fail again and exit 120.  A caller that passes argv keeps both as they were."""
+    words = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(words[0] if words and words[0] in _COMMANDS else None)
     if argv is None:
-        # Every import is done, and nearly all of the ~13k objects the collector tracks live
-        # until exit, yet CPython's full collections at shutdown would scan them all; frozen,
-        # those collections scan only what the command allocates.
+        # Every import is done, the command's layer with the parser, and nearly all of the ~13k
+        # objects the collector tracks live until exit, yet CPython's full collections at
+        # shutdown would scan them all; frozen, those collections scan only what the command
+        # allocates.
         gc.freeze()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     command = _COMMANDS[args.command]
     try:
-        text, code = command.run(args)
-    except (ValueError, CapacityError, AccuracyError) as exc:  # UnknownCheckError is a ValueError
+        text, code = command.run(_layer(command), args)
+    except _exit_2_errors() as exc:
         return _fail(args, exc)
     try:
         if args.out is None:

@@ -17,12 +17,28 @@ from pathlib import Path
 import pytest
 
 import baselkit.cli as cli
-from baselkit import exact
+from baselkit import exact, quadrature
 from baselkit.cli import main
 from baselkit.exact import bernoulli, fraction_str, genocchi, parse_fraction, zeta_even_exact
 from baselkit.quadrature import ETA2, ZETA2, AccuracyError, IntegralKind, QuadResult, integrate
 from baselkit.series import bisection_report
 from baselkit.verify import available_checks
+
+
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+# (argv, the layers a process-entry run of it loads besides exact, which the package itself
+# imports); series reads quadrature, and verify every layer
+_ENTRY_LAYERS = [
+    (["bernoulli", "--n", "12"], []),
+    (["genocchi", "--n", "12"], []),
+    (["zeta", "--even", "2"], []),
+    (["poly", "--kind", "genocchi", "--n", "3"], ["polynomials"]),
+    (["integrate", "--kind", "log_over_1mt"], ["quadrature"]),
+    (["series", "--which", "zeta2", "--n", "3"], ["quadrature", "series"]),
+    (["verify", "--list"], ["polynomials", "quadrature", "series", "verify"]),
+]
 
 
 def run_cli(capsys, *argv):
@@ -178,14 +194,26 @@ class TestVerifyCommand:
         assert gc.get_freeze_count() == frozen
 
     def test_the_process_entry_freezes_the_import_time_heap(self):
+        # the layer is imported with the parser, before the freeze, so the check table made
+        # at its import is out of the collector's view, as the objects made before it are
         code = ("import gc, sys; from baselkit.cli import main; "
                 "sys.argv = ['baselkit', 'verify', '--list']; exit_code = main(); "
-                "print(exit_code, gc.get_freeze_count() > 0, file=sys.stderr)")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+                "from baselkit.verify import _REGISTRY; "
+                "print(exit_code, gc.get_freeze_count() > 0, "
+                "any(o is _REGISTRY for o in gc.get_objects()), file=sys.stderr)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60, check=True)
-        assert done.stderr == "0 True\n"
+                              env=_SRC_ENV, timeout=60, check=True)
+        assert done.stderr == "0 True False\n"
         assert done.stdout == "\n".join(available_checks()) + "\n"
+
+    @pytest.mark.parametrize("argv, layers", _ENTRY_LAYERS,
+                             ids=[argv[0] for argv, _ in _ENTRY_LAYERS])
+    def test_the_process_entry_loads_only_its_commands_layer(self, argv, layers):
+        code = ("import sys; from baselkit.cli import main; sys.argv[0] = 'baselkit'; main(); "
+                "print(*sorted(m for m in sys.modules if m.startswith('baselkit.')), file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env=_SRC_ENV, timeout=60, check=True)
+        assert done.stderr.split() == sorted(f"baselkit.{m}" for m in ["cli", "exact", *layers])
 
     def test_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"
@@ -293,7 +321,7 @@ class TestExitCodes:
         def no_convergence(kind, tol):
             raise AccuracyError("no convergence (injected)", QuadResult(0.0, 1.0, 3))
 
-        monkeypatch.setattr(cli, "integrate", no_convergence)
+        monkeypatch.setattr(quadrature, "integrate", no_convergence)  # where the handler reads it
         code, out, err = run_cli(capsys, "integrate", "--kind", "log_over_1mt")
         assert code == 2
         assert out == ""
@@ -496,6 +524,62 @@ class TestHelpScreens:
             "command": "series", "which": "eta2", "n": None, "m_max": None, "tol": None, **common}
         assert vars(parse(["verify"])) == {
             "command": "verify", "suite": "all", "list": False, **common}
+
+
+# A valid argv for each subcommand after its name, which parses without running anything.
+_VALID_ARGS = {
+    "bernoulli": ["--n", "3"], "genocchi": ["--n", "3"], "zeta": ["--even", "1"],
+    "poly": ["--kind", "bernoulli", "--n", "2"], "integrate": ["--kind", "log_over_1mt"],
+    "riemann": ["--kind", "log_over_1mt", "--n", "2"], "product": ["--kind", "plus", "--n", "2"],
+    "dilog": ["--x", "0.5"], "series": ["--which", "zeta2"], "mei": ["--x", "1", "--level", "1"],
+    "verify": [],
+}
+
+
+def _parse(capsys, parser, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of parser.parse_args(argv); 0 if it returns."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneSubcommandParser:
+    """A process builds only the subparser it runs; it must print what the full parser does."""
+
+    @pytest.mark.parametrize("case", ["help", "missing_flag", "bad_format", "flag_without_value",
+                                      "trailing_word"])
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_it_prints_what_the_full_parser_prints(self, capsys, monkeypatch, name, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [name, *{
+            "help": ["--help"],
+            "missing_flag": [],  # every subcommand but verify has a required flag
+            "bad_format": [*_VALID_ARGS[name], "--format", "xml"],
+            "flag_without_value": [*_VALID_ARGS[name], "--out"],
+            "trailing_word": [*_VALID_ARGS[name], "extra"],
+        }[case]]
+        one = _parse(capsys, cli._build_parser(name), argv)
+        assert one == _parse(capsys, cli._build_parser(), argv)
+        assert one[0] == (0 if case == "help" or (case, name) == ("missing_flag", "verify") else 2)
+        if case == "trailing_word":  # reported by the top-level parser, under its usage
+            usage = _golden_help()["--help"].split("\n\n", 1)[0]
+            assert one[2] == f"{usage}\nbaselkit: error: unrecognized arguments: extra\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        (["--frobnicate"], "the following arguments are required: command"),
+    ], ids=["no_word", "unknown_word", "unknown_flag"])
+    def test_without_a_command_word_main_prints_the_full_parsers_error(
+            self, capsys, argv, error):
+        full = _parse(capsys, cli._build_parser(), argv)
+        assert run_cli(capsys, *argv) == full
+        assert full[0] == 2
+        assert full[2].splitlines()[-1].startswith(f"baselkit: error: {error}")
 
 
 def _readme_cli_lines() -> list[tuple[list[str], str]]:

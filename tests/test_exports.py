@@ -1,5 +1,6 @@
-"""Each module's ``__all__`` lists every name its siblings import from it, the
-package exports exactly the exact core, and every public name has a reader.
+"""Each module's ``__all__`` lists every name its siblings import from it (or cli
+reads from it), the package exports exactly the exact core, and every public
+name has a reader.
 
 The reachability rule: one ``run_suite()`` and one in-process run of each CLI
 subcommand (every ``series --which`` branch and each ``--format``) must call
@@ -61,13 +62,18 @@ _CLI_RUNS = [
 
 
 def _sibling_imports() -> list[tuple[str, str, str]]:
-    """(importer, sibling, name) for each public ``from .sibling import name``."""
+    """(importer, sibling, name) for each public ``from .sibling import name``, and for each
+    ``sibling.name`` in cli, whose commands read their layer through a parameter named after it."""
+    siblings = {path.stem for path in SRC.glob("[!_]*.py")}
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 found += [(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name != "*" and not alias.name.startswith("_")]
+            elif (path.stem == "cli" and isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in siblings):
+                found.append((path.stem, node.value.id, node.attr))
     return found
 
 
